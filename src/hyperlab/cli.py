@@ -204,8 +204,8 @@ def _validate(command, cfg):
         except ValueError as exc:
             raise UsageError("gammas", "gammas must be a comma-separated "
                                        "list of numbers") from exc
-        if not gammas or any(g <= 0 for g in gammas):
-            raise UsageError("gammas", "gammas must be positive")
+        if not gammas or not all(np.isfinite(g) and g > 0 for g in gammas):
+            raise UsageError("gammas", "gammas must be positive and finite")
 
 
 # ---------------------------------------------------------------------------

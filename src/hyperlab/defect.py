@@ -18,21 +18,13 @@ for the expanded annihilators); the sweep does this automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import sici as _sici
 
-from .fourier import LatticeCross, QuadratureSpec, DEFAULT_QUAD, \
-    _antideriv_exp_over_t
+from .fourier import LatticeCross, _antideriv_exp_over_t
 from .measures import Measure1D, MeasureError, Piece
-
-
-def _exp_tail(y):
-    """E(y) = int_1^inf e^{i y u} du / u, vectorized; E(0) diverges."""
-    y = np.asarray(y, dtype=float)
-    si, ci = _sici(np.abs(y))
-    return -ci + 1j * np.sign(y) * (0.5 * np.pi - si)
+from .sici import exp_integral_tail
 
 
 @dataclass(frozen=True)
@@ -132,66 +124,77 @@ class ConstraintMatrix:
     rows: tuple  # (axis, index, xi1, xi2) descriptors
     entries: np.ndarray  # nRows x nElements, complex
     basis: CandidateBasis
-    quad: QuadratureSpec
 
 
-def _branch_row(basis: CandidateBasis, w: float, c: float) -> np.ndarray:
-    """Pairings of e^{i(w t - c/t)} with the positive-branch elements."""
+def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
+                  c: np.ndarray) -> None:
+    """Write the pairings of e^{i(w t - c/t)} with the positive-branch
+    elements into ``out``, one row per entry of w and c.  The rows must lie
+    on one axis (all c = 0, or all w = 0); rows at the origin pair to the
+    element masses, 1."""
     edges = basis.edges
     log_w = np.diff(np.log(edges))
     nb = basis.n_interior
     t0, t1 = basis.t_min, basis.t_max
-    row = np.empty(nb + 4, dtype=complex)
-    if w == 0.0 and c == 0.0:
-        row[:] = 1.0
-        return row
-    if c == 0.0:
-        vals = _exp_tail(w * edges)
-        row[:nb] = (vals[:-1] - vals[1:]) / log_w
-        ew0 = np.exp(1j * w * t0)
-        row[nb] = (ew0 - 1.0) / (1j * w * t0)
+    bins = out[:, :nb]
+    if not np.any(c):
+        origin = w == 0.0
+        w = np.where(origin, 1.0, w)
+        vals = exp_integral_tail(w[:, None] * edges)
+        np.subtract(vals[:, :-1], vals[:, 1:], out=bins)
+        bins /= log_w
+        iw0 = 1j * w * t0
+        ew0 = np.exp(iw0)
+        out[:, nb] = (ew0 - 1.0) / iw0
         # (2/t0^2) int_0^t0 t e^{iwt} dt, elementary
-        row[nb + 1] = 2.0 * (ew0 * (1j * w * t0 - 1.0) + 1.0) / (1j * w * t0) ** 2
-        ew1 = np.exp(1j * w * t1)
-        e_t = _exp_tail(np.array(w * t1))
-        row[nb + 2] = ew1 + 1j * w * t1 * e_t
+        out[:, nb + 1] = 2.0 * (ew0 * (iw0 - 1.0) + 1.0) / iw0**2
+        iw1 = 1j * w * t1
+        ew1 = np.exp(iw1)
+        # t1 int_t1^inf e^{iwt}/t^2, by parts; vals[:, -1] = E(w t1)
+        out[:, nb + 2] = ew1 + iw1 * vals[:, -1]
         # 2 t1^2 int_t1^inf e^{iwt}/t^3, by parts twice
-        row[nb + 3] = ew1 + 1j * w * t1 * (ew1 + 1j * w * t1 * e_t)
-        return row
-    if w == 0.0:
+        out[:, nb + 3] = ew1 + iw1 * out[:, nb + 2]
+    elif not np.any(w):
+        origin = c == 0.0
+        c = np.where(origin, 1.0, c)
         # int e^{-i c/t} dt/t over a bin, through u = 1/t
-        ev = _exp_tail(-c / edges)
-        row[:nb] = (ev[1:] - ev[:-1]) / log_w
-        prim = _antideriv_exp_over_t(-c, np.array([0.0, t0]))
-        row[nb] = (prim[1] - prim[0]) / t0
+        vals = exp_integral_tail(-c[:, None] / edges)
+        np.subtract(vals[:, 1:], vals[:, :-1], out=bins)
+        bins /= log_w
+        a0 = _antideriv_exp_over_t(-c, t0) - _antideriv_exp_over_t(-c, 0.0)
+        out[:, nb] = a0 / t0
         # (2/t0^2) int_0^t0 t e^{-ic/t} dt = (t^2 e^{-ic/t} - ic A)/t0^2
-        row[nb + 1] = (t0**2 * np.exp(-1j * c / t0)
-                       - 1j * c * (prim[1] - prim[0])) / t0**2
+        out[:, nb + 1] = (t0**2 * np.exp(-1j * c / t0)
+                          - 1j * c * a0) / t0**2
         z = np.exp(-1j * c / t1)
-        row[nb + 2] = (1.0 - z) * t1 / (1j * c)
+        out[:, nb + 2] = (1.0 - z) * t1 / (1j * c)
         # 2 t1^2 int_0^{1/t1} u e^{-icu} du, elementary
-        row[nb + 3] = 2.0 * t1**2 * (
+        out[:, nb + 3] = 2.0 * t1**2 * (
             1.0 - z * (1.0 + 1j * c / t1)) / (1j * c) ** 2
-        return row
-    raise MeasureError("off-axis rows are not supported by the closed-form "
-                       "assembler")
+    else:
+        raise MeasureError("off-axis rows are not supported by the "
+                           "closed-form assembler")
+    out[origin] = 1.0
 
 
-def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross,
-                            q: QuadratureSpec = DEFAULT_QUAD
+def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
                             ) -> ConstraintMatrix:
     """One row per cross point, in the cross's deterministic order."""
     pts = cross.points()
-    mat = np.zeros((len(pts), basis.n_elements), dtype=complex)
+    mat = np.empty((len(pts), basis.n_elements), dtype=complex)
     per = basis.n_interior + 4
-    for r, (axis, idx, x1, x2) in enumerate(pts):
-        w = np.pi * x1
-        c = basis.m**2 * x2 / (4.0 * np.pi)
-        mat[r, :per] = _branch_row(basis, w, c)
+    xi = np.array([(x1, x2) for _, _, x1, x2 in pts],
+                  dtype=float).reshape(-1, 2)
+    w = np.pi * xi[:, 0]
+    c = basis.m**2 * xi[:, 1] / (4.0 * np.pi)
+    # the cross lists its axis-1 points first, then its axis-2 points
+    n1 = sum(axis == 1 for axis, *_ in pts)
+    for blk in (slice(0, n1), slice(n1, len(pts))):
+        _branch_block(mat[blk, :per], basis, w[blk], c[blk])
         if basis.two_branch:
             # reflected branch: t -> -t flips both frequency signs
-            mat[r, per:] = _branch_row(basis, -w, -c)
-    return ConstraintMatrix(tuple(pts), mat, basis, q)
+            _branch_block(mat[blk, per:], basis, -w[blk], -c[blk])
+    return ConstraintMatrix(tuple(pts), mat, basis)
 
 
 @dataclass(frozen=True)
@@ -233,17 +236,16 @@ class SweepRow:
 
 
 def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
-                k_max: int = 40, threshold: float = 1e-6, tail_k: int = 6,
-                q: QuadratureSpec = DEFAULT_QUAD):
+                k_max: int = 40, threshold: float = 1e-6, tail_k: int = 6):
     """Per-gamma defect estimates; the grid is re-anchored at each gamma
     so the expanded annihilators' density jumps fall on bin edges."""
     rows = []
     for gamma in gamma_grid:
-        if gamma <= 0:
-            raise MeasureError("gamma grid must be positive")
+        if not (np.isfinite(gamma) and gamma > 0):
+            raise MeasureError("gamma grid must be positive and finite")
         b = basis.with_anchor(1.0).with_anchor(float(gamma))
         mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max,
-                                                         k_max), q)
+                                                         k_max))
         est = defect_estimate(mat, threshold)
         tail = tuple(float(s) for s in np.sort(est.singular_values)[:tail_k])
         rows.append(SweepRow(float(gamma), tail, est.numerical_defect))
@@ -251,15 +253,14 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
 
 
 def calibrate(basis: CandidateBasis, gamma: float = 1.0, j_max: int = 40,
-              k_max: int = 40, threshold: float = 1e-6,
-              q: QuadratureSpec = DEFAULT_QUAD) -> dict:
+              k_max: int = 40, threshold: float = 1e-6) -> dict:
     """Truncation stability at the calibration point: the smallest
     singular value must move < 5% when j_max and k_max double."""
     out = {}
     for tag, (jm, km) in (("base", (j_max, k_max)),
                           ("doubled", (2 * j_max, 2 * k_max))):
         b = basis.with_anchor(1.0).with_anchor(float(gamma))
-        mat = build_constraint_matrix(b, cross_for_gamma(gamma, jm, km), q)
+        mat = build_constraint_matrix(b, cross_for_gamma(gamma, jm, km))
         est = defect_estimate(mat, threshold)
         out[tag] = float(np.min(est.singular_values))
         out[tag + "_defect"] = est.numerical_defect

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.special import sici as _scipy_sici
 
 from .measures import HyperbolaMeasure, Measure1D, Piece, QuadrantTag
-from .sici import cosine_integral, exp_integral_tail, sine_integral_tail
+from .sici import exp_integral_tail
 
 
 class QuadratureError(RuntimeError):
@@ -37,14 +37,10 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
-    oscillatory_method: str = "adaptive-subdivision"
-    tail_order: int = 4
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.tail_order < 1:
-            raise ValueError("tail_order must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -87,20 +83,18 @@ class LatticeCross:
 # ---------------------------------------------------------------------------
 # closed-form bin pairings
 
-def _antideriv_exp_over_t(c: float, t: np.ndarray) -> np.ndarray:
-    """Antiderivative of e^{i c / t} on t > 0 (finite limit c*pi/2 at 0+)."""
-    if c == 0.0:
-        return t.astype(complex)
-    sign = np.sign(c)
-    ac = abs(c)
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=complex)
-    pos = t > 0
-    u = ac / t[pos]
+def _antideriv_exp_over_t(c, t) -> np.ndarray:
+    """Antiderivative of e^{i c / t} on t > 0 (finite limit |c| pi/2 at 0+),
+    elementwise over broadcast c and t; it is t itself where c = 0."""
+    c, t = np.broadcast_arrays(np.asarray(c, dtype=float),
+                               np.asarray(t, dtype=float))
+    ac = np.abs(c)
+    out = np.where(c == 0.0, t, ac * np.pi / 2.0).astype(complex)
+    live = (c != 0.0) & (t > 0.0)
+    u = ac[live] / t[live]
     si_u, ci_u = _scipy_sici(u)
-    a = t[pos] * np.exp(1j * u) - 1j * ac * (ci_u + 1j * si_u)
-    out[pos] = a if sign > 0 else np.conj(a)
-    out[~pos] = ac * np.pi / 2.0  # real limit, same for both signs of c
+    a = t[live] * np.exp(1j * u) - 1j * ac[live] * (ci_u + 1j * si_u)
+    out[live] = np.where(c[live] > 0.0, a, np.conj(a))
     return out
 
 
@@ -312,7 +306,5 @@ def critical_measure_ft(x: float, unit_lower_limit: bool = False) -> complex:
     if x == 0.0 or float(x).is_integer():
         return 0.0 + 0.0j
     lower = abs(x) if unit_lower_limit else 2.0 * np.pi * abs(x)
-    tail = complex(-cosine_integral(lower),
-                   np.sign(x) * sine_integral_tail(lower))
-    e_val = np.exp(-2j * np.pi * x) * tail
+    e_val = np.exp(-2j * np.pi * x) * exp_integral_tail(np.sign(x) * lower)
     return complex((1.0 - np.exp(2j * np.pi * x)) * e_val)

@@ -5,9 +5,9 @@ Conventions (fixed once, used everywhere in this package):
     si(x) =  integral_x^inf  sin(y)/y dy   =  pi/2 - Si(x),
     ci(x) = -integral_x^inf  cos(y)/y dy   (the standard Ci),
 
-so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Small
-arguments go through the power series, large ones through the Lentz
-continued fraction for E1(ix) = -ci(x) - i si(x).
+so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Both are
+read off ``scipy.special.sici``, which returns (Si, Ci) with
+Si = pi/2 - si.
 """
 
 from __future__ import annotations
@@ -15,79 +15,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-EULER_GAMMA = 0.57721566490153286060651209008240243
-
-_CROSSOVER = 4.0
-
-
-def _series_si_ci(x: float) -> tuple[float, float]:
-    # Si by its Maclaurin series, Ci = gamma + log x - Cin
-    si_val = 0.0
-    term = x
-    k = 0
-    while True:
-        si_val += term / (2 * k + 1)
-        k += 1
-        term *= -x * x / ((2 * k) * (2 * k + 1))
-        if abs(term) < 1e-18:
-            break
-    cin = 0.0
-    term = x * x / 2.0
-    k = 1
-    while True:
-        cin += term / (2 * k)
-        k += 1
-        term *= -x * x / ((2 * k - 1) * (2 * k))
-        if abs(term) < 1e-18:
-            break
-    ci_val = EULER_GAMMA + np.log(x) - cin
-    return np.pi / 2.0 - si_val, ci_val
-
-
-def _e1_continued_fraction(z: complex, max_iter: int = 500) -> complex:
-    """E1(z) by the modified Lentz continued fraction; needs |z| not small."""
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * np.exp(-z)
+from scipy.special import sici as _sici
 
 
 def sine_integral_tail(x: float) -> float:
     """si(x) = integral_x^inf sin(y)/y dy for x > 0."""
     if x <= 0:
         raise ValueError("x must be positive")
-    if x <= _CROSSOVER:
-        return _series_si_ci(x)[0]
-    return -float(np.imag(_e1_continued_fraction(1j * x)))
+    return 0.5 * np.pi - float(_sici(x)[0])
 
 
 def cosine_integral(x: float) -> float:
     """ci(x), with integral_x^inf cos(y)/y dy = -ci(x); x > 0 required."""
     if x <= 0:
         raise ValueError("x must be positive (logarithmic divergence at 0)")
-    if x <= _CROSSOVER:
-        return _series_si_ci(x)[1]
-    return -float(np.real(_e1_continued_fraction(1j * x)))
+    return float(_sici(x)[1])
 
 
-def exp_integral_tail(w: float) -> complex:
-    """integral_1^inf e^{i w t} / t dt = -ci(|w|) + i sgn(w) si(|w|), w != 0."""
-    if w == 0.0:
-        raise ValueError("diverges at w = 0")
-    aw = abs(w)
-    return complex(-cosine_integral(aw), np.sign(w) * sine_integral_tail(aw))
+def exp_integral_tail(y):
+    """E(y) = integral_1^inf e^{i y u} du / u = -ci(|y|) + i sgn(y) si(|y|)
+    for y != 0, elementwise over arrays (a complex scalar for a scalar)."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y == 0.0):
+        raise ValueError("diverges at y = 0")
+    big_si, ci = _sici(np.abs(y))
+    out = -ci + 1j * np.sign(y) * (0.5 * np.pi - big_si)
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

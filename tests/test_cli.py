@@ -27,6 +27,13 @@ class TestParseConfig:
         assert record["key"] == "gamma"
         assert record["schemaVersion"] == 1
 
+    @pytest.mark.parametrize("gammas", ["1,nan", "1,inf", "nan"])
+    def test_nonfinite_gammas_usage_error(self, gammas, capsys):
+        code, _, err = run(["defect-sweep", "--gammas", gammas], capsys)
+        assert code == 2
+        assert json.loads(err)["key"] == "gammas"
+        assert "Traceback" not in err
+
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("gamma=1.0\nbins=64\n")

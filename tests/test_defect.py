@@ -3,12 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from hyperlab.annihilators import critical_annihilator
-from hyperlab.defect import (CandidateBasis, ConstraintMatrix, _branch_row,
+from hyperlab.defect import (CandidateBasis, ConstraintMatrix,
                              build_constraint_matrix, calibrate,
                              cosine_similarity, cross_for_gamma,
                              defect_estimate, distorted_cross_residual,
                              sweep_gamma)
-from hyperlab.fourier import DEFAULT_QUAD
+from hyperlab.fourier import LatticeCross
 from hyperlab.measures import MeasureError
 
 
@@ -66,43 +66,57 @@ class TestCandidateBasis:
         assert b2.n_elements == 2 * (64 + 4)
 
 
+def small_system(w, c):
+    """Anchored two-branch basis and its matrix on the symmetric cross
+    whose rows pair at frequencies (+-w, 0), (0, +-c) and twice (0, 0)."""
+    basis = CandidateBasis(0.1, 10.0, 16, two_branch=True) \
+        .with_anchor(1.0).with_anchor(0.8)
+    alpha = abs(w) / np.pi if w else 1.0
+    beta = 4.0 * np.pi * abs(c) / basis.m**2 if c else 1.0
+    cross = LatticeCross(alpha, beta, (-1, 1), (-1, 1))
+    return basis, build_constraint_matrix(basis, cross)
+
+
 class TestBranchRow:
     @pytest.mark.parametrize("w,c", [(0.0, 0.0), (3.0, 0.0), (-2.0, 0.0),
                                      (0.0, 4.0), (0.0, -1.5)])
     def test_against_quadrature_oracle(self, w, c):
-        basis = CandidateBasis(0.1, 10.0, 16)
-        row = _branch_row(basis, w, c)
-        oracle = row_oracle(basis, w, c)
-        assert np.max(np.abs(row - oracle)) <= 1e-4
+        basis, mat = small_system(w, c)
+        for (_, _, x1, x2), row in zip(mat.rows, mat.entries):
+            rw, rc = np.pi * x1, basis.m**2 * x2 / (4.0 * np.pi)
+            # the reflected branch pairs at the negated frequencies
+            oracle = np.concatenate([row_oracle(basis, rw, rc),
+                                     row_oracle(basis, -rw, -rc)])
+            assert np.max(np.abs(row - oracle)) <= 1e-4
 
     def test_zero_row_is_masses(self):
-        basis = CandidateBasis(0.1, 10.0, 16)
-        assert np.allclose(_branch_row(basis, 0.0, 0.0), 1.0)
+        _, mat = small_system(3.0, 4.0)
+        origin = [r for r, (_, idx, _, _) in enumerate(mat.rows) if idx == 0]
+        assert len(origin) == 2
+        assert np.allclose(mat.entries[origin], 1.0)
 
     def test_mixed_frequencies_rejected(self):
+        cross = LatticeCross(1.0, 1.0, (-1, 1), (-1, 1), offset=(0.5, 0.5))
         with pytest.raises(MeasureError):
-            _branch_row(CandidateBasis(0.1, 10.0, 16), 1.0, 1.0)
+            build_constraint_matrix(CandidateBasis(0.1, 10.0, 16), cross)
 
 
 class TestDefectEstimate:
     def test_zero_matrix_full_defect(self):
         basis = CandidateBasis(0.1, 10.0, 16)
-        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)),
-                               basis, DEFAULT_QUAD)
+        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)), basis)
         est = defect_estimate(mat, 0.5)
         assert est.numerical_defect == basis.n_elements
 
     def test_underdetermined_rejected(self):
         basis = CandidateBasis(0.1, 10.0, 64)
-        mat = ConstraintMatrix((), np.zeros((10, basis.n_elements)),
-                               basis, DEFAULT_QUAD)
+        mat = ConstraintMatrix((), np.zeros((10, basis.n_elements)), basis)
         with pytest.raises(MeasureError):
             defect_estimate(mat, 0.5)
 
     def test_bad_threshold_rejected(self):
         basis = CandidateBasis(0.1, 10.0, 16)
-        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)),
-                               basis, DEFAULT_QUAD)
+        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)), basis)
         with pytest.raises(MeasureError):
             defect_estimate(mat, 2.0)
 
@@ -152,8 +166,9 @@ class TestSweep:
         assert rows[2].defect >= 1
 
     def test_gamma_grid_validated(self):
-        with pytest.raises(MeasureError):
-            sweep_gamma(CandidateBasis(0.08, 12.5, 32), [-1.0])
+        for gamma in (-1.0, np.nan, np.inf):
+            with pytest.raises(MeasureError):
+                sweep_gamma(CandidateBasis(0.08, 12.5, 32), [gamma])
 
 
 class TestCalibrate:
