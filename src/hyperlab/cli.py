@@ -189,6 +189,9 @@ def _read_lines(path):
 
 
 def _validate(command, cfg):
+    for key, val in cfg.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise UsageError(key, f"{key} must be finite")
     for key in ("gamma", "alpha", "beta", "xmin", "xmax", "tmin", "tmax",
                 "threshold", "im"):
         if key in cfg and cfg[key] <= 0:
@@ -196,6 +199,8 @@ def _validate(command, cfg):
     for key in ("bins", "gridn", "jmax", "kmax", "n", "nmax", "iterates"):
         if key in cfg and cfg[key] < 1:
             raise UsageError(key, f"{key} must be a positive integer")
+    if command == "hardy-defect" and 2 * cfg["nmax"] + 1 > cfg["gridn"]:
+        raise UsageError("gridn", "gridn must be at least 2 nmax + 1")
     if "measure" in cfg and cfg["measure"] not in ("critical", "expanded"):
         raise UsageError("measure", "measure must be critical or expanded")
     if command == "defect-sweep":

@@ -20,19 +20,6 @@ class GaussMap:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
-    def branch_points(self, x_min: float):
-        """Branch points gamma/(j+1) above x_min, descending."""
-        out = []
-        j = 1
-        while True:
-            b = self.gamma / (j + 1)
-            if b < 1.0:
-                if b <= x_min:
-                    break
-                out.append(b)
-            j += 1
-        return out
-
 
 def step(m: GaussMap, x: float) -> float:
     """One application of U_gamma; U_gamma(0) = 0 by convention."""

@@ -6,14 +6,17 @@ The planar transform convention is
     ft(mu, xi) = integral exp(i pi [xi1 t - m^2 xi2 / (4 pi^2 t)]) d(pi1 mu)(t),
 
 so that the pairing exp(i 2 pi j t) used in the one-branch experiments is
-ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Oscillatory
-infinite tails go through QUADPACK's Fourier-weight integrator; piecewise
-constant (Ulam) densities are paired in closed form per bin.
+ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Every
+``pairing`` of a measure with e^{i(w t - c/t)} sends its oscillatory
+integrals through one primitive, ``_osc`` (QUADPACK's Fourier weights:
+QAWO on finite intervals, QAWF on infinite tails); piecewise constant
+(Ulam) densities are paired in closed form per bin where one phase
+vanishes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,30 +101,8 @@ def _antideriv_exp_over_t(c, t) -> np.ndarray:
     return out
 
 
-def _weighted_osc(g, a, b, freq):
-    """integral_a^b g(u) e^{i freq u} du via Clenshaw-Curtis weights; b may
-    be inf (then QUADPACK's Fourier extrapolation is used)."""
-    if freq < 0:
-        v, e = _weighted_osc(lambda u: np.conj(g(u)), a, b, -freq)
-        return np.conj(v), e
-    vals = []
-    errs = 0.0
-    kw = {"weight": None, "wvar": freq, "epsabs": 1e-12, "limit": 200}
-    if not np.isfinite(b):
-        kw["limlst"] = 100
-    for part, weight in ((lambda u: np.real(g(u)), "cos"),
-                         (lambda u: np.imag(g(u)), "sin"),
-                         (lambda u: np.real(g(u)), "sin"),
-                         (lambda u: np.imag(g(u)), "cos")):
-        kw["weight"] = weight
-        v, e = quad(part, a, b, **kw)
-        vals.append(v)
-        errs += e
-    return complex(vals[0] - vals[1], vals[2] + vals[3]), errs
-
-
 def _binned_pairing(edges: np.ndarray, values: np.ndarray,
-                    w: float, c: float):
+                    w: float, c: float, q: QuadratureSpec):
     """(integral of v(t) e^{i(w t - c/t)} dt, error estimate) for a bin
     table on t >= 0; exact (error 0) when one of w, c vanishes."""
     edges = np.asarray(edges, dtype=float)
@@ -158,7 +139,7 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
         def g(u, w=w):
             return np.exp(1j * w / u) / u**2
         u_hi = np.inf if a == 0.0 else 1.0 / a
-        val, e = _weighted_osc(g, 1.0 / b, u_hi, -c)
+        val, e = _osc(g, 1.0 / b, u_hi, -c, q)
         total += v * val
         err += abs(v) * e
     return complex(total), err
@@ -168,105 +149,98 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
 # generic oscillatory quadrature
 
 def _cquad(f, a, b, q: QuadratureSpec):
-    re, re_err = quad(lambda t: np.real(f(t)), a, b, limit=q.max_subdivisions,
-                      epsabs=q.abs_tol, epsrel=q.rel_tol)
-    im, im_err = quad(lambda t: np.imag(f(t)), a, b, limit=q.max_subdivisions,
-                      epsabs=q.abs_tol, epsrel=q.rel_tol)
-    return complex(re, im), re_err + im_err
+    v, e = quad(f, a, b, complex_func=True, limit=q.max_subdivisions,
+                epsabs=q.abs_tol, epsrel=q.rel_tol)
+    return complex(v), e.real + e.imag
 
 
-def _cquad_fourier_inf(g, a, w, q: QuadratureSpec):
-    """integral_a^inf g(t) e^{i w t} dt with g decaying, w != 0 (QAWF)."""
-    if w < 0:
-        val, err = _cquad_fourier_inf(lambda t: np.conj(g(t)), a, -w, q)
-        return np.conj(val), err
-    pieces = []
-    errs = 0.0
-    for part, weight in ((lambda t: np.real(g(t)), "cos"),
-                         (lambda t: np.imag(g(t)), "sin"),
-                         (lambda t: np.real(g(t)), "sin"),
-                         (lambda t: np.imag(g(t)), "cos")):
-        val, e = quad(part, a, np.inf, weight=weight, wvar=w,
-                      limlst=max(50, q.max_subdivisions),
-                      limit=q.max_subdivisions, epsabs=q.abs_tol)
-        pieces.append(val)
-        errs += e
-    re = pieces[0] - pieces[1]
-    im = pieces[2] + pieces[3]
-    return complex(re, im), errs
+def _osc(g, a, b, w, q: QuadratureSpec):
+    """(integral_a^b g(t) e^{i w t} dt, error estimate) for w != 0 with
+    QUADPACK's Fourier weights: QAWO on finite [a, b], QAWF for b = inf."""
+    if not (np.isfinite(w) and np.isfinite(a) and a < b):
+        raise QuadratureError(f"oscillatory quadrature needs a finite "
+                              f"frequency and limits, got w={w} on [{a}, {b})")
+    kw = {"wvar": abs(w), "complex_func": True, "limit": q.max_subdivisions,
+          "limlst": max(50, q.max_subdivisions), "epsabs": q.abs_tol,
+          "epsrel": q.rel_tol}
+    cos, e_cos = quad(g, a, b, weight="cos", **kw)
+    sin, e_sin = quad(g, a, b, weight="sin", **kw)
+    err = e_cos + e_sin
+    return complex(cos + 1j * np.sign(w) * sin), err.real + err.imag
 
 
 def _piece_ft_positive(rho, a, b, w, c, q: QuadratureSpec):
     """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf]."""
     val = 0.0 + 0.0j
     err = 0.0
-
-    def integrand(t):
-        return rho(t) * np.exp(1j * (w * t - c / t))
-
     # near-zero oscillation: substitute s = 1/t and push to a Fourier tail
     if a == 0.0 and c != 0.0:
         d = min(b, 1.0)
 
         def g(s):
             return rho(1.0 / s) * np.exp(1j * w / s) / s**2
-        v, e = _cquad_fourier_inf(g, 1.0 / d, -c, q)
-        val += v
-        err += e
+        val, err = _osc(g, 1.0 / d, np.inf, -c, q)
         a = d
         if a >= b:
             return val, err
 
-    if np.isfinite(b):
-        v, e = _cquad(integrand, a, b, q)
-        return val + v, err + e
-
+    def integrand(t):
+        return rho(t) * np.exp(-1j * c / t) if c != 0.0 else rho(t)
+    a = max(a, 1e-300)
     if w != 0.0:
-        if c == 0.0:
-            g = rho
-        else:
-            def g(t):
-                return rho(t) * np.exp(-1j * c / t)
-        v, e = _cquad_fourier_inf(g, max(a, 1e-300), w, q)
+        v, e = _osc(integrand, a, b, w, q)
     else:
-        v, e = _cquad(integrand, max(a, 1e-300), b, q)
+        v, e = _cquad(integrand, a, b, q)
     return val + v, err + e
 
 
 def _piece_ft(p: Piece, w: float, c: float, q: QuadratureSpec):
     if p.family == "binned":
-        return _binned_pairing(p.params["edges"], p.params["values"], w, c)
+        return _binned_pairing(p.params["edges"], p.params["values"], w, c, q)
     if p.family == "binned_inverted":
         # substitute u = s/t:  w' = -c/s, c' = -w s, same bin table
         s = p.params["s"]
         return _binned_pairing(p.params["edges"], p.params["values"],
-                               -c / s, -w * s)
+                               -c / s, -w * s, q)
     if p.b <= 0.0:
         # reflect to positive support: t -> -t flips both frequencies
         rho = p.density
-        return _piece_ft_positive(lambda u: rho(-u), -p.b, -p.a
-                                  if np.isfinite(p.a) else np.inf, -w, -c, q)
+        return _piece_ft_positive(lambda u: rho(-u), -p.b, -p.a, -w, -c, q)
     return _piece_ft_positive(p.density, p.a, p.b, w, c, q)
 
 
-def ft_point(mu: HyperbolaMeasure, xi, q: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    """Fourier transform of mu at the planar point xi = (xi1, xi2)."""
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    w = np.pi * xi1
-    c = mu.m**2 * xi2 / (4.0 * np.pi)
+def pairing(nu: Measure1D, w: float, c: float,
+            q: QuadratureSpec = DEFAULT_QUAD):
+    """(integral of e^{i(w t - c/t)} d nu(t), achieved error estimate)."""
+    if not (np.isfinite(w) and np.isfinite(c)):
+        raise QuadratureError(f"pairing needs finite frequencies, got "
+                              f"w={w}, c={c}")
     total = 0.0 + 0.0j
     err = 0.0
-    for x, wt in mu.pi1.atoms:
-        total += wt * np.exp(1j * (w * x - c / x))
-    for p in mu.pi1.pieces:
+    for x, wt in nu.atoms:
+        total += wt * np.exp(1j * (w * x - (c / x if c else 0.0)))
+    for p in nu.pieces:
         v, e = _piece_ft(p, w, c, q)
         total += v
         err += e
+    return complex(total), err
+
+
+def _checked_ft(mu: HyperbolaMeasure, xi1: float, xi2: float,
+                q: QuadratureSpec):
+    """(ft of mu at (xi1, xi2), error estimate) within the error budget."""
+    c = mu.m**2 * xi2 / (4.0 * np.pi)
+    total, err = pairing(mu.pi1, np.pi * xi1, c, q)
     if err > 100.0 * (q.abs_tol + q.rel_tol * abs(total)) + 1e-8:
         raise QuadratureError(
             f"oscillatory quadrature at xi=({xi1}, {xi2}) achieved error "
             f"estimate {err:.3g} above tolerance", err)
-    return complex(total)
+    return total, err
+
+
+def ft_point(mu: HyperbolaMeasure, xi, q: QuadratureSpec = DEFAULT_QUAD) -> complex:
+    """Fourier transform of mu at the planar point xi = (xi1, xi2)."""
+    return _checked_ft(mu, float(xi[0]), float(xi[1]), q)[0]
 
 
 @dataclass(frozen=True)
@@ -281,16 +255,17 @@ class CrossValue:
 
 def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross,
                 q: QuadratureSpec = DEFAULT_QUAD):
-    """One ft_point evaluation per cross point, deterministic ordering."""
+    """One transform per cross point, deterministic ordering, each with
+    the error estimate its quadrature achieved (0 where closed-form)."""
     out = []
     for axis, idx, x1, x2 in cross.points():
         try:
-            val = ft_point(mu, (x1, x2), q)
+            val, err = _checked_ft(mu, x1, x2, q)
         except QuadratureError as exc:
             raise QuadratureError(
                 f"cross point axis={axis} index={idx} xi=({x1}, {x2}): {exc}",
                 exc.error_estimate) from exc
-        out.append(CrossValue(axis, idx, x1, x2, val, q.abs_tol))
+        out.append(CrossValue(axis, idx, x1, x2, val, err))
     return out
 
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import QuadratureSpec, DEFAULT_QUAD, _cquad, _cquad_fourier_inf
+from .fourier import QuadratureSpec, DEFAULT_QUAD, _cquad, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        compress_pi1, compress_pi2)
-
-TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,6 +124,9 @@ class HardyDefect:
 
 
 def hardy_defect(f: Measure1D, n_max: int, grid_n: int = 8192) -> HardyDefect:
+    if 2 * n_max + 1 > grid_n:
+        raise MeasureError(f"{2 * n_max + 1} coefficients alias on a "
+                           f"{grid_n}-point grid; need 2 n_max + 1 <= grid_n")
     coeffs = fourier_coeffs_periodic(periodize_q2(f, grid_n), n_max)
     mags = np.abs(coeffs)
     total = float(np.sum(mags))
@@ -198,25 +199,16 @@ def _pv_point(f: Measure1D, x: float, q: QuadratureSpec,
     boundaries (where the total density is continuous) cause no trouble;
     the remaining support is integrated plainly per piece."""
     lo, hi = x - window, x + window
-
-    # QUADPACK's Cauchy-weight rule computes pv int rho/(t - x)
-    def re_rho(t):
-        return float(np.real(f.density_at(t)))
-
-    def im_rho(t):
-        return float(np.imag(f.density_at(t)))
-
     total = 0.0 + 0.0j
     err = 0.0
     if any(pc.a < hi and pc.b > lo for pc in f.pieces):
-        re, re_err = quad(re_rho, lo, hi, weight="cauchy", wvar=x,
-                          limit=q.max_subdivisions, epsabs=q.abs_tol,
-                          epsrel=q.rel_tol)
-        im, im_err = quad(im_rho, lo, hi, weight="cauchy", wvar=x,
-                          limit=q.max_subdivisions, epsabs=q.abs_tol,
-                          epsrel=q.rel_tol)
-        total -= complex(re, im)
-        err += re_err + im_err
+        # QUADPACK's Cauchy-weight rule computes pv int rho/(t - x)
+        v, e = quad(lambda t: complex(f.density_at(t)), lo, hi,
+                    weight="cauchy", wvar=x, complex_func=True,
+                    limit=q.max_subdivisions, epsabs=q.abs_tol,
+                    epsrel=q.rel_tol)
+        total -= v
+        err += e.real + e.imag
     for pc in f.pieces:
         rho = pc.density
 
@@ -263,18 +255,10 @@ class HyperbolaHilbert:
     agreement_sup: float
 
 
-def measure_mass(nu: Measure1D, q: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    total = complex(sum(w for _, w in nu.atoms))
-    for pc in nu.pieces:
-        v, _ = _cquad(pc.density, pc.a, pc.b, q)
-        total += v
-    return total
-
-
 def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid,
                       q: QuadratureSpec = DEFAULT_QUAD) -> HyperbolaHilbert:
     nu1 = compress_pi1(mu)
-    if abs(measure_mass(nu1, q)) > 1e-10:
+    if abs(pairing(nu1, 0.0, 0.0, q)[0]) > 1e-10:
         raise MeasureError("hyperbola Hilbert transform requires total "
                            "mass 0")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -309,37 +293,6 @@ def _witness_f(z0: complex):
     return f
 
 
-def _pair_exponential(f, w: float, q: QuadratureSpec, cut: float = 8.0):
-    """int f(t) e^{i w t} dt over the line for O(t^-2) f."""
-    if w == 0.0:
-        return _cquad(f, -np.inf, np.inf, q)
-    v_mid, e_mid = _cquad(lambda t: f(t) * np.exp(1j * w * t), -cut, cut, q)
-    v_hi, e_hi = _cquad_fourier_inf(f, cut, w, q)
-    v_lo, e_lo = _cquad_fourier_inf(lambda u: f(-u), cut, -w, q)
-    return v_mid + v_hi + v_lo, e_mid + e_hi + e_lo
-
-
-def _pair_inverted(f, c: float, q: QuadratureSpec):
-    """int f(t) e^{i c / t} dt; the oscillation near 0 goes through
-    u = 1/t, where it becomes a Fourier tail."""
-    if c == 0.0:
-        return _cquad(f, -np.inf, np.inf, q)
-    v_out, e_out = _cquad(lambda t: f(t) * np.exp(1j * c / t),
-                          1.0, np.inf, q)
-    v_out2, e_out2 = _cquad(lambda t: f(t) * np.exp(1j * c / t),
-                            -np.inf, -1.0, q)
-
-    def g_pos(u):
-        return f(1.0 / u) / u**2
-
-    def g_neg(u):
-        return f(-1.0 / u) / u**2
-    v_in, e_in = _cquad_fourier_inf(g_pos, 1.0, c, q)
-    v_in2, e_in2 = _cquad_fourier_inf(g_neg, 1.0, -c, q)
-    return (v_out + v_out2 + v_in + v_in2,
-            e_out + e_out2 + e_in + e_in2)
-
-
 def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int,
                      q: QuadratureSpec = DEFAULT_QUAD):
     """Pairings <f_z0, e^{i pi j t}> (j = 0..j_max) and
@@ -350,13 +303,15 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int,
     if beta <= 0:
         raise MeasureError("beta must be positive")
     f = _witness_f(z0)
+    # the total-variation bound is not needed by the pairings
+    nu = Measure1D(pieces=(Piece(-np.inf, 0.0, f, np.inf),
+                           Piece(0.0, np.inf, f, np.inf)))
     rows = []
     for j in range(0, j_max + 1):
-        v, e = _pair_exponential(f, np.pi * j, q)
-        rows.append(PairingRow("j", j, v, e))
+        rows.append(PairingRow("j", j, *pairing(nu, np.pi * j, 0.0, q)))
     for k in range(0, k_max + 1):
-        v, e = _pair_inverted(f, np.pi * beta * k, q)
-        rows.append(PairingRow("k", k, v, e))
+        rows.append(PairingRow("k", k,
+                               *pairing(nu, 0.0, -np.pi * beta * k, q)))
     return rows
 
 

@@ -171,32 +171,6 @@ class Measure1D:
                                       tv_bound=abs(c) * p.tv_bound))
         return Measure1D(atoms, tuple(pieces))
 
-    def descriptor(self) -> dict:
-        """Structured-text serialization; requires all pieces family-tagged."""
-        atoms = [[float(x), float(np.real(w)), float(np.imag(w))]
-                 for x, w in self.atoms]
-        pieces = []
-        for p in self.pieces:
-            if p.family is None:
-                raise MeasureError("piece without a registered family "
-                                   "cannot be serialized")
-            params = {}
-            for k, v in p.params.items():
-                if isinstance(v, np.ndarray):
-                    if np.iscomplexobj(v):
-                        params[k + "_re"] = np.real(v).tolist()
-                        params[k + "_im"] = np.imag(v).tolist()
-                    else:
-                        params[k] = v.tolist()
-                elif isinstance(v, complex):
-                    params[k + "_re"] = v.real
-                    params[k + "_im"] = v.imag
-                else:
-                    params[k] = v
-            pieces.append({"family": p.family, "support": [p.a, p.b],
-                           "tv_bound": p.tv_bound, "params": params})
-        return {"atoms": atoms, "pieces": pieces}
-
 
 ZERO = Measure1D()
 

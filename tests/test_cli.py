@@ -1,9 +1,36 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hyperlab.cli import emit_svg_polyline, main, parse_config
+import hyperlab
+from hyperlab.cli import COMMANDS, emit_svg_polyline, main, parse_config
 from hyperlab.measures import MeasureError
+
+# every float key of every command, set to each non-finite value
+NONFINITE_CASES = [[cmd, f"--{key}={val}"]
+                   for cmd in COMMANDS
+                   for key, default in parse_config([cmd])[1].items()
+                   if isinstance(default, float)
+                   for val in ("nan", "inf", "-inf")]
+
+# runs each argv through main and prints [exit code, stderr] per line; an
+# escaping exception is reported as its traceback with code null
+_FUZZ_CHILD = """
+import contextlib, io, json, sys, traceback
+from hyperlab.cli import main
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception:
+        code, err = None, io.StringIO(traceback.format_exc())
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
 
 
 def run(argv, capsys):
@@ -33,6 +60,13 @@ class TestParseConfig:
         assert code == 2
         assert json.loads(err)["key"] == "gammas"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--gridn", "1"],
+                                       ["--gridn", "64", "--nmax", "64"]])
+    def test_hardy_aliasing_usage_error(self, flags, capsys):
+        code, _, err = run(["hardy-defect"] + flags, capsys)
+        assert code == 2
+        assert json.loads(err)["key"] == "gridn"
 
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
@@ -120,3 +154,28 @@ class TestSvgPolyline:
         with pytest.raises(MeasureError):
             emit_svg_polyline([(0.0, 0.0), (float("nan"), 1.0)], "bad",
                               str(tmp_path / "x.svg"))
+
+
+@pytest.fixture(scope="module")
+def nonfinite_results():
+    """One child process runs every case (a crash there, not here, is what
+    QUADPACK's oscillatory rules do with a non-finite frequency); returns
+    the per-case results it printed and its exit status."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hyperlab.__file__)))
+    res = subprocess.run([sys.executable, "-c", _FUZZ_CHILD], env=env,
+                         input=json.dumps(NONFINITE_CASES),
+                         capture_output=True, text=True, timeout=600)
+    return [json.loads(ln) for ln in res.stdout.splitlines()], res.returncode
+
+
+@pytest.mark.parametrize("case", range(len(NONFINITE_CASES)),
+                         ids=[" ".join(c) for c in NONFINITE_CASES])
+def test_nonfinite_float_usage_error(case, nonfinite_results):
+    results, status = nonfinite_results
+    assert case < len(results), f"child process died (status {status})"
+    code, err = results[case]
+    assert "Traceback" not in err
+    assert code == 2
+    key = NONFINITE_CASES[case][1][2:].partition("=")[0]
+    assert json.loads(err)["key"] == key

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab.annihilators import critical_annihilator
-from hyperlab.fourier import (LatticeCross, QuadratureSpec,
-                              critical_measure_ft, ft_on_cross, ft_point)
+import hyperlab
+from hyperlab.annihilators import (critical_annihilator,
+                                   expanded_annihilator, total_mass)
+from hyperlab.fourier import (DEFAULT_QUAD, LatticeCross, QuadratureSpec,
+                              critical_measure_ft, ft_on_cross, ft_point,
+                              pairing)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
-                               QuadrantTag)
+                               QuadrantTag, restrict)
+from hyperlab.transfer import build_ulam, invariant_density
 
 M = 2.0 * np.pi
 
@@ -69,6 +77,53 @@ class TestFtPoint:
         rhs = a * ft_point(lift(nu1), xi) + b * ft_point(lift(nu2), xi)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_nonfinite_frequency_raises_cleanly(self):
+        # QUADPACK's QAWF crashes the interpreter on a NaN or infinite
+        # frequency, so the guard is exercised in a child process
+        script = """
+import numpy as np
+from hyperlab.annihilators import critical_annihilator
+from hyperlab.fourier import DEFAULT_QUAD, QuadratureError, _osc, ft_point
+from hyperlab.measures import HyperbolaMeasure
+
+mu = HyperbolaMeasure(2.0 * np.pi, critical_annihilator())
+calls = [lambda xi=xi: ft_point(mu, xi)
+         for xi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0))]
+calls += [lambda a=a, b=b, w=w: _osc(np.exp, a, b, w, DEFAULT_QUAD)
+          for a, b, w in ((1.0, np.inf, np.nan), (1.0, np.inf, np.inf),
+                          (1.0, 2.0, -np.inf), (1.0, np.nan, 1.0))]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except QuadratureError:
+        print("QuadratureError")
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["QuadratureError"] * 7
+
+
+@pytest.fixture(scope="module")
+def expanded15():
+    return expanded_annihilator(1.5, invariant_density(build_ulam(1.5, 512)))
+
+
+class TestPairing:
+    @pytest.mark.parametrize("kind", ["critical", "expanded"])
+    @pytest.mark.parametrize("first_piece_only", [False, True])
+    def test_origin_pairing_is_total_mass(self, kind, first_piece_only,
+                                          expanded15):
+        nu = critical_annihilator() if kind == "critical" else expanded15
+        if first_piece_only:
+            nu = restrict(nu, 0.0, 1.0)
+        val, err = pairing(nu, 0.0, 0.0)
+        assert val == pytest.approx(total_mass(nu), abs=1e-12)
+        assert 0.0 <= err <= DEFAULT_QUAD.abs_tol
+
 
 class TestLatticeCross:
     def test_deterministic_ordering(self):
@@ -107,6 +162,18 @@ class TestLatticeCross:
         for v in ft_on_cross(lift(nu), cross):
             assert abs(v.value) <= 1e-8, (v.axis, v.index)
 
+    def test_reports_achieved_error(self):
+        vals = ft_on_cross(lift(critical_annihilator()),
+                           LatticeCross(2.0, 2.0, (-3, 3), (-3, 3)))
+        errs = [v.abs_err_estimate for v in vals]
+        assert all(e >= 0.0 for e in errs)
+        assert any(e != DEFAULT_QUAD.abs_tol for e in errs)
+
+    def test_closed_form_rows_report_zero_error(self, expanded15):
+        vals = ft_on_cross(lift(expanded15),
+                           LatticeCross(2.0, 3.0, (-2, 2), (-2, 2)))
+        assert [v.abs_err_estimate for v in vals] == [0.0] * len(vals)
+
 
 class TestCriticalMeasureFT:
     def test_vanishes_at_integers(self):
@@ -123,7 +190,7 @@ class TestCriticalMeasureFT:
 
     def test_agrees_with_ft_point_on_grid(self):
         nu = lift(critical_annihilator())
-        for x in np.arange(0.1, 4.0, 0.1):
+        for x in list(np.arange(0.1, 4.0, 0.1)) + [500.0, 5e4, 5e6]:
             direct = ft_point(nu, (2.0 * x, 0.0))
             assert critical_measure_ft(x) == pytest.approx(direct, abs=1e-8)
 

@@ -55,6 +55,11 @@ class TestHardyDefect:
         d = hardy_defect(hardy_plus(), 32, 2048)
         assert d.ratio <= 1e-6
 
+    @pytest.mark.parametrize("n_max, grid_n", [(64, 64), (64, 128), (1, 1)])
+    def test_aliasing_cutoff_rejected(self, n_max, grid_n):
+        with pytest.raises(MeasureError):
+            hardy_defect(hardy_plus(), n_max, grid_n)
+
     def test_conjugate_is_almost_entirely_negative(self):
         d = hardy_defect(hardy_plus(conjugate=True), 32, 2048)
         assert d.ratio >= 0.999
