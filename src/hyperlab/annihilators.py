@@ -21,11 +21,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, polygamma
+from scipy.special import digamma
 
 from .measures import (Measure1D, MeasureError, Piece, piece_from_family,
                        pushforward_inversion)
-from .transfer import InvariantDensity
+from .transfer import InvariantDensity, _bin_table_sum
 
 LOG2 = float(np.log(2.0))
 
@@ -87,12 +87,6 @@ def total_mass(nu: Measure1D) -> complex:
 # ---------------------------------------------------------------------------
 # periodized sums with certified tails
 
-def _binned_tail_start(p: Piece, gamma: float) -> int:
-    edges = np.asarray(p.params["edges"], dtype=float)
-    first = edges[1] if edges[0] == 0.0 else edges[0]
-    return int(np.ceil(gamma / first)) + 2
-
-
 def periodization_sum1(nu: Measure1D, t: np.ndarray) -> np.ndarray:
     """sum_{j>=0} rho_nu(t + j) for t in [0, 1)."""
     t = np.asarray(t, dtype=float)
@@ -102,87 +96,38 @@ def periodization_sum1(nu: Measure1D, t: np.ndarray) -> np.ndarray:
             # telescoping: sum_{j>=j0} 1/((t+j)(1+t+j)) = 1/(t+j0)
             j0 = np.maximum(np.ceil(p.a - t), 0.0)
             out += p.params["scale"] / (t + j0)
-            continue
-        if p.family == "binned_inverted" and not np.isfinite(p.b):
-            s = p.params["s"]
-            values = np.asarray(p.params["values"])
-            j_cut = _binned_tail_start(p, s)
-            base = p.density
-            for j in range(0, j_cut + 1):
-                u = t + j
-                mask = (u >= p.a)
-                if np.any(mask):
-                    out[mask] += base(u[mask])
-            out += values[0] * s * polygamma(1, t + j_cut + 1)
-            continue
-        if not np.isfinite(p.b):
+        elif p.family == "binned_inverted":
+            out += _bin_table_sum(p.params["edges"], p.params["values"],
+                                  p.params["s"], t, p.a, p.b)
+        elif not np.isfinite(p.b):
             raise MeasureError("periodization of an infinite piece without "
                                "a closed-form tail")
-        j_lo = int(np.floor(p.a))
-        j_hi = int(np.ceil(p.b))
-        for j in range(max(j_lo, 0), j_hi + 1):
-            u = t + j
-            mask = (u >= p.a) & (u < p.b)
-            if np.any(mask):
-                out[mask] += p.density(u[mask])
+        else:
+            for j in range(max(int(np.floor(p.a)), 0), int(np.ceil(p.b)) + 1):
+                u = t + j
+                mask = (u >= p.a) & (u < p.b)
+                if np.any(mask):
+                    out[mask] += p.density(u[mask])
     return out
 
 
 def periodization_sum2(nu: Measure1D, gamma: float, t: np.ndarray) -> np.ndarray:
-    """sum_{j>=0} rho_nu(gamma/(t+j)) * gamma/(t+j)^2 for t in [0, 1)."""
+    """sum_{j>=0} rho_nu(gamma/(t+j)) * gamma/(t+j)^2 for t in [0, 1): the
+    first sum of the image of nu under t -> gamma/t, so a piece [a, b)
+    counts where gamma/b <= t + j < gamma/a.  A cauchy1p piece at 0, whose
+    image has no closed-form tail, is summed through digamma instead."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
+    rest = []
     for p in nu.pieces:
         if p.family == "cauchy1p" and p.a == 0.0:
             # gamma/((t+j)(t+j+gamma)) telescopes into digamma differences
-            j0 = np.floor(gamma / p.b - t) + 1.0  # arg < b strictly
-            j0 = np.maximum(j0, 0.0)
+            j0 = np.maximum(np.ceil(gamma / p.b - t), 0.0)
             out += p.params["scale"] * (digamma(t + j0 + gamma) - digamma(t + j0))
-            continue
-        if p.family == "binned" and p.a == 0.0:
-            values = np.asarray(p.params["values"])
-            base = p.density
-            j_cut = _binned_tail_start(p, gamma)
-            j0 = int(np.floor(gamma / p.b))
-            for j in range(max(j0, 0), j_cut + 1):
-                u = t + j
-                arg = gamma / u
-                mask = (arg >= p.a) & (arg < p.b)
-                if np.any(mask):
-                    out[mask] += base(arg[mask]) * gamma / u[mask] ** 2
-            out += values[0] * gamma * polygamma(1, t + j_cut + 1)
-            continue
-        # pieces supported in [c, inf): only finitely many j reach them
-        if p.family == "cauchy_inv1p":
-            jmax = int(np.ceil(gamma / p.a))
-            for j in range(0, jmax + 1):
-                u = t + j
-                arg = gamma / u
-                mask = (arg >= p.a) & (arg < p.b)
-                out[mask] += (p.params["scale"] / (u[mask] + gamma))
-            continue
-        if p.family == "binned_inverted":
-            jmax = int(np.ceil(gamma / p.a)) + 1
-            base = p.density
-            for j in range(0, jmax + 1):
-                u = t + j
-                arg = np.where(u > 0, gamma / np.maximum(u, 1e-300), np.inf)
-                mask = (arg >= p.a) & (arg < p.b)
-                if np.any(mask):
-                    out[mask] += base(arg[mask]) * gamma / u[mask] ** 2
-            continue
-        if not np.isfinite(p.b) and p.a <= 0.0:
-            raise MeasureError("periodization needs pieces supported away "
-                               "from 0 or with registered families")
-        jmax = int(np.ceil(gamma / max(p.a, 1e-12)))
-        for j in range(0, jmax + 1):
-            u = t + j
-            with np.errstate(divide="ignore"):
-                arg = np.where(u > 0, gamma / np.maximum(u, 1e-300), np.inf)
-            mask = (arg >= p.a) & (arg < p.b)
-            if np.any(mask):
-                out[mask] += p.density(arg[mask]) * gamma / u[mask] ** 2
-    return out
+        else:
+            rest.append(p)
+    image = pushforward_inversion(Measure1D(pieces=tuple(rest)), gamma)
+    return out + periodization_sum1(image, t)
 
 
 def periodized_residual(nu: Measure1D, gamma: float, grid_n: int):

@@ -173,13 +173,16 @@ def _piece_ft_positive(rho, a, b, w, c, q: QuadratureSpec):
     """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf]."""
     val = 0.0 + 0.0j
     err = 0.0
-    # near-zero oscillation: substitute s = 1/t and push to a Fourier tail
+    # near-zero oscillation: substitute s = k/t and push to a Fourier tail;
+    # k = min(|c|, 1) keeps its frequency c/k at least 1 in size, and
+    # with it QAWF's cycles short, however small c is
     if a == 0.0 and c != 0.0:
-        d = min(b, 1.0)
+        k = min(abs(c), 1.0)
+        d = min(b, k)
 
         def g(s):
-            return rho(1.0 / s) * np.exp(1j * w / s) / s**2
-        val, err = _osc(g, 1.0 / d, np.inf, -c, q)
+            return rho(k / s) * np.exp(1j * w * k / s) * k / s**2
+        val, err = _osc(g, k / d, np.inf, -c / k, q)
         a = d
         if a >= b:
             return val, err
@@ -187,11 +190,20 @@ def _piece_ft_positive(rho, a, b, w, c, q: QuadratureSpec):
     def integrand(t):
         return rho(t) * np.exp(-1j * c / t) if c != 0.0 else rho(t)
     a = max(a, 1e-300)
-    if w != 0.0:
-        v, e = _osc(integrand, a, b, w, q)
-    else:
-        v, e = _cquad(integrand, a, b, q)
-    return val + v, err + e
+    # for |c| < 1 the c/t phase turns by a radian only where t ~ |c|, a
+    # scale that one rule on [a, 1) never samples: cut at |c| 16^i
+    cuts = [a]
+    cut = abs(c) if 0.0 < abs(c) < 1.0 else np.inf
+    while cut < min(b, 1.0):
+        if cut > a:
+            cuts.append(cut)
+        cut *= 16.0
+    for lo, hi in zip(cuts, cuts[1:] + [b]):
+        v, e = _osc(integrand, lo, hi, w, q) if w != 0.0 else \
+            _cquad(integrand, lo, hi, q)
+        val += v
+        err += e
+    return val, err
 
 
 def _piece_ft(p: Piece, w: float, c: float, q: QuadratureSpec):

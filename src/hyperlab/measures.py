@@ -254,6 +254,11 @@ def _pushforward_reciprocal(nu: Measure1D, s: float) -> Measure1D:
                       "values": np.asarray(p.params["values"])}
             pieces.append(piece_from_family(a_new, b_new, "binned",
                                             params, p.tv_bound))
+        elif p.family == "cauchy_inv1p":
+            # scale / (t (1 + t)) maps to scale sgn(s) / (x + s), finite at 0
+            k = p.params["scale"] * np.sign(s)
+            pieces.append(Piece(a_new, b_new, lambda x, k=k, s=s: k / (
+                np.asarray(x, dtype=float) + s), p.tv_bound))
         else:
             rho = p.density
 

@@ -4,7 +4,9 @@ density computation.
 Bin-to-bin transition fractions are computed analytically from the branch
 inverses t = gamma/(y + j) (no sampling).  The infinitely many branches
 accumulating at 0 are summed in closed form through digamma differences, so
-every row is stochastic to machine precision.
+every row is stochastic to machine precision.  The operator applied to a
+bin table, sum_j v(s/(t+j)) s/(t+j)^2, is one blocked kernel shared by the
+invariance residual and the periodization sums.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, polygamma
 
+from .measures import _binned
+
 MEMORY_BUDGET_BYTES = 2 << 30
+# branch iterations of build_ulam, about gamma * n_bins; past this nearly
+# every (gamma, n_bins) loses row 0 to digamma rounding (the check below)
+WORK_BUDGET_BRANCHES = 10 ** 7
+# elements per block of the bin-table sum: a cache's worth, not an option
+_BLOCK_ELEMS = 1 << 16
 
 
 class UlamError(RuntimeError):
@@ -35,11 +44,7 @@ class InvariantDensity:
     values: np.ndarray  # nonnegative density per bin, integral 1
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
-                      0, len(self.values) - 1)
-        out = self.values[idx]
-        return np.where((t >= self.edges[0]) & (t < self.edges[-1]), out, 0.0)
+        return _binned(self.edges, self.values)(t)
 
     def bin_masses(self) -> np.ndarray:
         return self.values * np.diff(self.edges)
@@ -51,6 +56,9 @@ def build_ulam(gamma: float, n_bins: int) -> UlamOperator:
         raise UlamError("need at least 2 bins")
     if 8 * n_bins * n_bins > MEMORY_BUDGET_BYTES:
         raise UlamError(f"n_bins={n_bins} exceeds the matrix memory budget")
+    if gamma * n_bins > WORK_BUDGET_BRANCHES:
+        raise UlamError(f"gamma * n_bins = {gamma * n_bins:.3g} exceeds the "
+                        f"branch work budget {WORK_BUDGET_BRANCHES:.0e}")
     edges = np.arange(n_bins + 1) / n_bins
     P = np.zeros((n_bins, n_bins))
     for i in range(n_bins):
@@ -79,10 +87,10 @@ def build_ulam(gamma: float, n_bins: int) -> UlamOperator:
             start = max(j_full, 1)
             psi = digamma(start + edges)
             row += gamma * (psi[1:] - psi[:-1]) / width
-    sums = P.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-10:
-        raise UlamError("branch bookkeeping lost mass")
-    P /= sums[:, None]
+        # checked per row, so a lost row fails before the rows after it
+        if abs(row.sum() - 1.0) > 1e-10:
+            raise UlamError(f"branch bookkeeping lost mass in row {i}")
+    P /= P.sum(axis=1)[:, None]
     return UlamOperator(gamma, n_bins, P)
 
 
@@ -108,24 +116,49 @@ def invariant_density(op: UlamOperator, tol: float = 1e-12,
     return InvariantDensity(op.gamma, edges, values)
 
 
-def invariance_residual(density: InvariantDensity, grid_n: int,
-                        gamma: float | None = None,
-                        j_cut: int | None = None) -> float:
-    """Sup-norm residual of rho(t) = sum_j rho(gamma/(t+j)) gamma/(t+j)^2
-    on a midpoint grid of [0, 1); exact polygamma tail beyond j_cut."""
-    g = density.gamma if gamma is None else gamma
+def _bin_table_sum(edges, values, s: float, t: np.ndarray,
+                   lo: float = 0.0, hi: float = np.inf) -> np.ndarray:
+    """sum_{j>=0} v(s/(t+j)) s/(t+j)^2 over the j with lo <= t+j < hi, for
+    t in [0, 1) and the bin table v = (edges, values), zero off
+    [edges[0], edges[-1]).
+
+    This is the transfer operator of U_s applied to the table.  When the
+    table reaches 0 and hi = inf, every argument beyond J lies in the first
+    bin and those j are summed exactly as v_0 s psi'(t+J+1)."""
+    edges = np.asarray(edges, dtype=float)
+    values = np.asarray(values)
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.zeros(flat.shape, dtype=np.result_type(values, float))
+    if not flat.size:
+        return out.reshape(t.shape)
+    # index 0 is below the table and n + 1 above it (searchsorted, right)
+    table = np.concatenate([[0.0], values, [0.0]])
+    top = min(hi, s / edges[0] if edges[0] > 0.0 else np.inf)
+    tail = not np.isfinite(top)  # the table reaches 0 and hi = inf
+    j_hi = max(int(np.ceil(s / edges[1])) + 2, int(np.ceil(lo))) if tail \
+        else int(np.ceil(top))
+    step = max(1, _BLOCK_ELEMS // flat.size)
+    for j0 in range(0, j_hi + 1, step):
+        js = np.arange(j0, min(j0 + step, j_hi + 1), dtype=float)
+        x = flat[None, :] + js[:, None]
+        live = (x >= lo) & (x < hi)
+        if j0 == 0:
+            # x = 0 is the image of an infinite argument: weight 0, not 0*inf
+            x[0, x[0] == 0.0] = np.inf
+        u = s / x
+        # a block's arguments span few bins: search only those edges
+        i0, i1 = np.searchsorted(edges, [u.min(), u.max()], side="right")
+        w = table[i0 + np.searchsorted(edges[i0:i1], u, side="right")] * (u / x)
+        out += np.sum(np.where(live, w, 0.0), axis=0)
+    if tail:
+        out += values[0] * s * polygamma(1, flat + j_hi + 1)
+    return out.reshape(t.shape)
+
+
+def invariance_residual(density: InvariantDensity, grid_n: int) -> float:
+    """Sup-norm residual of rho(t) = sum_{j>=0} rho(gamma/(t+j))
+    gamma/(t+j)^2 on a midpoint grid of [0, 1)."""
     t = (np.arange(grid_n) + 0.5) / grid_n
-    n_bins = len(density.values)
-    if j_cut is None:
-        # beyond j_cut all arguments fall in the first bin
-        j_cut = int(np.ceil(g * n_bins)) + 8
-    image = np.zeros(grid_n)
-    chunk = max(1, (1 << 22) // grid_n)
-    for j0 in range(1, j_cut + 1, chunk):
-        js = np.arange(j0, min(j0 + chunk, j_cut + 1), dtype=float)
-        denom = t[None, :] + js[:, None]
-        arg = g / denom
-        image += np.sum(density(arg) * g / denom**2, axis=0)
-    v0 = density.values[0]
-    image += v0 * g * polygamma(1, t + j_cut + 1)
+    image = _bin_table_sum(density.edges, density.values, density.gamma, t)
     return float(np.max(np.abs(density(t) - image)))

@@ -8,7 +8,7 @@ from hyperlab.annihilators import (annihilator_report, critical_annihilator,
                                    perturbed_equation_residual, piece_mass,
                                    symmetry_residual, total_mass)
 from hyperlab.measures import Measure1D, MeasureError, Piece, \
-    piece_from_family
+    piece_from_family, restrict
 from hyperlab.transfer import build_ulam, invariant_density
 
 LOG2 = np.log(2.0)
@@ -109,6 +109,46 @@ class TestPeriodizationSums:
             u = t + j
             brute += nu.density_at(1.0 / u) / u**2
         assert np.max(np.abs(periodization_sum2(nu, 1.0, t) - brute)) <= 1e-5
+
+    def test_critical_sums_vanish_at_zero(self):
+        # at t = 0 the j = 0 argument of the second sum is infinite; it
+        # counts as its limit from the right, where the image density of
+        # the tail piece is finite
+        t = np.array([0.0])
+        nu = critical_annihilator()
+        assert abs(periodization_sum1(nu, t)[0]) <= 1e-14
+        assert abs(periodization_sum2(nu, 1.0, t)[0]) <= 1e-14
+
+    @pytest.fixture(scope="class")
+    def nu256(self):
+        dens = invariant_density(build_ulam(1.5, 256))
+        return expanded_annihilator(1.5, dens)
+
+    @staticmethod
+    def brute_sums(nu, gamma, t, n_terms=1_000_000):
+        u = t[:, None] + np.arange(n_terms)[None, :]
+        s1 = np.sum(nu.density_at(u), axis=1)
+        # at t = 0 the j = 0 term is taken as its limit from the right
+        u = np.maximum(u, 1e-100)
+        s2 = np.sum(nu.density_at(gamma / u) * gamma / u**2, axis=1)
+        return s1, s2
+
+    def test_expanded_sums_match_brute_force(self, nu256):
+        t = np.array([0.0, 0.25, 0.5, 0.75])
+        s1, s2 = self.brute_sums(nu256, 1.5, t)
+        assert np.max(np.abs(periodization_sum1(nu256, t) - s1)) <= 1e-5
+        assert np.max(np.abs(periodization_sum2(nu256, 1.5, t) - s2)) <= 1e-5
+
+    def test_restricted_pieces_match_brute_force(self, nu256):
+        # both pieces cut inside their tables' images: a finite
+        # binned_inverted piece, and a binned piece whose image is one
+        nu = Measure1D(pieces=restrict(nu256, 0.13, 0.61).pieces
+                       + restrict(nu256, 2.1, 7.3).pieces)
+        assert [p.family for p in nu.pieces] == ["binned", "binned_inverted"]
+        t = np.array([0.0, 0.25, 0.5, 0.75])
+        s1, s2 = self.brute_sums(nu, 1.5, t, n_terms=100)
+        assert np.max(np.abs(periodization_sum1(nu, t) - s1)) <= 1e-12
+        assert np.max(np.abs(periodization_sum2(nu, 1.5, t) - s2)) <= 1e-12
 
 
 class TestAnnihilatorReport:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -105,6 +106,61 @@ for call in calls:
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["QuadratureError"] * 7
+
+
+# ft-eval at xi = (0, xi2) in a child process: [exit code, stdout, stderr]
+_TINY_XI2_CHILD = """
+import contextlib, io, json, sys, traceback
+from hyperlab.cli import main
+for xi2 in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ft-eval", "--xi2", repr(xi2)])
+    except Exception:
+        code, err = None, io.StringIO(traceback.format_exc())
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+TINY_XI2 = [1e-300, 1e-200, 1e-9, 1e-7, 1e-6]
+
+
+@pytest.fixture(scope="module")
+def tiny_xi2_results():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hyperlab.__file__)))
+    res = subprocess.run([sys.executable, "-c", _TINY_XI2_CHILD], env=env,
+                         input=json.dumps(TINY_XI2), capture_output=True,
+                         text=True, timeout=300)
+    return [json.loads(ln) for ln in res.stdout.splitlines()], res.stderr
+
+
+@pytest.mark.parametrize("case", range(len(TINY_XI2)),
+                         ids=[repr(x) for x in TINY_XI2])
+def test_tiny_xi2_meets_oracle_or_raises(case, tiny_xi2_results):
+    # on the critical measure ft(0, xi2) = -critical_measure_ft(-xi2/2);
+    # a tiny xi2 either meets it within ft_point's error budget or is a
+    # QuadratureError record, never a traceback or a wrong value
+    results, stderr = tiny_xi2_results
+    assert case < len(results), stderr
+    code, out, err = results[case]
+    assert "Traceback" not in err
+    if code == 1:
+        assert "message" in json.loads(err)
+        return
+    assert code == 0
+    rec = json.loads(out)
+    val = complex(rec["re"], rec["im"])
+    oracle = -critical_measure_ft(-TINY_XI2[case] / 2.0)
+    q = DEFAULT_QUAD
+    assert abs(val - oracle) <= 100.0 * (q.abs_tol + q.rel_tol * abs(val)) \
+        + 1e-8
+
+
+@pytest.mark.parametrize("xi2", [1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.3])
+def test_small_xi2_matches_closed_form(xi2):
+    # the s = 1/t tail and the cuts at |c| 16^i resolve the t ~ |c| scale
+    val = ft_point(lift(critical_annihilator()), (0.0, xi2))
+    assert val == pytest.approx(-critical_measure_ft(-xi2 / 2.0), abs=1e-11)
 
 
 @pytest.fixture(scope="module")

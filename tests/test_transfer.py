@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from hyperlab.transfer import (UlamError, build_ulam, invariance_residual,
-                               invariant_density)
+import hyperlab
+from hyperlab.transfer import (InvariantDensity, UlamError, build_ulam,
+                               invariance_residual, invariant_density)
 
 LOG2 = np.log(2.0)
 
@@ -30,6 +36,27 @@ class TestBuildUlam:
         with pytest.raises(UlamError):
             build_ulam(1.0, 10 ** 6)
 
+    def test_large_gamma_within_budget_still_builds(self):
+        op = build_ulam(1000.0, 16)
+        assert np.allclose(op.matrix.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_lost_row_fails_before_the_rest(self):
+        # gamma * n = 1.6e6 loses row 0 to digamma rounding; the rows
+        # after it are not built (that took 15 s)
+        with pytest.raises(UlamError, match="row 0"):
+            build_ulam(1e5, 16)
+
+    def test_huge_gamma_rejected_without_hanging(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run(
+            [sys.executable, "-m", "hyperlab.cli", "invariant-density",
+             "--gamma", "1e300", "--bins", "16"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "work budget" in json.loads(res.stderr)["message"]
+
 
 class TestInvariantDensity:
     def test_normalized(self):
@@ -49,7 +76,17 @@ class TestInvariantDensity:
 
     def test_gamma_15_residual(self):
         dens = invariant_density(build_ulam(1.5, 512))
-        assert invariance_residual(dens, 1000, gamma=1.5) <= 5e-3
+        assert invariance_residual(dens, 1000) <= 5e-3
+
+    def test_gamma_below_one_residual(self):
+        # [gamma, 1) carries the branch j = 0 (t > gamma); the Perron
+        # vector comes from an eigensolver since power iteration cycles
+        op = build_ulam(0.5, 512)
+        lam, vecs = np.linalg.eig(op.matrix.T)
+        v = np.abs(np.real(vecs[:, np.argmin(np.abs(lam - 1.0))]))
+        dens = InvariantDensity(0.5, np.arange(513) / 512,
+                                v * 512 / np.sum(v))
+        assert invariance_residual(dens, 1000) <= 1e-2
 
     def test_density_callable_outside_support_is_zero(self):
         dens = invariant_density(build_ulam(1.0, 64))
