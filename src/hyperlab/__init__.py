@@ -28,10 +28,10 @@ from .annihilators import (critical_annihilator, expanded_annihilator,
                            periodization_sum2, periodized_residual,
                            symmetry_residual, AnnihilatorReport,
                            annihilator_report, perturbed_equation_residual)
-from .hardy import (PeriodicFunction2, periodize_q2, fourier_coeffs_periodic,
-                    HardyDefect, hardy_defect, inversion_j, SampledFunction,
-                    hilbert_line, HyperbolaHilbert, hilbert_hyperbola,
-                    PairingRow, timelike_witness, witness_l1_norm)
+from .hardy import (q2_coefficients, HardyDefect, hardy_defect, inversion_j,
+                    SampledFunction, hilbert_line, HyperbolaHilbert,
+                    hilbert_hyperbola, PairingRow, timelike_witness,
+                    witness_l1_norm)
 from .defect import (CandidateBasis, ConstraintMatrix,
                      build_constraint_matrix, DefectEstimate,
                      defect_estimate, cross_for_gamma, SweepRow, sweep_gamma,

@@ -115,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         svg=(str, "", "optional SVG path for the spiral polyline"))
     cmd("hardy-defect", "Hardy-space defect of a 2-periodization",
         conjugate=(int, 0, "1 to test the conjugate family"),
-        nmax=(int, 64, "coefficient cutoff"),
-        gridn=(int, 8192, "periodization grid"))
+        nmax=(int, 64, "coefficient cutoff"))
     cmd("hilbert-check", "Hilbert transform of the Cauchy density",
         xmax=(float, 3.0, "check grid endpoint"),
         n=(int, 7, "check grid size"))
@@ -199,8 +198,6 @@ def _validate(command, cfg):
     for key in ("bins", "gridn", "jmax", "kmax", "n", "nmax", "iterates"):
         if key in cfg and cfg[key] < 1:
             raise UsageError(key, f"{key} must be a positive integer")
-    if command == "hardy-defect" and 2 * cfg["nmax"] + 1 > cfg["gridn"]:
-        raise UsageError("gridn", "gridn must be at least 2 nmax + 1")
     if "measure" in cfg and cfg["measure"] not in ("critical", "expanded"):
         raise UsageError("measure", "measure must be critical or expanded")
     if command == "defect-sweep":
@@ -395,11 +392,11 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
 
 def _run_hardy_defect(cfg, out):
     f = _hardy_test_measure(bool(cfg["conjugate"]))
-    d = hardy_defect(f, cfg["nmax"], cfg["gridn"])
+    d = hardy_defect(f, cfg["nmax"])
     _emit_json(out, "hardy-defect", cfg, {
         "negMass": d.neg_mass, "nonposMass": d.nonpos_mass,
         "totalMass": d.total_mass, "ratio": d.ratio,
-        "nonposRatio": d.nonpos_ratio})
+        "nonposRatio": d.nonpos_ratio, "errEstimate": d.err_estimate})
 
 
 def _run_hilbert_check(cfg, out):

@@ -238,12 +238,18 @@ def pairing(nu: Measure1D, w: float, c: float,
     return complex(total), err
 
 
+def error_budget(value, q: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Largest achieved error estimate accepted for a pairing result of
+    size |value|; above it the result raises ``QuadratureError``."""
+    return 100.0 * (q.abs_tol + q.rel_tol * abs(value)) + 1e-8
+
+
 def _checked_ft(mu: HyperbolaMeasure, xi1: float, xi2: float,
                 q: QuadratureSpec):
     """(ft of mu at (xi1, xi2), error estimate) within the error budget."""
     c = mu.m**2 * xi2 / (4.0 * np.pi)
     total, err = pairing(mu.pi1, np.pi * xi1, c, q)
-    if err > 100.0 * (q.abs_tol + q.rel_tol * abs(total)) + 1e-8:
+    if err > error_budget(total, q):
         raise QuadratureError(
             f"oscillatory quadrature at xi=({xi1}, {xi2}) achieved error "
             f"estimate {err:.3g} above tolerance", err)

@@ -1,7 +1,8 @@
-"""Hardy-space numerics on the 2-periodic line: the periodization Q2,
-the inversions J_beta and J_{beta,p}, principal-value Hilbert transforms
-on the line and on the hyperbola branch pair, Hardy-membership defects
-read off Fourier coefficients, and the time-like witness family
+"""Hardy-space numerics on the 2-periodic line: the Fourier coefficients
+of the periodization Q2 by Poisson summation, the inversions J_beta and
+J_{beta,p}, principal-value Hilbert transforms on the line and on the
+hyperbola branch pair, Hardy-membership defects read off those
+coefficients, and the time-like witness family
 
     f_z0(t) = 1/(t - z0) - 1/(t - 2 - z0),   Im z0 > 0,
 
@@ -15,97 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import QuadratureSpec, DEFAULT_QUAD, _cquad, pairing
+from .fourier import (QuadratureError, QuadratureSpec, DEFAULT_QUAD, _cquad,
+                      error_budget, pairing)
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        compress_pi1, compress_pi2)
 
 
-@dataclass(frozen=True)
-class PeriodicFunction2:
-    """Period-2 function sampled on the midpoint grid of [-1, 1)."""
+def q2_coefficients(f: Measure1D, n_max: int):
+    """(c, err): the Fourier coefficients
 
-    x: np.ndarray
-    samples: np.ndarray
+        c_n = (1/2) int_{-1}^{1} Q2f(x) e^{-i pi n x} dx = (1/2) f^(pi n)
 
-    @property
-    def grid_n(self) -> int:
-        return len(self.x)
-
-    def mass(self) -> complex:
-        return complex(np.sum(self.samples) * 2.0 / self.grid_n)
-
-
-TAIL_CUT = 1e-4  # summation budget; the remainder is handled analytically
-
-
-def _tail_j(p: Piece, probe, step: int) -> int:
-    """Smallest |j| with the piece variation beyond probe(j) below the
-    explicit-summation cutoff."""
-    j = step
-    while p.tail_bound(abs(probe(j))) > TAIL_CUT:
-        j += step
-        if abs(j) > 10**6:
-            raise MeasureError("periodization tail does not certify")
-    return j
-
-
-def _em_remainder(p: Piece, lower: np.ndarray, positive_side: bool):
-    """(1/2) integral of rho beyond ``lower`` (toward the infinite end),
-    the midpoint Euler-Maclaurin value of the dropped sum tail."""
-    l0 = float(np.min(lower)) if positive_side else float(np.max(lower))
-    if positive_side:
-        base, _ = _cquad(p.density, l0, np.inf, DEFAULT_QUAD)
-    else:
-        base, _ = _cquad(p.density, -np.inf, l0, DEFAULT_QUAD)
-    # incremental integral from l0 to each grid lower-limit (span <= 2)
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    mid = 0.5 * (lower + l0)
-    half = 0.5 * (lower - l0)
-    t = mid[:, None] + half[:, None] * nodes[None, :]
-    inc = np.sum(wts[None, :] * p.density(t), axis=1) * half
-    if positive_side:
-        return 0.5 * (base - inc)
-    return 0.5 * (base + inc)
-
-
-def periodize_q2(f: Measure1D, grid_n: int) -> PeriodicFunction2:
-    """Q2 f (x) = sum_j rho_f(x + 2j) on the midpoint grid of [-1, 1)."""
-    if f.atoms:
-        raise MeasureError("Q2 acts on densities; remove atoms first")
-    x = -1.0 + 2.0 * (np.arange(grid_n) + 0.5) / grid_n
-    out = np.zeros(grid_n, dtype=complex)
-    for p in f.pieces:
-        if np.isfinite(p.a):
-            j_lo = int(np.floor((p.a - x[-1]) / 2.0))
-        else:
-            j_lo = _tail_j(p, lambda j: x[-1] + 2.0 * j, -1)
-        if np.isfinite(p.b):
-            j_hi = int(np.ceil((p.b - x[0]) / 2.0))
-        else:
-            j_hi = _tail_j(p, lambda j: x[0] + 2.0 * j, +1)
-        js = np.arange(j_lo, j_hi + 1)
-        for chunk in np.array_split(js, max(1, len(js) // 128)):
-            t = x[None, :] + 2.0 * chunk[:, None]
-            mask = (t >= p.a) & (t < p.b)
-            if np.any(mask):
-                vals = np.zeros(t.shape, dtype=complex)
-                vals[mask] = p.density(t[mask])
-                out += vals.sum(axis=0)
-        if not np.isfinite(p.b):
-            out += _em_remainder(p, x + 2.0 * (j_hi + 1) - 1.0, True)
-        if not np.isfinite(p.a):
-            out += _em_remainder(p, x + 2.0 * (j_lo - 1) + 1.0, False)
-    return PeriodicFunction2(x, out)
-
-
-def fourier_coeffs_periodic(g: PeriodicFunction2, n_max: int) -> np.ndarray:
-    """c_n = (1/2) int_{-1}^{1} g(x) e^{-i pi n x} dx for |n| <= n_max,
-    by the sampling grid; index n via [n + n_max]."""
+    of the 2-periodization Q2f(x) = sum_j f(x + 2j) for |n| <= n_max, by
+    Poisson summation (index n via [n + n_max]), and the summed error
+    estimate the pairings achieved."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    n = np.arange(-n_max, n_max + 1)
-    phases = np.exp(-1j * np.pi * n[:, None] * g.x[None, :])
-    return (phases @ g.samples) / g.grid_n
+    pairs = [pairing(f, -np.pi * n, 0.0) for n in range(-n_max, n_max + 1)]
+    coeffs = 0.5 * np.array([v for v, _ in pairs])
+    return coeffs, 0.5 * sum(e for _, e in pairs)
 
 
 @dataclass(frozen=True)
@@ -113,7 +42,8 @@ class HardyDefect:
     """l1-mass split of periodized Fourier coefficients.
 
     ``ratio`` uses strictly negative indices (H^1_+ membership test);
-    ``nonpos_ratio`` also counts n = 0 (the H^1_{+,0} variant).
+    ``nonpos_ratio`` also counts n = 0 (the H^1_{+,0} variant);
+    ``err_estimate`` is the error the coefficient pairings achieved.
     """
 
     neg_mass: float
@@ -121,20 +51,25 @@ class HardyDefect:
     total_mass: float
     ratio: float
     nonpos_ratio: float
+    err_estimate: float
 
 
-def hardy_defect(f: Measure1D, n_max: int, grid_n: int = 8192) -> HardyDefect:
-    if 2 * n_max + 1 > grid_n:
-        raise MeasureError(f"{2 * n_max + 1} coefficients alias on a "
-                           f"{grid_n}-point grid; need 2 n_max + 1 <= grid_n")
-    coeffs = fourier_coeffs_periodic(periodize_q2(f, grid_n), n_max)
+def hardy_defect(f: Measure1D, n_max: int) -> HardyDefect:
+    # QUADPACK returns finite, wrong values for a non-integrable density:
+    # tail_bound raises MeasureError unless a majorant certifies the tail
+    for p in f.pieces:
+        p.tail_bound(1.0)
+    coeffs, err = q2_coefficients(f, n_max)
     mags = np.abs(coeffs)
     total = float(np.sum(mags))
+    if err > error_budget(total):
+        raise QuadratureError(f"Q2 coefficients achieved error estimate "
+                              f"{err:.3g} above tolerance", err)
     if total == 0.0:
         raise MeasureError("zero periodization has no defect ratio")
     neg = float(np.sum(mags[:n_max]))
     nonpos = float(np.sum(mags[:n_max + 1]))
-    return HardyDefect(neg, nonpos, total, neg / total, nonpos / total)
+    return HardyDefect(neg, nonpos, total, neg / total, nonpos / total, err)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, polygamma
+from scipy.special import polygamma
 
 from .measures import _binned
 
 MEMORY_BUDGET_BYTES = 2 << 30
-# branch iterations of build_ulam, about gamma * n_bins; past this nearly
-# every (gamma, n_bins) loses row 0 to digamma rounding (the check below)
+# branch iterations of build_ulam, about gamma * n_bins: a bound on its run
+# time (10^7 iterations take over a minute), not on its accuracy
 WORK_BUDGET_BRANCHES = 10 ** 7
 # elements per block of the bin-table sum: a cache's worth, not an option
 _BLOCK_ELEMS = 1 << 16
@@ -48,6 +48,22 @@ class InvariantDensity:
 
     def bin_masses(self) -> np.ndarray:
         return self.values * np.diff(self.edges)
+
+
+def _digamma_diff(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """psi(x + h) - psi(x) for x >= 1 and 0 < h <= 1, as a sum of positive
+    terms: the two digammas agree in most digits once x is large, so their
+    difference would cancel.  psi(x + 1) = psi(x) + 1/x carries x past
+    100, where psi(x) = log x - 1/(2x) - 1/(12x^2) + 1/(120x^4) + O(x^-6)
+    is differenced term by term (relative error below 1e-13)."""
+    out = np.zeros(np.shape(x))
+    for _ in range(max(0, int(np.ceil(100.0 - np.min(x))))):
+        out += h / (x * (x + h))
+        x = x + 1.0
+    y = x + h
+    return (out + np.log1p(h / x) + h / (2.0 * x * y)
+            + h * (x + y) / (12.0 * x * x * y * y)
+            + (1.0 / y**4 - 1.0 / x**4) / 120.0)
 
 
 def build_ulam(gamma: float, n_bins: int) -> UlamOperator:
@@ -85,8 +101,8 @@ def build_ulam(gamma: float, n_bins: int) -> UlamOperator:
             row += (t_edges[:-1] - t_edges[1:]) / width
         if j_full is not None:
             start = max(j_full, 1)
-            psi = digamma(start + edges)
-            row += gamma * (psi[1:] - psi[:-1]) / width
+            row += gamma * _digamma_diff(start + edges[:-1],
+                                         np.diff(edges)) / width
         # checked per row, so a lost row fails before the rows after it
         if abs(row.sum() - 1.0) > 1e-10:
             raise UlamError(f"branch bookkeeping lost mass in row {i}")

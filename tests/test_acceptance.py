@@ -233,7 +233,7 @@ def test_criterion_10_determinism(tmp_path):
          "--gridn", "200"],
         ["coverage", "--iterates", "3", "--gridn", "500"],
         ["sici-spiral", "--n", "50"],
-        ["hardy-defect", "--nmax", "8", "--gridn", "512"],
+        ["hardy-defect", "--nmax", "8"],
         ["hilbert-check", "--n", "3"],
         ["timelike-witness", "--jmax", "1", "--kmax", "1"],
         ["defect-sweep", "--gammas", "1.0", "--bins", "40", "--jmax", "20",

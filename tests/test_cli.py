@@ -61,12 +61,12 @@ class TestParseConfig:
         assert json.loads(err)["key"] == "gammas"
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--gridn", "1"],
-                                       ["--gridn", "64", "--nmax", "64"]])
-    def test_hardy_aliasing_usage_error(self, flags, capsys):
-        code, _, err = run(["hardy-defect"] + flags, capsys)
+    def test_hardy_gridn_usage_error(self, capsys):
+        # hardy-defect has no periodization grid, so no gridn key
+        code, _, err = run(["hardy-defect", "--gridn", "512"], capsys)
         assert code == 2
-        assert json.loads(err)["key"] == "gridn"
+        assert json.loads(err.splitlines()[-1])["command"] == "hardy-defect"
+        assert "Traceback" not in err
 
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
@@ -106,6 +106,13 @@ class TestRunExperiment:
         assert "# command = coverage" in head
         assert "# gamma = 0.5" in head
         assert "# gridn = 100" in head
+
+    @pytest.mark.parametrize("conjugate", ["0", "1"])
+    def test_hardy_defect_reports_achieved_error(self, conjugate, capsys):
+        code, out, _ = run(["hardy-defect", "--nmax", "8", "--conjugate",
+                            conjugate], capsys)
+        assert code == 0
+        assert 0.0 < json.loads(out)["errEstimate"] <= 1e-6
 
     def test_determinism(self, tmp_path):
         args = ["sici-spiral", "--n", "40"]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab.fourier import ft_point
-from hyperlab.hardy import (fourier_coeffs_periodic, hardy_defect,
-                            hilbert_hyperbola, hilbert_line, inversion_j,
-                            periodize_q2, timelike_witness, witness_l1_norm)
+from hyperlab import hardy
+from hyperlab.fourier import QuadratureError, ft_point
+from hyperlab.hardy import (hardy_defect, hilbert_hyperbola, hilbert_line,
+                            inversion_j, q2_coefficients, timelike_witness,
+                            witness_l1_norm)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
                                Piece, total_variation)
 
@@ -35,42 +36,66 @@ def cauchy_pair():
 
 
 class TestPeriodizeQ2:
+    """Q2 f(x) = sum_j f(x + 2j), read through its Fourier coefficients
+    c_n = (1/2) f^(pi n) (Poisson summation)."""
+
     def test_mass_preserved(self):
-        # Q2 periodization preserves total integral: int_0^2 g = int f
-        f = cauchy_pair()
-        g = periodize_q2(f, 2048)
-        assert g.mass() == pytest.approx(0.0, abs=1e-8)
+        # c_0 = (1/2) int_{-1}^{1} Q2 f = (1/2) int f, and P_1 - P_2 has mass 0
+        c, _ = q2_coefficients(cauchy_pair(), 0)
+        assert c[0] == pytest.approx(0.0, abs=1e-8)
+
+    def test_coefficients_against_closed_form(self):
+        # (1/2) int e^{-i pi n t} dt / (t + i)^2 = -pi^2 n e^{-pi n} for
+        # n > 0 and 0 for n <= 0 (close the contour in the upper half-plane)
+        c, _ = q2_coefficients(hardy_plus(), 64)
+        n = np.arange(-64, 65)
+        exact = np.where(n > 0, -np.pi**2 * n * np.exp(-np.pi * np.abs(n)),
+                         0.0)
+        assert np.max(np.abs(c - exact)) <= 1e-10
 
     def test_pointwise_against_closed_form(self):
-        # sum_j 1/(x + 2j + i)^2 = (pi^2/4) / sin^2(pi (x + i)/2)
-        f = hardy_plus()
-        g = periodize_q2(f, 64)
-        x = g.x[17]
+        # sum_j 1/(x + 2j + i)^2 = (pi^2/4) / sin^2(pi (x + i)/2), summed
+        # from the coefficients, which decay like e^{-pi n}
+        c, _ = q2_coefficients(hardy_plus(), 16)
+        x = 0.3
+        series = np.sum(c * np.exp(1j * np.pi * np.arange(-16, 17) * x))
         exact = (np.pi**2 / 4) / np.sin(np.pi * (x + 1j) / 2) ** 2
-        assert g.samples[17] == pytest.approx(exact, abs=1e-10)
+        assert series == pytest.approx(exact, abs=1e-10)
 
 
 class TestHardyDefect:
     def test_hardy_function_has_tiny_defect(self):
-        d = hardy_defect(hardy_plus(), 32, 2048)
+        d = hardy_defect(hardy_plus(), 32)
         assert d.ratio <= 1e-6
 
-    @pytest.mark.parametrize("n_max, grid_n", [(64, 64), (64, 128), (1, 1)])
-    def test_aliasing_cutoff_rejected(self, n_max, grid_n):
-        with pytest.raises(MeasureError):
-            hardy_defect(hardy_plus(), n_max, grid_n)
-
     def test_conjugate_is_almost_entirely_negative(self):
-        d = hardy_defect(hardy_plus(conjugate=True), 32, 2048)
+        d = hardy_defect(hardy_plus(conjugate=True), 32)
         assert d.ratio >= 0.999
 
     def test_coefficient_mirror(self):
         # conjugation mirrors Fourier coefficients: c_n(conj f) = conj c_-n
-        g = periodize_q2(hardy_plus(), 1024)
-        gc = periodize_q2(hardy_plus(conjugate=True), 1024)
-        c = fourier_coeffs_periodic(g, 8)
-        cc = fourier_coeffs_periodic(gc, 8)
+        c, _ = q2_coefficients(hardy_plus(), 8)
+        cc, _ = q2_coefficients(hardy_plus(conjugate=True), 8)
         assert np.allclose(cc, np.conj(c[::-1]), atol=1e-12)
+
+    @pytest.mark.parametrize("params", [{}, {"tail_c": 1.0, "tail_p": 1.0}])
+    def test_uncertified_tail_rejected(self, params):
+        # 1/(1 + t) is not integrable; QUADPACK would still return a number
+        f = Measure1D(pieces=(Piece(0.0, np.inf, lambda t: 1.0 / (
+            1.0 + np.asarray(t)), 1.0, params=params),))
+        with pytest.raises(MeasureError):
+            hardy_defect(f, 4)
+
+    def test_error_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(hardy, "pairing", lambda f, w, c: (1.0, 1e-3))
+        with pytest.raises(QuadratureError):
+            hardy_defect(hardy_plus(), 4)
+
+    def test_reports_achieved_error(self):
+        _, err = q2_coefficients(hardy_plus(), 8)
+        d = hardy_defect(hardy_plus(), 8)
+        assert d.err_estimate == err
+        assert 0.0 < err <= 1e-6
 
 
 class TestInversionJ:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import hyperlab
+from hyperlab import transfer
+from hyperlab.cli import main
 from hyperlab.transfer import (InvariantDensity, UlamError, build_ulam,
                                invariance_residual, invariant_density)
 
@@ -40,11 +42,27 @@ class TestBuildUlam:
         op = build_ulam(1000.0, 16)
         assert np.allclose(op.matrix.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_lost_row_fails_before_the_rest(self):
-        # gamma * n = 1.6e6 loses row 0 to digamma rounding; the rows
-        # after it are not built (that took 15 s)
+    def test_lost_row_fails_before_the_rest(self, monkeypatch):
+        # a row 0 that loses mass fails at once; at gamma * n = 1.6e6 the
+        # rows after it would take 15 s to build
+        monkeypatch.setattr(transfer, "_digamma_diff",
+                            lambda x, h: 0.5 * h / x)
         with pytest.raises(UlamError, match="row 0"):
             build_ulam(1e5, 16)
+
+    @pytest.mark.parametrize("gamma, bins", [("3000", "16"), ("30", "4096")])
+    def test_large_gamma_n_keeps_row_0(self, gamma, bins, tmp_path):
+        # gamma * n >= 5e4 used to lose row 0 to cancelling digammas
+        assert main(["invariant-density", "--gamma", gamma, "--bins", bins,
+                     "--out", str(tmp_path / "d.csv")]) == 0
+
+    @pytest.mark.parametrize("x", [1.0, 99.5, 1e3, 1.6e6])
+    def test_digamma_difference_telescopes(self, x):
+        # steps of 1/n from x to x + 1 add up to psi(x + 1) - psi(x) = 1/x
+        edges = np.arange(4097) / 4096
+        steps = transfer._digamma_diff(x + edges[:-1], np.diff(edges))
+        assert np.all(steps > 0.0)
+        assert np.sum(steps) == pytest.approx(1.0 / x, rel=1e-12)
 
     def test_huge_gamma_rejected_without_hanging(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
