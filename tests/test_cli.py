@@ -61,9 +61,11 @@ class TestParseConfig:
         assert json.loads(err)["key"] == "gammas"
         assert "Traceback" not in err
 
-    def test_hardy_gridn_usage_error(self, capsys):
-        # hardy-defect has no periodization grid, so no gridn key
-        code, _, err = run(["hardy-defect", "--gridn", "512"], capsys)
+    @pytest.mark.parametrize("flags", [["--gridn", "1"],
+                                       ["--gridn", "64", "--nmax", "64"]])
+    def test_hardy_aliasing_usage_error(self, flags, capsys):
+        # hardy-defect has no periodization grid, so gridn is an unknown key
+        code, _, err = run(["hardy-defect"] + flags, capsys)
         assert code == 2
         assert json.loads(err.splitlines()[-1])["command"] == "hardy-defect"
         assert "Traceback" not in err
