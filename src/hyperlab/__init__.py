@@ -21,8 +21,8 @@ from .fourier import (QuadratureError, QuadratureSpec, DEFAULT_QUAD,
                       ft_on_cross, critical_measure_ft)
 from .dynamics import GaussMap, step, orbit, branch_inverse, \
     coverage_fraction
-from .transfer import UlamError, UlamOperator, InvariantDensity, \
-    build_ulam, invariant_density, invariance_residual
+from .transfer import UlamError, InvariantDensity, invariant_density, \
+    invariance_residual
 from .annihilators import (critical_annihilator, expanded_annihilator,
                            piece_mass, total_mass, periodization_sum1,
                            periodization_sum2, periodized_residual,

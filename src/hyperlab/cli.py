@@ -22,17 +22,14 @@ import numpy as np
 
 from .annihilators import annihilator_report, critical_annihilator, \
     expanded_annihilator, perturbed_equation_residual
-from .defect import CandidateBasis, build_constraint_matrix, \
-    cosine_similarity, cross_for_gamma, defect_estimate, \
-    distorted_cross_residual, sweep_gamma
+from .defect import CandidateBasis, distorted_cross_residual, sweep_gamma
 from .dynamics import GaussMap, coverage_fraction
 from .fourier import LatticeCross, QuadratureError, ft_on_cross, ft_point
 from .hardy import hardy_defect, hilbert_line, timelike_witness
 from .measures import HyperbolaMeasure, Measure1D, MeasureError, \
     Piece, piece_from_family
 from .sici import nielsen_spiral
-from .transfer import UlamError, build_ulam, invariance_residual, \
-    invariant_density
+from .transfer import UlamError, invariance_residual, invariant_density
 
 SCHEMA_VERSION = 1
 
@@ -198,6 +195,8 @@ def _validate(command, cfg):
     for key in ("bins", "gridn", "jmax", "kmax", "n", "nmax", "iterates"):
         if key in cfg and cfg[key] < 1:
             raise UsageError(key, f"{key} must be a positive integer")
+    if command == "hardy-defect" and cfg["conjugate"] not in (0, 1):
+        raise UsageError("conjugate", "conjugate must be 0 or 1")
     if "measure" in cfg and cfg["measure"] not in ("critical", "expanded"):
         raise UsageError("measure", "measure must be critical or expanded")
     if command == "defect-sweep":
@@ -302,7 +301,7 @@ def _named_measure(cfg) -> HyperbolaMeasure:
     if cfg["measure"] == "critical":
         nu = critical_annihilator()
     else:
-        dens = invariant_density(build_ulam(cfg["gamma"], cfg["bins"]))
+        dens = invariant_density(cfg["gamma"], cfg["bins"])
         nu = expanded_annihilator(cfg["gamma"], dens)
     return HyperbolaMeasure(2.0 * np.pi, nu)
 
@@ -327,7 +326,7 @@ def _run_ft_cross(cfg, out):
 
 
 def _run_invariant_density(cfg, out):
-    dens = invariant_density(build_ulam(cfg["gamma"], cfg["bins"]))
+    dens = invariant_density(cfg["gamma"], cfg["bins"])
     cfg = dict(cfg, residual=invariance_residual(dens, 2000))
     rows = [(float(a), float(b), float(v)) for a, b, v in
             zip(dens.edges[:-1], dens.edges[1:], dens.values)]
@@ -338,7 +337,7 @@ def _run_invariant_density(cfg, out):
 def _run_annihilator_check(cfg, out):
     dens = None
     if cfg["gamma"] > 1.0:
-        dens = invariant_density(build_ulam(cfg["gamma"], cfg["bins"]))
+        dens = invariant_density(cfg["gamma"], cfg["bins"])
     rep = annihilator_report(cfg["gamma"], dens, cfg["gridn"])
     _emit_json(out, "annihilator-check", cfg, {
         "gamma": rep.gamma,
@@ -351,7 +350,7 @@ def _run_annihilator_check(cfg, out):
 
 def _run_perturbed_residual(cfg, out):
     gamma = cfg["gamma"]
-    dens = invariant_density(build_ulam(gamma, cfg["bins"]))
+    dens = invariant_density(gamma, cfg["bins"])
     # omega1 = the invariant measure, omega2 = 0: the unperturbed solution
     omega1 = Measure1D(pieces=(piece_from_family(
         0.0, 1.0, "binned", {"edges": dens.edges, "values": dens.values},

@@ -139,10 +139,6 @@ class Measure1D:
             if a2 < b1:
                 raise MeasureError("piece supports overlap")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms and not self.pieces
-
     def density_at(self, t):
         """Total density at points t (atoms ignored)."""
         t = np.asarray(t, dtype=float)

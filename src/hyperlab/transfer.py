@@ -2,11 +2,20 @@
 density computation.
 
 Bin-to-bin transition fractions are computed analytically from the branch
-inverses t = gamma/(y + j) (no sampling).  The infinitely many branches
-accumulating at 0 are summed in closed form through digamma differences, so
-every row is stochastic to machine precision.  The operator applied to a
-bin table, sum_j v(s/(t+j)) s/(t+j)^2, is one blocked kernel shared by the
-invariance residual and the periodization sums.
+inverses t = gamma/(y + j) (no sampling), straight into a sparse CSR
+matrix.  Branch j spans (gamma/(j+1), gamma/j]; the J ~ sqrt(gamma n)
+branches longer than a bin are cut at the bin edges and at the preimages
+of the bin edges in one merge.  Every shorter branch lies in at most two
+bins: the whole branches inside a bin are summed per target as digamma
+differences that do not cancel, and the one branch straddling each bin
+edge is clipped at it.  So every row is stochastic to machine precision,
+assembly costs O(n sqrt(gamma n)), and the matrix has about 2 n^{3/2}
+nonzeros at gamma = 1.  The memory budget is charged for the CSR's bytes.
+
+The operator applied to a bin table, sum_j v(s/(t+j)) s/(t+j)^2, is one
+blocked kernel shared by the invariance residual and the periodization
+sums.  The j with t + j < J_s ~ sqrt(s n) are summed term by term; beyond
+J_s each bin's run of j is summed at once as a trigamma difference.
 """
 
 from __future__ import annotations
@@ -14,27 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
+from scipy import sparse
 
 from .measures import _binned
 
 MEMORY_BUDGET_BYTES = 2 << 30
-# branch iterations of build_ulam, about gamma * n_bins: a bound on its run
-# time (10^7 iterations take over a minute), not on its accuracy
+# gamma * n_bins, the number of branches reaching the bins: a bound on the
+# problem size the assembly accepts, not on its accuracy
 WORK_BUDGET_BRANCHES = 10 ** 7
 # elements per block of the bin-table sum: a cache's worth, not an option
 _BLOCK_ELEMS = 1 << 16
+# CSR bytes per stored entry: a float64 value and an int32 column index
+_CSR_ENTRY_BYTES = 12
 
 
 class UlamError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class UlamOperator:
-    gamma: float
-    n_bins: int
-    matrix: np.ndarray  # row-stochastic (n_bins, n_bins)
 
 
 @dataclass(frozen=True)
@@ -66,58 +70,110 @@ def _digamma_diff(x: np.ndarray, h: np.ndarray) -> np.ndarray:
             + (1.0 / y**4 - 1.0 / x**4) / 120.0)
 
 
-def build_ulam(gamma: float, n_bins: int) -> UlamOperator:
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi'(x) for x >= 20 (0 at x = inf) from its asymptotic series
+    1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1), cut after B_10; the first
+    omitted term is below 1e-16 relative there."""
+    r = 1.0 / x
+    r2 = r * r
+    return r + r2 * (0.5 + r * (1.0 / 6.0 + r2 * (-1.0 / 30.0 + r2 * (
+        1.0 / 42.0 + r2 * (-1.0 / 30.0 + r2 * (5.0 / 66.0))))))
+
+
+def _ulam_matrix(gamma: float, n_bins: int) -> sparse.csr_array:
     """Row-stochastic Ulam matrix for U_gamma on uniform bins of [0, 1)."""
     if n_bins < 2:
         raise UlamError("need at least 2 bins")
-    if 8 * n_bins * n_bins > MEMORY_BUDGET_BYTES:
-        raise UlamError(f"n_bins={n_bins} exceeds the matrix memory budget")
     if gamma * n_bins > WORK_BUDGET_BRANCHES:
         raise UlamError(f"gamma * n_bins = {gamma * n_bins:.3g} exceeds the "
                         f"branch work budget {WORK_BUDGET_BRANCHES:.0e}")
-    edges = np.arange(n_bins + 1) / n_bins
-    P = np.zeros((n_bins, n_bins))
-    for i in range(n_bins):
-        a, b = edges[i], edges[i + 1]
-        width = b - a
-        row = P[i]
-        # explicit branches overlapping (a, b); branch j occupies
-        # t in (gamma/(j+1), gamma/j], branch 0 is t > gamma (gamma/t < 1)
-        j_lo = 0 if (gamma < b) else int(np.floor(gamma / b))
-        j_hi_t = gamma / a if a > 0.0 else np.inf
-        # branches fully inside (0, b) are summed in closed form below
-        j_full = int(np.ceil(gamma / b)) if a == 0.0 else None
-        j_hi = (j_full - 1) if a == 0.0 else int(np.ceil(j_hi_t))
-        for j in range(max(j_lo, 0), j_hi + 1):
-            t_hi = gamma / j if j >= 1 else 1.0
-            t_lo = gamma / (j + 1)
-            t1, t2 = max(t_lo, a), min(t_hi, b)
-            if t1 >= t2:
-                continue
-            # preimages of the target edges under this branch (descending)
-            t_edges = gamma / (edges + j) if j >= 1 else \
-                np.concatenate([[np.inf], gamma / (edges[1:] + j)])
-            t_edges = np.clip(t_edges, t1, t2)
-            row += (t_edges[:-1] - t_edges[1:]) / width
-        if j_full is not None:
-            start = max(j_full, 1)
-            row += gamma * _digamma_diff(start + edges[:-1],
-                                         np.diff(edges)) / width
-        # checked per row, so a lost row fails before the rows after it
-        if abs(row.sum() - 1.0) > 1e-10:
-            raise UlamError(f"branch bookkeeping lost mass in row {i}")
-    P /= P.sum(axis=1)[:, None]
-    return UlamOperator(gamma, n_bins, P)
+    n = n_bins
+    edges = np.arange(n + 1) / n
+    # branches j >= J are shorter than a bin: gamma/(J(J+1)) < 1/n; those
+    # below j_first lie beyond t = 1
+    J = int(np.ceil(np.sqrt(gamma * n))) + 1
+    j_first = int(np.floor(gamma))
+    # q[i] = gamma/e_i: bin i holds the short branches ceil(q[i+1]) ..
+    # floor(q[i]) - 1 whole, and branch floor(q[i]) straddles e_i
+    q = np.full(n + 1, np.inf)
+    q[1:] = gamma / edges[1:]
+    n_far = int(np.count_nonzero(q[:-1] >= J))
+    n_near = max(0, J - j_first)
+    if _CSR_ENTRY_BYTES * n * (n_near + n_far + 2) > MEMORY_BUDGET_BYTES:
+        raise UlamError(f"n_bins={n_bins} exceeds the matrix memory budget")
+
+    # short branches j >= J fill the first rows densely: whole ones per bin
+    # as digamma differences sum_{j=ja}^{jb} [1/(j + e_k) - 1/(j + e_{k+1})]
+    far = np.zeros((min(n_far + 1, n), n))
+    ja = np.maximum(J, np.ceil(q[1:n_far + 1]))
+    jb = np.floor(q[:n_far]) - 1.0
+    whole = np.nonzero(ja <= jb)[0]
+    if whole.size:
+        h = np.diff(edges)
+        far[whole] = _digamma_diff(ja[whole, None] + edges[None, :-1], h)
+        fin = whole[np.isfinite(jb[whole])]
+        if fin.size:
+            far[fin] -= _digamma_diff(jb[fin, None] + 1.0 + edges[None, :-1], h)
+        far[whole] *= gamma * n
+    # the branch straddling edge e_i, split between bins i - 1 and i
+    i = np.arange(1, min(n_far, n) + 1)
+    j = np.floor(q[i])
+    cut = (j >= J) & (j < q[i])
+    i, j = i[cut], j[cut]
+    pre = gamma / (edges[None, :] + j[:, None])
+    for row in (i - 1, i[i < n]):  # i ascends, so only the last can be n
+        clipped = np.clip(pre[:row.size], edges[row, None],
+                          edges[row + 1, None])
+        far[row] += n * (clipped[:, :-1] - clipped[:, 1:])
+    P = sparse.csr_array(far)
+    P.resize((n, n))
+
+    # long branches j_first <= j < J, ascending in t: branch j's preimages
+    # p_k = gamma/(e_k + j), k = n..1, open the runs mapped to bin k - 1;
+    # merged with the bin edges, each run between two cuts is one entry
+    js = np.arange(max(j_first, 0), J)[::-1]
+    if js.size:
+        pre = (gamma / (edges[None, :0:-1] + js[:, None])).ravel()
+        target = np.tile(np.arange(n - 1, -1, -1, dtype=np.int32), js.size)
+        keep = pre < 1.0
+        pre, target = pre[keep], target[keep]
+        inner = edges[edges > pre[0]]
+        at = np.searchsorted(pre, inner, side="right") + np.arange(inner.size)
+        is_edge = np.zeros(pre.size + inner.size, dtype=bool)
+        is_edge[at] = True
+        cuts = np.empty(is_edge.size)
+        cuts[at] = inner
+        cuts[~is_edge] = pre
+        # edges passed before each run's left cut, and its last preimage
+        passed = np.cumsum(is_edge[:-1], dtype=np.int32)
+        row = int(np.searchsorted(edges, pre[0], side="right")) - 1 + passed
+        col = target[np.arange(passed.size, dtype=np.int32) - passed]
+        length = np.diff(cuts)
+        nz = length > 0.0
+        P = P + sparse.csr_array((n * length[nz], (row[nz], col[nz])),
+                                 shape=(n, n))
+    mass = P.sum(axis=1)
+    bad = np.nonzero(np.abs(mass - 1.0) > 1e-10)[0]
+    if bad.size:
+        raise UlamError(f"branch bookkeeping lost mass in row {bad[0]}")
+    P.data /= np.repeat(mass, np.diff(P.indptr))
+    return P
 
 
-def invariant_density(op: UlamOperator, tol: float = 1e-12,
+def invariant_density(gamma: float, n_bins: int, tol: float = 1e-12,
                       max_iter: int = 100_000) -> InvariantDensity:
-    """Leading left fixed vector of the Ulam matrix by power iteration."""
-    n = op.n_bins
+    """Invariant density of U_gamma on n_bins uniform bins: the leading
+    left fixed vector of the Ulam matrix, by power iteration."""
+    if gamma < 1.0:
+        raise UlamError(
+            f"gamma = {gamma!r} < 1: x -> gamma/x is an involution of "
+            f"[gamma, 1), so U_gamma has no unique invariant density")
+    PT = _ulam_matrix(gamma, n_bins).T.tocsr()
+    n = n_bins
     v = np.full(n, 1.0 / n)
     residual = np.inf
     for _ in range(max_iter):
-        w = v @ op.matrix
+        w = PT @ v
         w /= np.sum(np.abs(w))
         residual = float(np.sum(np.abs(w - v)))
         v = w
@@ -129,7 +185,7 @@ def invariant_density(op: UlamOperator, tol: float = 1e-12,
     edges = np.arange(n + 1) / n
     values = np.maximum(v, 0.0) * n  # masses -> density
     values /= np.sum(values * np.diff(edges))
-    return InvariantDensity(op.gamma, edges, values)
+    return InvariantDensity(gamma, edges, values)
 
 
 def _bin_table_sum(edges, values, s: float, t: np.ndarray,
@@ -138,9 +194,10 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray,
     t in [0, 1) and the bin table v = (edges, values), zero off
     [edges[0], edges[-1]).
 
-    This is the transfer operator of U_s applied to the table.  When the
-    table reaches 0 and hi = inf, every argument beyond J lies in the first
-    bin and those j are summed exactly as v_0 s psi'(t+J+1)."""
+    This is the transfer operator of U_s applied to the table.  The j below
+    J = max(20, sqrt(s n)) are summed term by term.  Beyond J, bin m takes
+    the run s/e_{m+1} < t + j <= s/e_m, which adds v_m s (psi'(t + j_a) -
+    psi'(t + j_b + 1)); only the first ~sqrt(s n) bins have such runs."""
     edges = np.asarray(edges, dtype=float)
     values = np.asarray(values)
     t = np.asarray(t, dtype=float)
@@ -151,9 +208,8 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray,
     # index 0 is below the table and n + 1 above it (searchsorted, right)
     table = np.concatenate([[0.0], values, [0.0]])
     top = min(hi, s / edges[0] if edges[0] > 0.0 else np.inf)
-    tail = not np.isfinite(top)  # the table reaches 0 and hi = inf
-    j_hi = max(int(np.ceil(s / edges[1])) + 2, int(np.ceil(lo))) if tail \
-        else int(np.ceil(top))
+    J = max(20, int(np.ceil(np.sqrt(s * values.size))))
+    j_hi = int(min(J - 1, np.ceil(top)))
     step = max(1, _BLOCK_ELEMS // flat.size)
     for j0 in range(0, j_hi + 1, step):
         js = np.arange(j0, min(j0 + step, j_hi + 1), dtype=float)
@@ -167,8 +223,21 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray,
         i0, i1 = np.searchsorted(edges, [u.min(), u.max()], side="right")
         w = table[i0 + np.searchsorted(edges[i0:i1], u, side="right")] * (u / x)
         out += np.sum(np.where(live, w, 0.0), axis=0)
-    if tail:
-        out += values[0] * s * polygamma(1, flat + j_hi + 1)
+    # bins reached by some j >= J, and where each one's run of j starts:
+    # b[:, m] = floor(s/e_m - t) + 1, clipped to the summed range of j
+    m_hi = min(int(np.searchsorted(edges, s / J, side="right")), values.size)
+    if m_hi:
+        with np.errstate(divide="ignore"):
+            over = s / edges[:m_hi + 1]
+        step = max(1, _BLOCK_ELEMS // (m_hi + 1))
+        for k0 in range(0, flat.size, step):
+            tt = flat[k0:k0 + step, None]
+            first = np.maximum(J, np.ceil(lo - tt))
+            last = np.maximum(first, np.ceil(hi - tt))
+            b = np.clip(np.floor(over[None, :] - tt) + 1.0, first, last)
+            psi1 = _trigamma(tt + b)
+            out[k0:k0 + step] += s * ((psi1[:, 1:] - psi1[:, :-1])
+                                      @ values[:m_hi])
     return out.reshape(t.shape)
 
 

@@ -24,7 +24,7 @@ from hyperlab.hardy import (hardy_defect, hilbert_hyperbola, hilbert_line,
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
                                total_variation)
 from hyperlab.sici import nielsen_spiral
-from hyperlab.transfer import build_ulam, invariant_density
+from hyperlab.transfer import invariant_density
 
 LOG2 = np.log(2.0)
 M = 2.0 * np.pi
@@ -38,12 +38,12 @@ def report(label, ok, detail):
 
 @pytest.fixture(scope="module")
 def density_4096():
-    return invariant_density(build_ulam(1.0, 4096))
+    return invariant_density(1.0, 4096)
 
 
 @pytest.fixture(scope="module")
 def density_15_4096():
-    return invariant_density(build_ulam(1.5, 4096))
+    return invariant_density(1.5, 4096)
 
 
 def test_criterion_1_invariant_density(density_4096):

@@ -9,7 +9,7 @@ from hyperlab.annihilators import (annihilator_report, critical_annihilator,
                                    symmetry_residual, total_mass)
 from hyperlab.measures import Measure1D, MeasureError, Piece, \
     piece_from_family, restrict
-from hyperlab.transfer import build_ulam, invariant_density
+from hyperlab.transfer import invariant_density
 
 LOG2 = np.log(2.0)
 
@@ -68,11 +68,11 @@ class TestPeriodizedResidual:
 class TestExpandedAnnihilator:
     @pytest.fixture(scope="class")
     def nu15(self):
-        dens = invariant_density(build_ulam(1.5, 1024))
+        dens = invariant_density(1.5, 1024)
         return expanded_annihilator(1.5, dens)
 
     def test_rejects_gamma_at_most_one(self):
-        dens = invariant_density(build_ulam(1.0, 64))
+        dens = invariant_density(1.0, 64)
         with pytest.raises(MeasureError):
             expanded_annihilator(1.0, dens)
 
@@ -121,7 +121,7 @@ class TestPeriodizationSums:
 
     @pytest.fixture(scope="class")
     def nu256(self):
-        dens = invariant_density(build_ulam(1.5, 256))
+        dens = invariant_density(1.5, 256)
         return expanded_annihilator(1.5, dens)
 
     @staticmethod
@@ -169,7 +169,7 @@ class TestPerturbedEquation:
                                            1.5) == 0.0
 
     def test_invariant_density_with_zero_perturbation(self):
-        dens = invariant_density(build_ulam(1.5, 1024))
+        dens = invariant_density(1.5, 1024)
         omega1 = Measure1D(pieces=(piece_from_family(
             0.0, 1.0, "binned", {"edges": dens.edges,
                                  "values": dens.values}, 1.0),))

@@ -70,6 +70,14 @@ class TestParseConfig:
         assert json.loads(err.splitlines()[-1])["command"] == "hardy-defect"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["7", "-1", "2"])
+    def test_hardy_conjugate_usage_error(self, value, capsys):
+        # anything but 0 and 1 would run one family and record another value
+        code, out, err = run(["hardy-defect", "--conjugate", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["key"] == "conjugate"
+
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("gamma=1.0\nbins=64\n")
@@ -108,6 +116,20 @@ class TestRunExperiment:
         assert "# command = coverage" in head
         assert "# gamma = 0.5" in head
         assert "# gridn = 100" in head
+
+    @pytest.mark.parametrize("argv", [
+        ["invariant-density", "--gamma", "0.8"],
+        ["ft-cross", "--measure", "expanded", "--gamma", "0.8"],
+        ["perturbed-residual", "--gamma", "0.5"]])
+    def test_gamma_below_one_runtime_record(self, argv, capsys):
+        # U_gamma has a family of invariant densities for gamma < 1; the
+        # refusal comes before any Ulam matrix is built
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["command"] == argv[0]
+        assert "involution" in record["message"]
 
     @pytest.mark.parametrize("conjugate", ["0", "1"])
     def test_hardy_defect_reports_achieved_error(self, conjugate, capsys):

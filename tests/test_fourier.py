@@ -15,7 +15,7 @@ from hyperlab.fourier import (DEFAULT_QUAD, LatticeCross, QuadratureSpec,
                               pairing)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
                                QuadrantTag, restrict)
-from hyperlab.transfer import build_ulam, invariant_density
+from hyperlab.transfer import invariant_density
 
 M = 2.0 * np.pi
 
@@ -165,7 +165,7 @@ def test_small_xi2_matches_closed_form(xi2):
 
 @pytest.fixture(scope="module")
 def expanded15():
-    return expanded_annihilator(1.5, invariant_density(build_ulam(1.5, 512)))
+    return expanded_annihilator(1.5, invariant_density(1.5, 512))
 
 
 class TestPairing:

@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 import hyperlab
 from hyperlab import transfer
 from hyperlab.cli import main
-from hyperlab.transfer import (InvariantDensity, UlamError, build_ulam,
-                               invariance_residual, invariant_density)
+from hyperlab.transfer import (InvariantDensity, UlamError, _bin_table_sum,
+                               _ulam_matrix, invariance_residual,
+                               invariant_density)
 
 LOG2 = np.log(2.0)
 
@@ -20,35 +23,104 @@ def gauss_density(t):
     return 1.0 / ((1.0 + np.asarray(t)) * LOG2)
 
 
+def reference_ulam(gamma, n_bins):
+    """Dense per-row reference assembler: every branch overlapping a bin is
+    clipped to it, one branch at a time, and the branches accumulating at
+    0 are summed in row 0 as digamma differences.  O(gamma n^2) work, so
+    for n_bins <= 1024 only."""
+    edges = np.arange(n_bins + 1) / n_bins
+    P = np.zeros((n_bins, n_bins))
+    for i in range(n_bins):
+        a, b = edges[i], edges[i + 1]
+        width = b - a
+        row = P[i]
+        j_lo = 0 if (gamma < b) else int(np.floor(gamma / b))
+        j_hi_t = gamma / a if a > 0.0 else np.inf
+        j_full = int(np.ceil(gamma / b)) if a == 0.0 else None
+        j_hi = (j_full - 1) if a == 0.0 else int(np.ceil(j_hi_t))
+        for j in range(max(j_lo, 0), j_hi + 1):
+            t_hi = gamma / j if j >= 1 else 1.0
+            t_lo = gamma / (j + 1)
+            t1, t2 = max(t_lo, a), min(t_hi, b)
+            if t1 >= t2:
+                continue
+            t_edges = gamma / (edges + j) if j >= 1 else \
+                np.concatenate([[np.inf], gamma / (edges[1:] + j)])
+            t_edges = np.clip(t_edges, t1, t2)
+            row += (t_edges[:-1] - t_edges[1:]) / width
+        if j_full is not None:
+            start = max(j_full, 1)
+            row += gamma * transfer._digamma_diff(start + edges[:-1],
+                                                  np.diff(edges)) / width
+    return P / P.sum(axis=1)[:, None]
+
+
+def exact_entry(gamma, n_bins, i, k):
+    """P[i, k] for i >= 1 in 40-digit arithmetic: n times the length of bin
+    i that the branches map into bin k."""
+    with mp.workdps(40):
+        g, n = mp.mpf(gamma), n_bins
+        a, b = mp.mpf(i) / n, mp.mpf(i + 1) / n
+        total = mp.mpf(0)
+        for j in range(max(int(mp.floor(g / b)) - 1, 0),
+                       int(mp.ceil(g / a)) + 2):
+            lo = g / (mp.mpf(k + 1) / n + j)
+            hi = g / (mp.mpf(k) / n + j) if (j or k) else mp.inf
+            total += max(min(hi, b) - max(lo, a), 0)
+        return float(total * n)
+
+
+def direct_sum(edges, values, s, t, lo=0.0, hi=np.inf):
+    """_bin_table_sum term by term: every j up to where all arguments lie
+    in bin 0 (table from 0) or below the table, then (table from 0,
+    hi = inf) the rest of bin 0 as v_0 s psi'(t + j_end) from scipy."""
+    edges = np.asarray(edges, dtype=float)
+    out = np.zeros(len(t), dtype=complex)
+    j_end = int(np.ceil(s / edges[1 if edges[0] == 0.0 else 0])) + 2
+    if np.isfinite(hi):
+        j_end = min(j_end, int(np.ceil(hi)) + 1)
+    for m, tm in enumerate(t):
+        x = tm + np.arange(j_end, dtype=float)
+        x = x[(x >= lo) & (x < hi) & (x > 0.0)]
+        u = s / x
+        k = np.searchsorted(edges, u, side="right") - 1
+        inside = (k >= 0) & (k < len(values))
+        out[m] = np.sum(values[k[inside]] * u[inside] / x[inside])
+        if edges[0] == 0.0 and not np.isfinite(hi):
+            out[m] += values[0] * s * polygamma(1, tm + j_end)
+    return out
+
+
 class TestBuildUlam:
     def test_rows_are_stochastic(self):
-        op = build_ulam(1.0, 128)
-        assert np.allclose(op.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(op.matrix >= 0.0)
+        P = _ulam_matrix(1.0, 128)
+        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(P.data >= 0.0)
 
     def test_gamma_above_one_rows_stochastic(self):
-        op = build_ulam(1.5, 128)
-        assert np.allclose(op.matrix.sum(axis=1), 1.0, atol=1e-12)
+        P = _ulam_matrix(1.5, 128)
+        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
     def test_too_few_bins_rejected(self):
         with pytest.raises(UlamError):
-            build_ulam(1.0, 1)
+            _ulam_matrix(1.0, 1)
 
     def test_memory_budget_enforced(self):
-        with pytest.raises(UlamError):
-            build_ulam(1.0, 10 ** 6)
+        # charged for the CSR's bytes: about 2 n^{3/2} entries
+        with pytest.raises(UlamError, match="memory budget"):
+            _ulam_matrix(1.0, 10 ** 6)
 
     def test_large_gamma_within_budget_still_builds(self):
-        op = build_ulam(1000.0, 16)
-        assert np.allclose(op.matrix.sum(axis=1), 1.0, atol=1e-12)
+        P = _ulam_matrix(1000.0, 16)
+        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
     def test_lost_row_fails_before_the_rest(self, monkeypatch):
-        # a row 0 that loses mass fails at once; at gamma * n = 1.6e6 the
-        # rows after it would take 15 s to build
+        # a row that loses mass fails the build, and the error names the
+        # first such row
         monkeypatch.setattr(transfer, "_digamma_diff",
                             lambda x, h: 0.5 * h / x)
         with pytest.raises(UlamError, match="row 0"):
-            build_ulam(1e5, 16)
+            _ulam_matrix(1e5, 16)
 
     @pytest.mark.parametrize("gamma, bins", [("3000", "16"), ("30", "4096")])
     def test_large_gamma_n_keeps_row_0(self, gamma, bins, tmp_path):
@@ -75,37 +147,110 @@ class TestBuildUlam:
         assert "Traceback" not in res.stderr
         assert "work budget" in json.loads(res.stderr)["message"]
 
+    @pytest.mark.parametrize("gamma, n", [
+        (0.5, 512), (0.8, 512), (1.0, 1024), (1.2, 512), (1.5, 512),
+        (3.7, 777), (30.0, 256), (1000.0, 32)])
+    def test_matches_reference_assembler(self, gamma, n):
+        S = _ulam_matrix(gamma, n).toarray()
+        gap = np.abs(S - reference_ulam(gamma, n))
+        # the reference adds the ~gamma n / i branches of row i one by one
+        # and drifts (1.7e-13 at gamma = 3.7, n = 777); where the two differ
+        # by more than 1e-13, the exact entry must side with the sparse one
+        for i in np.nonzero(gap.max(axis=1) > 1e-13)[0]:
+            k = int(np.argmax(gap[i]))
+            assert i > 0
+            assert abs(S[i, k] - exact_entry(gamma, n, int(i), k)) <= 1e-15
+        assert np.count_nonzero(gap > 1e-13) <= 0.01 * gap.size
+
+    def test_about_two_n_three_halves_nonzeros(self):
+        n = 4096
+        assert _ulam_matrix(1.0, n).nnz <= 2.1 * n ** 1.5
+
+    @pytest.mark.parametrize("x", [20.0, 20.5, 97.25, 1e4, 3e8])
+    def test_trigamma_series(self, x):
+        with mp.workdps(30):
+            exact = float(mp.polygamma(1, x))
+        assert transfer._trigamma(x) == pytest.approx(exact, rel=2e-16,
+                                                      abs=0.0)
+
+    def test_trigamma_at_infinity_is_zero(self):
+        assert transfer._trigamma(np.inf) == 0.0
+
+
+class TestBinTableSum:
+    @pytest.mark.parametrize("edges, s, lo, hi", [
+        (np.arange(17) / 16, 1.5, 0.0, np.inf),
+        (np.arange(17) / 16, 1.5, 2.5, np.inf),
+        (np.arange(17) / 16, 2.0, 0.5, 7.5),
+        (np.arange(17) / 16, 3000.0, 0.0, np.inf),
+        (np.arange(17) / 16, 3000.0, 0.0, 4000.0),
+        (np.sort(np.r_[0.0, 1.0, np.linspace(0.05, 0.95, 31) ** 2]), 0.7,
+         0.0, np.inf),
+        (np.linspace(0.25, 2.0, 12), 1.5, 0.0, np.inf),
+        (np.linspace(0.25, 2.0, 12), 40.0, 1.0, np.inf),
+        (np.arange(17) / 16, 3000.0, 1000.5, np.inf),
+    ])
+    def test_matches_direct_sum(self, edges, s, lo, hi):
+        rng = np.random.default_rng(7)
+        values = (rng.uniform(0.5, 1.5, len(edges) - 1)
+                  + 1j * rng.uniform(-1.0, 1.0, len(edges) - 1))
+        t = np.r_[0.0, (np.arange(40) + 0.5) / 40, 1.0 - 1e-12]
+        got = _bin_table_sum(edges, values, s, t, lo, hi)
+        want = direct_sum(edges, values, s, t, lo, hi)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_keeps_the_shape_of_t(self):
+        t = np.full((3, 2), 0.25)
+        out = _bin_table_sum(np.arange(9) / 8, np.ones(8), 1.0, t)
+        assert out.shape == (3, 2)
+
 
 class TestInvariantDensity:
     def test_normalized(self):
-        dens = invariant_density(build_ulam(1.0, 256))
+        dens = invariant_density(1.0, 256)
         assert np.sum(dens.bin_masses()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(dens.values >= 0.0)
 
     def test_matches_gauss_density_coarsely(self):
-        dens = invariant_density(build_ulam(1.0, 512))
+        dens = invariant_density(1.0, 512)
         mid = 0.5 * (dens.edges[:-1] + dens.edges[1:])
         l1 = np.sum(np.abs(dens.values - gauss_density(mid))) / 512
         assert l1 <= 1e-2
 
+    def test_gauss_density_converges_at_rate_one_over_n(self):
+        # past the 8192 bins of the benchmark: doubling n halves the L1
+        # error (Li 1976 bounds it by O(log n / n))
+        def l1(n):
+            dens = invariant_density(1.0, n)
+            mid = 0.5 * (dens.edges[:-1] + dens.edges[1:])
+            return np.sum(np.abs(dens.values - gauss_density(mid))) / n
+        assert l1(16384) <= 0.6 * l1(8192)
+
     def test_invariance_residual_small(self):
-        dens = invariant_density(build_ulam(1.0, 512))
+        dens = invariant_density(1.0, 512)
         assert invariance_residual(dens, 1000) <= 5e-3
 
     def test_gamma_15_residual(self):
-        dens = invariant_density(build_ulam(1.5, 512))
+        dens = invariant_density(1.5, 512)
         assert invariance_residual(dens, 1000) <= 5e-3
 
     def test_gamma_below_one_residual(self):
         # [gamma, 1) carries the branch j = 0 (t > gamma); the Perron
         # vector comes from an eigensolver since power iteration cycles
-        op = build_ulam(0.5, 512)
-        lam, vecs = np.linalg.eig(op.matrix.T)
+        lam, vecs = np.linalg.eig(_ulam_matrix(0.5, 512).toarray().T)
         v = np.abs(np.real(vecs[:, np.argmin(np.abs(lam - 1.0))]))
         dens = InvariantDensity(0.5, np.arange(513) / 512,
                                 v * 512 / np.sum(v))
         assert invariance_residual(dens, 1000) <= 1e-2
 
+    def test_gamma_below_one_refused_before_assembly(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("assembled the matrix")
+        monkeypatch.setattr(transfer, "_ulam_matrix", never)
+        with pytest.raises(UlamError, match="involution"):
+            invariant_density(0.8, 4096)
+
     def test_density_callable_outside_support_is_zero(self):
-        dens = invariant_density(build_ulam(1.0, 64))
+        dens = invariant_density(1.0, 64)
         assert dens(np.array([-0.5, 1.5])).tolist() == [0.0, 0.0]
