@@ -10,7 +10,8 @@ bins: the whole branches inside a bin are summed per target as digamma
 differences that do not cancel, and the one branch straddling each bin
 edge is clipped at it.  So every row is stochastic to machine precision,
 assembly costs O(n sqrt(gamma n)), and the matrix has about 2 n^{3/2}
-nonzeros at gamma = 1.  The memory budget is charged for the CSR's bytes.
+nonzeros at gamma = 1.  The memory budget is charged for what assembly
+holds at its peak, about 4.5 times the finished CSR's bytes.
 
 The operator applied to a bin table, sum_j v(s/(t+j)) s/(t+j)^2, is one
 blocked kernel shared by the invariance residual and the periodization
@@ -33,8 +34,13 @@ MEMORY_BUDGET_BYTES = 2 << 30
 WORK_BUDGET_BRANCHES = 10 ** 7
 # elements per block of the bin-table sum: a cache's worth, not an option
 _BLOCK_ELEMS = 1 << 16
-# CSR bytes per stored entry: a float64 value and an int32 column index
-_CSR_ENTRY_BYTES = 12
+# bytes assembly holds at its peak per entry of the dense block of short
+# branches (with its digamma temporaries) and per cut of the long ones (with
+# the merge arrays, the COO triplets and the CSR sum), plus a MiB for the
+# O(n) arrays; tracemalloc reads at most 72 and 88 bytes, the whole peak
+# being about 4.5 times the finished CSR's bytes
+_FAR_ENTRY_BYTES = 80
+_NEAR_ENTRY_BYTES = 96
 
 
 class UlamError(RuntimeError):
@@ -99,8 +105,11 @@ def _ulam_matrix(gamma: float, n_bins: int) -> sparse.csr_array:
     q[1:] = gamma / edges[1:]
     n_far = int(np.count_nonzero(q[:-1] >= J))
     n_near = max(0, J - j_first)
-    if _CSR_ENTRY_BYTES * n * (n_near + n_far + 2) > MEMORY_BUDGET_BYTES:
-        raise UlamError(f"n_bins={n_bins} exceeds the matrix memory budget")
+    peak = n * (_FAR_ENTRY_BYTES * min(n_far + 1, n)
+                + _NEAR_ENTRY_BYTES * (n_near + 1)) + (1 << 20)
+    if peak > MEMORY_BUDGET_BYTES:
+        raise UlamError(f"n_bins={n_bins} exceeds the memory budget: "
+                        f"assembly needs {peak / 2**30:.3g} GiB")
 
     # short branches j >= J fill the first rows densely: whole ones per bin
     # as digamma differences sum_{j=ja}^{jb} [1/(j + e_k) - 1/(j + e_{k+1})]

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import polygamma
@@ -56,18 +58,17 @@ def reference_ulam(gamma, n_bins):
 
 
 def exact_entry(gamma, n_bins, i, k):
-    """P[i, k] for i >= 1 in 40-digit arithmetic: n times the length of bin
-    i that the branches map into bin k."""
-    with mp.workdps(40):
-        g, n = mp.mpf(gamma), n_bins
-        a, b = mp.mpf(i) / n, mp.mpf(i + 1) / n
-        total = mp.mpf(0)
-        for j in range(max(int(mp.floor(g / b)) - 1, 0),
-                       int(mp.ceil(g / a)) + 2):
-            lo = g / (mp.mpf(k + 1) / n + j)
-            hi = g / (mp.mpf(k) / n + j) if (j or k) else mp.inf
-            total += max(min(hi, b) - max(lo, a), 0)
-        return float(total * n)
+    """P[i, k] for i >= 1 in exact rational arithmetic (a float gamma is a
+    binary fraction): n times the length of bin i that the branches map
+    into bin k, rounded once."""
+    g, n = Fraction(gamma), n_bins
+    a, b = Fraction(i, n), Fraction(i + 1, n)
+    total = Fraction(0)
+    for j in range(max(math.floor(g / b) - 1, 0), math.ceil(g / a) + 2):
+        lo = g / (Fraction(k + 1, n) + j)
+        hi = g / (Fraction(k, n) + j) if (j or k) else b
+        total += max(min(hi, b) - max(lo, a), 0)
+    return float(total * n)
 
 
 def direct_sum(edges, values, s, t, lo=0.0, hi=np.inf):
@@ -106,9 +107,32 @@ class TestBuildUlam:
             _ulam_matrix(1.0, 1)
 
     def test_memory_budget_enforced(self):
-        # charged for the CSR's bytes: about 2 n^{3/2} entries
         with pytest.raises(UlamError, match="memory budget"):
             _ulam_matrix(1.0, 10 ** 6)
+        # 10^5 bins: the CSR (about 2 n^{3/2} entries of 12 bytes, 0.76 GB)
+        # fits in 2 GiB, but assembly holds about 4.5 times that at once
+        assert 12 * 2 * 1e5 ** 1.5 < transfer.MEMORY_BUDGET_BYTES
+        with pytest.raises(UlamError, match="memory budget"):
+            _ulam_matrix(1.0, 10 ** 5)
+
+    @pytest.mark.parametrize("gamma, n", [
+        (1.0, 4096), (0.5, 2048), (3.7, 777), (30.0, 1024), (1000.0, 256)])
+    def test_budget_bounds_the_assembly_peak(self, gamma, n, monkeypatch):
+        # a budget just below the traced peak refuses the build, and one
+        # three times the peak admits it: the charge is an upper bound, and
+        # not a loose one (1.3 to 1.7 times the peak with numpy 2.4 and
+        # scipy 1.17; the slack leaves room for other versions)
+        tracemalloc.start()
+        try:
+            _ulam_matrix(gamma, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(transfer, "MEMORY_BUDGET_BYTES", peak - 1)
+        with pytest.raises(UlamError, match="memory budget"):
+            _ulam_matrix(gamma, n)
+        monkeypatch.setattr(transfer, "MEMORY_BUDGET_BYTES", 3 * peak)
+        _ulam_matrix(gamma, n)
 
     def test_large_gamma_within_budget_still_builds(self):
         P = _ulam_matrix(1000.0, 16)
@@ -166,10 +190,14 @@ class TestBuildUlam:
         n = 4096
         assert _ulam_matrix(1.0, n).nnz <= 2.1 * n ** 1.5
 
-    @pytest.mark.parametrize("x", [20.0, 20.5, 97.25, 1e4, 3e8])
-    def test_trigamma_series(self, x):
-        with mp.workdps(30):
-            exact = float(mp.polygamma(1, x))
+    @pytest.mark.parametrize("x, exact", [
+        # psi'(x) to 30 digits
+        (20.0, 0.0512708229352031198315362945884),
+        (20.5, 0.0499895924299609927988521059213),
+        (97.25, 0.0103358252995757831710506687987),
+        (1e4, 0.000100005000166666666333333335714),
+        (3e8, 0.00000000333333333888888889506172839506)])
+    def test_trigamma_series(self, x, exact):
         assert transfer._trigamma(x) == pytest.approx(exact, rel=2e-16,
                                                       abs=0.0)
 
