@@ -16,9 +16,8 @@ from .measures import (MeasureError, Piece, Measure1D, HyperbolaMeasure,
                        total_variation, restrict)
 from .sici import (sine_integral_tail, cosine_integral, exp_integral_tail,
                    SpiralPoint, SpiralResult, nielsen_spiral)
-from .fourier import (QuadratureError, QuadratureSpec, DEFAULT_QUAD,
-                      LatticeCross, CrossValue, pairing, ft_point,
-                      ft_on_cross, critical_measure_ft)
+from .fourier import (QuadratureError, LatticeCross, CrossValue, pairing,
+                      ft_point, ft_on_cross, critical_measure_ft)
 from .dynamics import GaussMap, step, orbit, branch_inverse, \
     coverage_fraction
 from .transfer import UlamError, InvariantDensity, invariant_density, \

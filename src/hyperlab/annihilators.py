@@ -140,10 +140,10 @@ def periodized_residual(nu: Measure1D, gamma: float, grid_n: int):
     return float(np.max(np.abs(s1))), float(np.max(np.abs(s2)))
 
 
-def symmetry_residual(nu: Measure1D, gamma: float, grid_n: int = 1000) -> float:
-    """Max of |rho_nu(gamma/t) gamma/t^2 + rho_nu(t)| over a sample grid
-    (the antisymmetry d nu(gamma/t) = -d nu(t))."""
-    t = np.geomspace(1e-3, 1e3, grid_n)
+def symmetry_residual(nu: Measure1D, gamma: float) -> float:
+    """Max of |rho_nu(gamma/t) gamma/t^2 + rho_nu(t)| over 1000 geometric
+    samples of [1e-3, 1e3] (the antisymmetry d nu(gamma/t) = -d nu(t))."""
+    t = np.geomspace(1e-3, 1e3, 1000)
     rho = nu.density_at(t)
     rho_inv = nu.density_at(gamma / t) * gamma / t**2
     return float(np.max(np.abs(rho + rho_inv)))

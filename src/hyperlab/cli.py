@@ -241,10 +241,10 @@ def _write_text(out, text):
             fh.write(text)
 
 
-def emit_svg_polyline(points, title: str, path: str,
-                      width: int = 480, height: int = 480) -> None:
-    """Standalone SVG 1.1 (path/line/text only) with axis ticks and the
-    polyline through ``points``; byte-stable for identical inputs."""
+def emit_svg_polyline(points, title: str, path: str) -> None:
+    """Standalone 480 x 480 SVG 1.1 (path/line/text only) with axis ticks
+    and the polyline through ``points``; byte-stable for identical
+    inputs."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise MeasureError("polyline needs at least 2 points")
@@ -257,6 +257,7 @@ def emit_svg_polyline(points, title: str, path: str,
     pad_y = (y1 - y0) or 1.0
     x0, x1 = x0 - 0.05 * pad_x, x1 + 0.05 * pad_x
     y0, y1 = y0 - 0.05 * pad_y, y1 + 0.05 * pad_y
+    width = height = 480
     margin = 40
 
     def to_px(x, y):

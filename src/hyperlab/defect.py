@@ -83,11 +83,12 @@ class CandidateBasis:
                 ("tail_cube", self.t_max, np.inf)]
         return out
 
-    def project(self, nu: Measure1D, samples_per_bin: int = 16) -> np.ndarray:
+    def project(self, nu: Measure1D) -> np.ndarray:
         """Coefficients approximating nu: per-bin masses, and end
-        coefficients matched by mass and first moment."""
+        coefficients matched by mass and first moment, from 16 midpoint
+        samples per bin."""
         edges = self.edges
-        u = (np.arange(samples_per_bin) + 0.5) / samples_per_bin
+        u = (np.arange(16) + 0.5) / 16
         nb = self.n_interior
         coeffs = np.empty(self.n_elements, dtype=complex)
         log_w = np.diff(np.log(edges))
@@ -114,8 +115,7 @@ class CandidateBasis:
             refl = Measure1D(pieces=tuple(
                 Piece(-p.b, -p.a, lambda s, r=p.density: r(-np.asarray(s)),
                       p.tv_bound) for p in nu.pieces))
-            coeffs[nb + 4:] = replace(self, two_branch=False).project(
-                refl, samples_per_bin)
+            coeffs[nb + 4:] = replace(self, two_branch=False).project(refl)
         return coeffs
 
 
@@ -231,12 +231,12 @@ def cross_for_gamma(gamma: float, j_max: int = 40, k_max: int = 40
 @dataclass(frozen=True)
 class SweepRow:
     gamma: float
-    singular_tail: tuple  # smallest tail_k singular values, ascending
+    singular_tail: tuple  # smallest six singular values, ascending
     defect: int
 
 
 def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
-                k_max: int = 40, threshold: float = 1e-6, tail_k: int = 6):
+                k_max: int = 40, threshold: float = 1e-6):
     """Per-gamma defect estimates; the grid is re-anchored at each gamma
     so the expanded annihilators' density jumps fall on bin edges."""
     rows = []
@@ -247,7 +247,7 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
         mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max,
                                                          k_max))
         est = defect_estimate(mat, threshold)
-        tail = tuple(float(s) for s in np.sort(est.singular_values)[:tail_k])
+        tail = tuple(float(s) for s in np.sort(est.singular_values)[:6])
         rows.append(SweepRow(float(gamma), tail, est.numerical_defect))
     return rows
 
@@ -282,14 +282,13 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # distorted cross (slanted lattice-waist proxy)
 
-def distorted_cross_residual(xi0, alpha: float = 0.5, n_atoms: int = 11,
-                             sigma: float = 0.12, j_max: int = 40,
-                             threshold: float = 1e-3) -> DefectEstimate:
+def distorted_cross_residual(xi0, threshold: float = 1e-3
+                             ) -> DefectEstimate:
     """Spectral-window test for the distorted cross.
 
-    Candidates are Gaussian spectral atoms with centers on [-2, 3]; rows
-    sample their transforms on S = {alpha j : j <= 0} union
-    {alpha j + xi0_1 : j >= 0} (the xi0-shifted half-cross on the
+    Candidates are 11 Gaussian spectral atoms of width 0.12 with centers
+    on [-2, 3]; rows sample their transforms on S = {j/2 : -40 <= j <= 0}
+    union {j/2 + xi0_1 : 0 <= j <= 40} (the xi0-shifted half-cross on the
     spectral side).  A shift with min(xi0) > 0 opens a window (0, xi0_1)
     unreachable by S, producing a near-null atom combination; any shift
     with min(xi0) <= 0 leaves no gap and the system stays well
@@ -299,14 +298,14 @@ def distorted_cross_residual(xi0, alpha: float = 0.5, n_atoms: int = 11,
     xi1 = float(xi0[0])
     if abs(float(xi0[1])) > 1e-12:
         raise MeasureError("the proxy models axis-1 shifts only")
-    left = alpha * np.arange(-j_max, 1)
-    right = alpha * np.arange(0, j_max + 1) + xi1
+    left = 0.5 * np.arange(-40, 1)
+    right = 0.5 * np.arange(0, 41) + xi1
     samples = np.concatenate([left, right])
-    centers = np.linspace(-2.0, 3.0, n_atoms)
+    centers = np.linspace(-2.0, 3.0, 11)
     mat = np.exp(-(samples[:, None] - centers[None, :]) ** 2
-                 / (2.0 * sigma**2))
+                 / (2.0 * 0.12**2))
     sv, vh = np.linalg.svd(mat, full_matrices=False)[1:]
     defect = int(np.sum(sv <= threshold * sv[0]))
     nullvectors = vh[len(sv) - defect:] if defect else \
-        np.zeros((0, n_atoms))
+        np.zeros((0, centers.size))
     return DefectEstimate(sv, threshold, defect, nullvectors)

@@ -35,18 +35,10 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# QUADPACK tolerances and subdivision limit of every pairing
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ def _antideriv_exp_over_t(c, t) -> np.ndarray:
 
 
 def _binned_pairing(edges: np.ndarray, values: np.ndarray,
-                    w: float, c: float, q: QuadratureSpec):
+                    w: float, c: float):
     """(integral of v(t) e^{i(w t - c/t)} dt, error estimate) for a bin
     table on t >= 0; exact (error 0) when one of w, c vanishes."""
     edges = np.asarray(edges, dtype=float)
@@ -139,7 +131,7 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
         def g(u, w=w):
             return np.exp(1j * w / u) / u**2
         u_hi = np.inf if a == 0.0 else 1.0 / a
-        val, e = _osc(g, 1.0 / b, u_hi, -c, q)
+        val, e = _osc(g, 1.0 / b, u_hi, -c)
         total += v * val
         err += abs(v) * e
     return complex(total), err
@@ -148,28 +140,27 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 # generic oscillatory quadrature
 
-def _cquad(f, a, b, q: QuadratureSpec):
-    v, e = quad(f, a, b, complex_func=True, limit=q.max_subdivisions,
-                epsabs=q.abs_tol, epsrel=q.rel_tol)
+def _cquad(f, a, b):
+    v, e = quad(f, a, b, complex_func=True, limit=LIMIT, epsabs=ABS_TOL,
+                epsrel=REL_TOL)
     return complex(v), e.real + e.imag
 
 
-def _osc(g, a, b, w, q: QuadratureSpec):
+def _osc(g, a, b, w):
     """(integral_a^b g(t) e^{i w t} dt, error estimate) for w != 0 with
     QUADPACK's Fourier weights: QAWO on finite [a, b], QAWF for b = inf."""
     if not (np.isfinite(w) and np.isfinite(a) and a < b):
         raise QuadratureError(f"oscillatory quadrature needs a finite "
                               f"frequency and limits, got w={w} on [{a}, {b})")
-    kw = {"wvar": abs(w), "complex_func": True, "limit": q.max_subdivisions,
-          "limlst": max(50, q.max_subdivisions), "epsabs": q.abs_tol,
-          "epsrel": q.rel_tol}
+    kw = {"wvar": abs(w), "complex_func": True, "limit": LIMIT,
+          "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
     cos, e_cos = quad(g, a, b, weight="cos", **kw)
     sin, e_sin = quad(g, a, b, weight="sin", **kw)
     err = e_cos + e_sin
     return complex(cos + 1j * np.sign(w) * sin), err.real + err.imag
 
 
-def _piece_ft_positive(rho, a, b, w, c, q: QuadratureSpec):
+def _piece_ft_positive(rho, a, b, w, c):
     """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf]."""
     val = 0.0 + 0.0j
     err = 0.0
@@ -182,7 +173,7 @@ def _piece_ft_positive(rho, a, b, w, c, q: QuadratureSpec):
 
         def g(s):
             return rho(k / s) * np.exp(1j * w * k / s) * k / s**2
-        val, err = _osc(g, k / d, np.inf, -c / k, q)
+        val, err = _osc(g, k / d, np.inf, -c / k)
         a = d
         if a >= b:
             return val, err
@@ -199,30 +190,29 @@ def _piece_ft_positive(rho, a, b, w, c, q: QuadratureSpec):
             cuts.append(cut)
         cut *= 16.0
     for lo, hi in zip(cuts, cuts[1:] + [b]):
-        v, e = _osc(integrand, lo, hi, w, q) if w != 0.0 else \
-            _cquad(integrand, lo, hi, q)
+        v, e = _osc(integrand, lo, hi, w) if w != 0.0 else \
+            _cquad(integrand, lo, hi)
         val += v
         err += e
     return val, err
 
 
-def _piece_ft(p: Piece, w: float, c: float, q: QuadratureSpec):
+def _piece_ft(p: Piece, w: float, c: float):
     if p.family == "binned":
-        return _binned_pairing(p.params["edges"], p.params["values"], w, c, q)
+        return _binned_pairing(p.params["edges"], p.params["values"], w, c)
     if p.family == "binned_inverted":
         # substitute u = s/t:  w' = -c/s, c' = -w s, same bin table
         s = p.params["s"]
         return _binned_pairing(p.params["edges"], p.params["values"],
-                               -c / s, -w * s, q)
+                               -c / s, -w * s)
     if p.b <= 0.0:
         # reflect to positive support: t -> -t flips both frequencies
         rho = p.density
-        return _piece_ft_positive(lambda u: rho(-u), -p.b, -p.a, -w, -c, q)
-    return _piece_ft_positive(p.density, p.a, p.b, w, c, q)
+        return _piece_ft_positive(lambda u: rho(-u), -p.b, -p.a, -w, -c)
+    return _piece_ft_positive(p.density, p.a, p.b, w, c)
 
 
-def pairing(nu: Measure1D, w: float, c: float,
-            q: QuadratureSpec = DEFAULT_QUAD):
+def pairing(nu: Measure1D, w: float, c: float):
     """(integral of e^{i(w t - c/t)} d nu(t), achieved error estimate)."""
     if not (np.isfinite(w) and np.isfinite(c)):
         raise QuadratureError(f"pairing needs finite frequencies, got "
@@ -232,33 +222,32 @@ def pairing(nu: Measure1D, w: float, c: float,
     for x, wt in nu.atoms:
         total += wt * np.exp(1j * (w * x - (c / x if c else 0.0)))
     for p in nu.pieces:
-        v, e = _piece_ft(p, w, c, q)
+        v, e = _piece_ft(p, w, c)
         total += v
         err += e
     return complex(total), err
 
 
-def error_budget(value, q: QuadratureSpec = DEFAULT_QUAD) -> float:
+def error_budget(value) -> float:
     """Largest achieved error estimate accepted for a pairing result of
     size |value|; above it the result raises ``QuadratureError``."""
-    return 100.0 * (q.abs_tol + q.rel_tol * abs(value)) + 1e-8
+    return 100.0 * (ABS_TOL + REL_TOL * abs(value)) + 1e-8
 
 
-def _checked_ft(mu: HyperbolaMeasure, xi1: float, xi2: float,
-                q: QuadratureSpec):
+def _checked_ft(mu: HyperbolaMeasure, xi1: float, xi2: float):
     """(ft of mu at (xi1, xi2), error estimate) within the error budget."""
     c = mu.m**2 * xi2 / (4.0 * np.pi)
-    total, err = pairing(mu.pi1, np.pi * xi1, c, q)
-    if err > error_budget(total, q):
+    total, err = pairing(mu.pi1, np.pi * xi1, c)
+    if err > error_budget(total):
         raise QuadratureError(
             f"oscillatory quadrature at xi=({xi1}, {xi2}) achieved error "
             f"estimate {err:.3g} above tolerance", err)
     return total, err
 
 
-def ft_point(mu: HyperbolaMeasure, xi, q: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def ft_point(mu: HyperbolaMeasure, xi) -> complex:
     """Fourier transform of mu at the planar point xi = (xi1, xi2)."""
-    return _checked_ft(mu, float(xi[0]), float(xi[1]), q)[0]
+    return _checked_ft(mu, float(xi[0]), float(xi[1]))[0]
 
 
 @dataclass(frozen=True)
@@ -271,14 +260,13 @@ class CrossValue:
     abs_err_estimate: float
 
 
-def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross,
-                q: QuadratureSpec = DEFAULT_QUAD):
+def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross):
     """One transform per cross point, deterministic ordering, each with
     the error estimate its quadrature achieved (0 where closed-form)."""
     out = []
     for axis, idx, x1, x2 in cross.points():
         try:
-            val, err = _checked_ft(mu, x1, x2, q)
+            val, err = _checked_ft(mu, x1, x2)
         except QuadratureError as exc:
             raise QuadratureError(
                 f"cross point axis={axis} index={idx} xi=({x1}, {x2}): {exc}",
@@ -287,17 +275,13 @@ def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross,
     return out
 
 
-def critical_measure_ft(x: float, unit_lower_limit: bool = False) -> complex:
+def critical_measure_ft(x: float) -> complex:
     """Fourier transform (1-e^{i 2 pi x}) * int_0^inf e^{i 2 pi x t} dt/(t+1)
-    of the critical annihilator, via the si/ci decomposition.
-
-    The substitution y = 2 pi x t gives lower limit 2 pi |x| in the tail
-    integrals (the default); ``unit_lower_limit`` uses lower limit |x|
-    instead.  Both conventions are exposed.
-    """
+    of the critical annihilator, via the si/ci decomposition (the
+    substitution y = 2 pi x t gives lower limit 2 pi |x| in the tail
+    integrals)."""
     x = float(x)
-    if x == 0.0 or float(x).is_integer():
+    if x.is_integer():
         return 0.0 + 0.0j
-    lower = abs(x) if unit_lower_limit else 2.0 * np.pi * abs(x)
-    e_val = np.exp(-2j * np.pi * x) * exp_integral_tail(np.sign(x) * lower)
+    e_val = np.exp(-2j * np.pi * x) * exp_integral_tail(2.0 * np.pi * x)
     return complex((1.0 - np.exp(2j * np.pi * x)) * e_val)

@@ -1,7 +1,7 @@
 """Hardy-space numerics on the 2-periodic line: the Fourier coefficients
-of the periodization Q2 by Poisson summation, the inversions J_beta and
-J_{beta,p}, principal-value Hilbert transforms on the line and on the
-hyperbola branch pair, Hardy-membership defects read off those
+of the periodization Q2 by Poisson summation, the inversion J_beta (the
+image under t -> -beta/t), principal-value Hilbert transforms on the line
+and on the hyperbola branch pair, Hardy-membership defects read off those
 coefficients, and the time-like witness family
 
     f_z0(t) = 1/(t - z0) - 1/(t - 2 - z0),   Im z0 > 0,
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import (QuadratureError, QuadratureSpec, DEFAULT_QUAD, _cquad,
+from .fourier import (ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad,
                       error_budget, pairing)
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
-                       compress_pi1, compress_pi2)
+                       _pushforward_reciprocal, compress_pi1, compress_pi2)
 
 
 def q2_coefficients(f: Measure1D, n_max: int):
@@ -56,9 +56,9 @@ class HardyDefect:
 
 def hardy_defect(f: Measure1D, n_max: int) -> HardyDefect:
     # QUADPACK returns finite, wrong values for a non-integrable density:
-    # tail_bound raises MeasureError unless a majorant certifies the tail
+    # raise MeasureError unless a majorant certifies the tail
     for p in f.pieces:
-        p.tail_bound(1.0)
+        p.check_integrable()
     coeffs, err = q2_coefficients(f, n_max)
     mags = np.abs(coeffs)
     total = float(np.sum(mags))
@@ -73,46 +73,14 @@ def hardy_defect(f: Measure1D, n_max: int) -> HardyDefect:
 
 
 # ---------------------------------------------------------------------------
-# inversions
+# inversion
 
-def inversion_j(f: Measure1D, beta: float, p: float = 1.0) -> Measure1D:
-    """J_{beta,p} f (x) = beta^{1/p} |x|^{-2/p} theta_p(x) f(-beta/x),
-    with theta_p = 1 on x > 0 and e^{-i 2 pi / p} on x < 0.  For p = 1
-    this is the total-variation isometry J_beta."""
+def inversion_j(f: Measure1D, beta: float) -> Measure1D:
+    """J_beta f (x) = beta |x|^{-2} f(-beta/x): the image of f under
+    t -> -beta/t, a total-variation isometry and an involution."""
     if beta <= 0:
         raise MeasureError("beta must be positive")
-    if not 0.0 < p <= 1.0:
-        raise MeasureError("p must lie in (0, 1]")
-    for x0, _ in f.atoms:
-        if x0 == 0.0:
-            raise MeasureError("J_beta is undefined on mass at 0")
-    if f.atoms and p != 1.0:
-        raise MeasureError("atoms transform only in the p = 1 case")
-    theta_neg = np.exp(-2j * np.pi / p)
-    atoms = tuple((-beta / x0, wt) for x0, wt in f.atoms)
-
-    def endpoint(t, side):
-        if t == 0.0:
-            return -np.inf if side > 0 else np.inf
-        if not np.isfinite(t):
-            return 0.0
-        return -beta / t
-
-    pieces = []
-    for pc in f.pieces:
-        if pc.a < 0.0 < pc.b:
-            raise MeasureError("pieces must not straddle 0")
-        lo, hi = endpoint(pc.a, +1), endpoint(pc.b, -1)
-        theta = 1.0 + 0.0j if lo >= 0.0 else theta_neg
-
-        def rho_new(x, rho=pc.density, theta=theta):
-            x = np.asarray(x, dtype=float)
-            return (beta ** (1.0 / p) * np.abs(x) ** (-2.0 / p) * theta
-                    * rho(-beta / x))
-        tv = pc.tv_bound if p == 1.0 else np.inf
-        pieces.append(Piece(lo, hi, rho_new, tv))
-    return Measure1D(atoms=atoms, pieces=tuple(sorted(pieces,
-                                                      key=lambda q: q.a)))
+    return _pushforward_reciprocal(f, -beta)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +93,7 @@ class SampledFunction:
     err_estimates: np.ndarray
 
 
-def _pv_point(f: Measure1D, x: float, q: QuadratureSpec,
-              window: float = 50.0):
+def _pv_point(f: Measure1D, x: float, window: float = 50.0):
     """pv int f(t)/(x - t) dt with error estimate.
 
     The principal-value window (x - w, x + w) integrates the *total*
@@ -140,8 +107,7 @@ def _pv_point(f: Measure1D, x: float, q: QuadratureSpec,
         # QUADPACK's Cauchy-weight rule computes pv int rho/(t - x)
         v, e = quad(lambda t: complex(f.density_at(t)), lo, hi,
                     weight="cauchy", wvar=x, complex_func=True,
-                    limit=q.max_subdivisions, epsabs=q.abs_tol,
-                    epsrel=q.rel_tol)
+                    limit=LIMIT, epsabs=ABS_TOL, epsrel=REL_TOL)
         total -= v
         err += e.real + e.imag
     for pc in f.pieces:
@@ -151,18 +117,17 @@ def _pv_point(f: Measure1D, x: float, q: QuadratureSpec,
             return rho(t) / (x - t)
 
         if pc.a < lo:
-            v, e = _cquad(plain, pc.a, min(pc.b, lo), q)
+            v, e = _cquad(plain, pc.a, min(pc.b, lo))
             total += v
             err += e
         if pc.b > hi:
-            v, e = _cquad(plain, max(pc.a, hi), pc.b, q)
+            v, e = _cquad(plain, max(pc.a, hi), pc.b)
             total += v
             err += e
     return total, err
 
 
-def hilbert_line(f: Measure1D, x_grid,
-                 q: QuadratureSpec = DEFAULT_QUAD) -> SampledFunction:
+def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
     """H[f](x) = (1/pi) pv int f(t)/(x - t) dt on the given grid."""
     if f.atoms:
         raise MeasureError("Hilbert transform of atoms is not a function")
@@ -170,7 +135,7 @@ def hilbert_line(f: Measure1D, x_grid,
     vals = np.zeros(x_grid.shape, dtype=complex)
     errs = np.zeros(x_grid.shape)
     for i, x in enumerate(x_grid):
-        v, e = _pv_point(f, float(x), q)
+        v, e = _pv_point(f, float(x))
         vals[i] = v / np.pi
         errs[i] = e / np.pi
     return SampledFunction(x_grid, vals, errs)
@@ -190,19 +155,18 @@ class HyperbolaHilbert:
     agreement_sup: float
 
 
-def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid,
-                      q: QuadratureSpec = DEFAULT_QUAD) -> HyperbolaHilbert:
+def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid) -> HyperbolaHilbert:
     nu1 = compress_pi1(mu)
-    if abs(pairing(nu1, 0.0, 0.0, q)[0]) > 1e-10:
+    if abs(pairing(nu1, 0.0, 0.0)[0]) > 1e-10:
         raise MeasureError("hyperbola Hilbert transform requires total "
                            "mass 0")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid == 0.0):
         raise MeasureError("grid must avoid the branch point t = 0")
-    h1 = hilbert_line(nu1, t_grid, q)
+    h1 = hilbert_line(nu1, t_grid)
     nu2 = compress_pi2(mu)
     sigma = -mu.m**2 / (4.0 * np.pi**2 * t_grid)
-    h2 = hilbert_line(nu2, sigma, q)
+    h2 = hilbert_line(nu2, sigma)
     # pull the pi2-route values back to the t chart: a density on the
     # x2-axis corresponds to |dsigma/dt| times its pullback
     jac = mu.m**2 / (4.0 * np.pi**2 * t_grid**2)
@@ -228,8 +192,7 @@ def _witness_f(z0: complex):
     return f
 
 
-def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int,
-                     q: QuadratureSpec = DEFAULT_QUAD):
+def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
     """Pairings <f_z0, e^{i pi j t}> (j = 0..j_max) and
     <f_z0, e^{i pi beta k / t}> (k = 0..k_max); all vanish by residues."""
     z0 = complex(z0)
@@ -243,14 +206,14 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int,
                            Piece(0.0, np.inf, f, np.inf)))
     rows = []
     for j in range(0, j_max + 1):
-        rows.append(PairingRow("j", j, *pairing(nu, np.pi * j, 0.0, q)))
+        rows.append(PairingRow("j", j, *pairing(nu, np.pi * j, 0.0)))
     for k in range(0, k_max + 1):
         rows.append(PairingRow("k", k,
-                               *pairing(nu, 0.0, -np.pi * beta * k, q)))
+                               *pairing(nu, 0.0, -np.pi * beta * k)))
     return rows
 
 
-def witness_l1_norm(z0: complex, q: QuadratureSpec = DEFAULT_QUAD) -> float:
+def witness_l1_norm(z0: complex) -> float:
     f = _witness_f(complex(z0))
-    v, _ = _cquad(lambda t: abs(f(t)), -np.inf, np.inf, q)
+    v, _ = _cquad(lambda t: abs(f(t)), -np.inf, np.inf)
     return float(np.real(v))

@@ -95,27 +95,18 @@ class Piece:
         if self.tv_bound < 0:
             raise MeasureError("tv_bound must be nonnegative")
 
-    def tail_bound(self, T: float) -> float:
-        """Upper bound on the variation of the piece beyond |t| >= T."""
+    def check_integrable(self) -> None:
+        """Raise MeasureError unless the piece is finite, of a family with
+        an integrable closed-form tail, or carries a caller-certified
+        majorant |rho(t)| <= tail_c |t|^-tail_p with tail_p > 1."""
         if np.isfinite(self.a) and np.isfinite(self.b) \
-                and T >= max(abs(self.a), abs(self.b)):
-            return 0.0
-        if self.family == "cauchy_inv1p":
-            # |scale| / (t(1+t)) integrates to |scale|*log(1+1/T) <= |scale|/T
-            return abs(self.params["scale"]) / max(T, self.a)
-        if self.family == "binned_inverted":
-            s = self.params["s"]
-            vmax = float(np.max(np.abs(self.params["values"])))
-            return vmax * s / max(T, self.a)
-        if np.isfinite(self.a) and np.isfinite(self.b):
-            return self.tv_bound
-        if "tail_c" in self.params:
-            # caller-certified majorant |rho(t)| <= tail_c |t|^-tail_p
-            c, p = self.params["tail_c"], self.params["tail_p"]
-            if p <= 1.0:
-                raise MeasureError("tail majorant must be integrable (p > 1)")
-            return c * max(T, 1e-300) ** (1.0 - p) / (p - 1.0)
-        raise MeasureError("infinite piece without a certified tail majorant")
+                or self.family in ("cauchy_inv1p", "binned_inverted"):
+            return
+        if "tail_c" not in self.params:
+            raise MeasureError("infinite piece without a certified tail "
+                               "majorant")
+        if self.params["tail_p"] <= 1.0:
+            raise MeasureError("tail majorant must be integrable (p > 1)")
 
 
 def piece_from_family(a: float, b: float, family: str, params: dict,
@@ -281,8 +272,9 @@ def pushforward_inversion(nu: Measure1D, gamma: float) -> Measure1D:
     return _pushforward_reciprocal(nu, gamma)
 
 
-def total_variation(nu: Measure1D, rel_tol: float = 1e-10) -> float:
+def total_variation(nu: Measure1D) -> float:
     """Sum of |atom weights| plus integrals of |density| over the pieces."""
+    rel_tol = 1e-10
     tv = sum(abs(w) for _, w in nu.atoms)
     for p in nu.pieces:
         val, err = quad(lambda t: abs(p.density(t)), p.a, p.b, limit=400,

@@ -67,6 +67,7 @@ def nielsen_spiral(x_grid) -> SpiralResult:
         return SpiralResult((), np.inf)
     if np.any(x_grid <= 0) or not np.all(np.isfinite(x_grid)):
         raise ValueError("grid must be positive and finite")
-    pts = tuple(SpiralPoint(float(x), cosine_integral(float(x)),
-                            sine_integral_tail(float(x))) for x in x_grid)
+    big_si, ci = _sici(x_grid)
+    pts = tuple(map(SpiralPoint, x_grid.tolist(), ci.tolist(),
+                    (0.5 * np.pi - big_si).tolist()))
     return SpiralResult(pts, min(p.modulus for p in pts))

@@ -29,6 +29,9 @@ from scipy import sparse
 from .measures import _binned
 
 MEMORY_BUDGET_BYTES = 2 << 30
+# power iteration stops at this l1 step between iterates, or fails here
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100_000
 # gamma * n_bins, the number of branches reaching the bins: a bound on the
 # problem size the assembly accepts, not on its accuracy
 WORK_BUDGET_BRANCHES = 10 ** 7
@@ -169,8 +172,7 @@ def _ulam_matrix(gamma: float, n_bins: int) -> sparse.csr_array:
     return P
 
 
-def invariant_density(gamma: float, n_bins: int, tol: float = 1e-12,
-                      max_iter: int = 100_000) -> InvariantDensity:
+def invariant_density(gamma: float, n_bins: int) -> InvariantDensity:
     """Invariant density of U_gamma on n_bins uniform bins: the leading
     left fixed vector of the Ulam matrix, by power iteration."""
     if gamma < 1.0:
@@ -181,15 +183,15 @@ def invariant_density(gamma: float, n_bins: int, tol: float = 1e-12,
     n = n_bins
     v = np.full(n, 1.0 / n)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = PT @ v
         w /= np.sum(np.abs(w))
         residual = float(np.sum(np.abs(w - v)))
         v = w
-        if residual <= tol:
+        if residual <= POWER_TOL:
             break
     else:
-        raise UlamError(f"power iteration did not reach tol={tol:g}; "
+        raise UlamError(f"power iteration did not reach tol={POWER_TOL:g}; "
                         f"last residual {residual:g}")
     edges = np.arange(n + 1) / n
     values = np.maximum(v, 0.0) * n  # masses -> density

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import hyperlab
 from hyperlab.annihilators import (critical_annihilator,
                                    expanded_annihilator, total_mass)
-from hyperlab.fourier import (DEFAULT_QUAD, LatticeCross, QuadratureSpec,
+from hyperlab.fourier import (ABS_TOL, REL_TOL, LatticeCross,
                               critical_measure_ft, ft_on_cross, ft_point,
                               pairing)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
@@ -84,13 +84,13 @@ class TestFtPoint:
         script = """
 import numpy as np
 from hyperlab.annihilators import critical_annihilator
-from hyperlab.fourier import DEFAULT_QUAD, QuadratureError, _osc, ft_point
+from hyperlab.fourier import QuadratureError, _osc, ft_point
 from hyperlab.measures import HyperbolaMeasure
 
 mu = HyperbolaMeasure(2.0 * np.pi, critical_annihilator())
 calls = [lambda xi=xi: ft_point(mu, xi)
          for xi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0))]
-calls += [lambda a=a, b=b, w=w: _osc(np.exp, a, b, w, DEFAULT_QUAD)
+calls += [lambda a=a, b=b, w=w: _osc(np.exp, a, b, w)
           for a, b, w in ((1.0, np.inf, np.nan), (1.0, np.inf, np.inf),
                           (1.0, 2.0, -np.inf), (1.0, np.nan, 1.0))]
 for call in calls:
@@ -151,8 +151,7 @@ def test_tiny_xi2_meets_oracle_or_raises(case, tiny_xi2_results):
     rec = json.loads(out)
     val = complex(rec["re"], rec["im"])
     oracle = -critical_measure_ft(-TINY_XI2[case] / 2.0)
-    q = DEFAULT_QUAD
-    assert abs(val - oracle) <= 100.0 * (q.abs_tol + q.rel_tol * abs(val)) \
+    assert abs(val - oracle) <= 100.0 * (ABS_TOL + REL_TOL * abs(val)) \
         + 1e-8
 
 
@@ -178,7 +177,7 @@ class TestPairing:
             nu = restrict(nu, 0.0, 1.0)
         val, err = pairing(nu, 0.0, 0.0)
         assert val == pytest.approx(total_mass(nu), abs=1e-12)
-        assert 0.0 <= err <= DEFAULT_QUAD.abs_tol
+        assert 0.0 <= err <= ABS_TOL
 
 
 class TestLatticeCross:
@@ -223,7 +222,7 @@ class TestLatticeCross:
                            LatticeCross(2.0, 2.0, (-3, 3), (-3, 3)))
         errs = [v.abs_err_estimate for v in vals]
         assert all(e >= 0.0 for e in errs)
-        assert any(e != DEFAULT_QUAD.abs_tol for e in errs)
+        assert any(e != ABS_TOL for e in errs)
 
     def test_closed_form_rows_report_zero_error(self, expanded15):
         vals = ft_on_cross(lift(expanded15),
@@ -250,13 +249,3 @@ class TestCriticalMeasureFT:
             direct = ft_point(nu, (2.0 * x, 0.0))
             assert critical_measure_ft(x) == pytest.approx(direct, abs=1e-8)
 
-    def test_unit_lower_limit_flag_changes_values(self):
-        x = 0.37
-        assert critical_measure_ft(x) != pytest.approx(
-            critical_measure_ft(x, unit_lower_limit=True), abs=1e-6)
-
-
-class TestQuadratureSpec:
-    def test_invalid_tolerances_rejected(self):
-        with pytest.raises(Exception):
-            QuadratureSpec(abs_tol=-1.0, rel_tol=1e-10)

@@ -8,7 +8,8 @@ from hyperlab.hardy import (hardy_defect, hilbert_hyperbola, hilbert_line,
                             inversion_j, q2_coefficients, timelike_witness,
                             witness_l1_norm)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
-                               Piece, total_variation)
+                               Piece, _pushforward_reciprocal,
+                               total_variation)
 
 
 def hardy_plus(conjugate=False):
@@ -117,6 +118,17 @@ class TestInversionJ:
                 assert total_variation(inversion_j(f, beta)) == \
                     pytest.approx(total_variation(f), abs=1e-10)
 
+    def test_is_reciprocal_pushforward(self, families):
+        # J_beta is the image under t -> -beta/t: a real density stays real
+        x = np.linspace(-4.0, 4.0, 161)
+        for beta in (1.0, 1.5, 2.5):
+            for f in families:
+                got = inversion_j(f, beta).density_at(x)
+                want = _pushforward_reciprocal(f, -beta).density_at(x)
+                assert np.array_equal(got, want)
+                assert np.all(got.imag == 0.0)
+                assert np.any(got != 0.0)
+
     def test_involution(self, families):
         for f in families:
             g = inversion_j(inversion_j(f, 1.5), 1.5)
@@ -127,7 +139,7 @@ class TestInversionJ:
         f = Measure1D(atoms=((2.0, 1.0 + 1.0j),))
         g = inversion_j(f, 1.0)
         assert g.atoms[0][0] == pytest.approx(-0.5)
-        # the p = 1 inversion is a total-variation isometry on atoms
+        # J_beta is a total-variation isometry on atoms
         assert abs(g.atoms[0][1]) == pytest.approx(abs(1.0 + 1.0j),
                                                    abs=1e-14)
 
