@@ -14,8 +14,8 @@ from .measures import (MeasureError, Piece, Measure1D, HyperbolaMeasure,
                        QuadrantTag, piece_from_family, density_from_family,
                        compress_pi1, compress_pi2, pushforward_inversion,
                        total_variation, restrict)
-from .sici import (sine_integral_tail, cosine_integral, exp_integral_tail,
-                   SpiralPoint, SpiralResult, nielsen_spiral)
+from .sici import exp_integral_tail, SpiralPoint, SpiralResult, \
+    nielsen_spiral
 from .fourier import (QuadratureError, LatticeCross, CrossValue, pairing,
                       ft_point, ft_on_cross, critical_measure_ft)
 from .dynamics import GaussMap, step, orbit, branch_inverse, \

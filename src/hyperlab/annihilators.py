@@ -63,19 +63,9 @@ def piece_mass(p: Piece) -> complex:
         hi = 0.0 if not np.isfinite(p.b) else np.log(p.b / (1.0 + p.b))
         return p.params["scale"] * complex(hi - np.log(p.a / (1.0 + p.a)))
     if p.family in ("binned", "binned_inverted"):
-        edges = np.asarray(p.params["edges"], dtype=float)
-        values = np.asarray(p.params["values"])
-        if p.family == "binned":
-            lo = np.clip(edges[:-1], p.a, p.b)
-            hi = np.clip(edges[1:], p.a, p.b)
-            return complex(np.sum(values * (hi - lo)))
-        # pushforward preserves bin masses; restrict in the s = gamma/t chart
-        s = p.params["s"]
-        s_hi = s / p.a if p.a > 0 else np.inf
-        s_lo = s / p.b if np.isfinite(p.b) else 0.0
-        lo = np.clip(edges[:-1], s_lo, s_hi)
-        hi = np.clip(edges[1:], s_lo, s_hi)
-        return complex(np.sum(values * (hi - lo)))
+        # the table is the piece's support, and t -> s/t keeps bin masses
+        return complex(np.sum(np.asarray(p.params["values"])
+                              * np.diff(p.params["edges"])))
     raise MeasureError("mass of an unregistered piece family")
 
 
@@ -98,7 +88,7 @@ def periodization_sum1(nu: Measure1D, t: np.ndarray) -> np.ndarray:
             out += p.params["scale"] / (t + j0)
         elif p.family == "binned_inverted":
             out += _bin_table_sum(p.params["edges"], p.params["values"],
-                                  p.params["s"], t, p.a, p.b)
+                                  p.params["s"], t)
         elif not np.isfinite(p.b):
             raise MeasureError("periodization of an infinite piece without "
                                "a closed-form tail")

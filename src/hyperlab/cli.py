@@ -192,6 +192,8 @@ def _validate(command, cfg):
                 "threshold", "im"):
         if key in cfg and cfg[key] <= 0:
             raise UsageError(key, f"{key} must be positive")
+    if "threshold" in cfg and cfg["threshold"] >= 1:
+        raise UsageError("threshold", "threshold must lie in (0, 1)")
     for key in ("bins", "gridn", "jmax", "kmax", "n", "nmax", "iterates"):
         if key in cfg and cfg[key] < 1:
             raise UsageError(key, f"{key} must be a positive integer")

@@ -73,16 +73,6 @@ class CandidateBasis:
         per_branch = self.n_interior + 4
         return 2 * per_branch if self.two_branch else per_branch
 
-    def element_descriptions(self):
-        edges = self.edges
-        out = [("bin", float(a), float(b))
-               for a, b in zip(edges[:-1], edges[1:])]
-        out += [("near_const", 0.0, self.t_min),
-                ("near_linear", 0.0, self.t_min),
-                ("tail_sq", self.t_max, np.inf),
-                ("tail_cube", self.t_max, np.inf)]
-        return out
-
     def project(self, nu: Measure1D) -> np.ndarray:
         """Coefficients approximating nu: per-bin masses, and end
         coefficients matched by mass and first moment, from 16 midpoint
@@ -205,20 +195,26 @@ class DefectEstimate:
     nullvectors: np.ndarray  # numerical_defect x nElements
 
 
-def defect_estimate(mat: ConstraintMatrix,
-                    threshold: float = 1e-6) -> DefectEstimate:
-    """SVD of the pairing system; the numerical defect counts singular
-    values <= threshold * sigma_max."""
+def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
+    """SVD of a pairing system; the numerical defect counts singular
+    values <= threshold * sigma_max, and their right singular vectors are
+    the null vectors."""
     if not 0.0 < threshold < 1.0:
         raise MeasureError("threshold must lie in (0, 1)")
-    if mat.entries.shape[0] < mat.entries.shape[1]:
+    if entries.shape[0] < entries.shape[1]:
         raise MeasureError("underdetermined system: defect counting needs "
                            "at least as many rows as elements")
-    sv, vh = np.linalg.svd(mat.entries, full_matrices=False)[1:]
+    sv, vh = np.linalg.svd(entries, full_matrices=False)[1:]
     defect = int(np.sum(sv <= threshold * sv[0]))
     nullvectors = vh[len(sv) - defect:] if defect else \
-        np.zeros((0, mat.entries.shape[1]))
+        np.zeros((0, entries.shape[1]))
     return DefectEstimate(sv, threshold, defect, nullvectors)
+
+
+def defect_estimate(mat: ConstraintMatrix,
+                    threshold: float = 1e-6) -> DefectEstimate:
+    """Numerical defect of a constraint matrix (see ``_null_spectrum``)."""
+    return _null_spectrum(mat.entries, threshold)
 
 
 def cross_for_gamma(gamma: float, j_max: int = 40, k_max: int = 40
@@ -235,18 +231,23 @@ class SweepRow:
     defect: int
 
 
+def _anchored_estimate(basis: CandidateBasis, gamma: float, j_max: int,
+                       k_max: int, threshold: float) -> DefectEstimate:
+    """Defect estimate at one gamma, on the grid anchored at 1 and gamma so
+    the expanded annihilators' density jumps fall on bin edges."""
+    b = basis.with_anchor(1.0).with_anchor(float(gamma))
+    return defect_estimate(build_constraint_matrix(
+        b, cross_for_gamma(gamma, j_max, k_max)), threshold)
+
+
 def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
                 k_max: int = 40, threshold: float = 1e-6):
-    """Per-gamma defect estimates; the grid is re-anchored at each gamma
-    so the expanded annihilators' density jumps fall on bin edges."""
+    """Per-gamma defect estimates on the anchored grids."""
     rows = []
     for gamma in gamma_grid:
         if not (np.isfinite(gamma) and gamma > 0):
             raise MeasureError("gamma grid must be positive and finite")
-        b = basis.with_anchor(1.0).with_anchor(float(gamma))
-        mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max,
-                                                         k_max))
-        est = defect_estimate(mat, threshold)
+        est = _anchored_estimate(basis, gamma, j_max, k_max, threshold)
         tail = tuple(float(s) for s in np.sort(est.singular_values)[:6])
         rows.append(SweepRow(float(gamma), tail, est.numerical_defect))
     return rows
@@ -257,11 +258,9 @@ def calibrate(basis: CandidateBasis, gamma: float = 1.0, j_max: int = 40,
     """Truncation stability at the calibration point: the smallest
     singular value must move < 5% when j_max and k_max double."""
     out = {}
-    for tag, (jm, km) in (("base", (j_max, k_max)),
-                          ("doubled", (2 * j_max, 2 * k_max))):
-        b = basis.with_anchor(1.0).with_anchor(float(gamma))
-        mat = build_constraint_matrix(b, cross_for_gamma(gamma, jm, km))
-        est = defect_estimate(mat, threshold)
+    for tag, scale in (("base", 1), ("doubled", 2)):
+        est = _anchored_estimate(basis, gamma, scale * j_max, scale * k_max,
+                                 threshold)
         out[tag] = float(np.min(est.singular_values))
         out[tag + "_defect"] = est.numerical_defect
     out["rel_change"] = abs(out["doubled"] - out["base"]) \
@@ -302,10 +301,5 @@ def distorted_cross_residual(xi0, threshold: float = 1e-3
     right = 0.5 * np.arange(0, 41) + xi1
     samples = np.concatenate([left, right])
     centers = np.linspace(-2.0, 3.0, 11)
-    mat = np.exp(-(samples[:, None] - centers[None, :]) ** 2
-                 / (2.0 * 0.12**2))
-    sv, vh = np.linalg.svd(mat, full_matrices=False)[1:]
-    defect = int(np.sum(sv <= threshold * sv[0]))
-    nullvectors = vh[len(sv) - defect:] if defect else \
-        np.zeros((0, centers.size))
-    return DefectEstimate(sv, threshold, defect, nullvectors)
+    return _null_spectrum(np.exp(-(samples[:, None] - centers[None, :]) ** 2
+                                 / (2.0 * 0.12**2)), threshold)

@@ -8,9 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# inputs closer than this to a branch point are nudged into the interior
-BRANCH_GUARD = 1e-13
-
 
 @dataclass(frozen=True)
 class GaussMap:
@@ -21,18 +18,20 @@ class GaussMap:
             raise ValueError("gamma must be positive")
 
 
+def _apply(gamma: float, x: np.ndarray) -> np.ndarray:
+    """U_gamma on an array of points of [0, 1), with U_gamma(0) = 0."""
+    nz = x > 0.0
+    y = np.zeros_like(x)
+    y[nz] = gamma / x[nz]
+    y[nz] -= np.floor(y[nz])
+    return y
+
+
 def step(m: GaussMap, x: float) -> float:
     """One application of U_gamma; U_gamma(0) = 0 by convention."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
-    if x == 0.0:
-        return 0.0
-    y = m.gamma / x
-    # guard against branch misassignment from roundoff at integer y
-    n = np.round(y)
-    if n != 0 and abs(y - n) < BRANCH_GUARD:
-        y = n - BRANCH_GUARD if y < n else n + BRANCH_GUARD
-    return float(y - np.floor(y))
+    return float(_apply(m.gamma, np.array([x], dtype=float))[0])
 
 
 def orbit(m: GaussMap, x0: float, n: int):
@@ -73,12 +72,8 @@ def coverage_fraction(m: GaussMap, max_even_iterates: int, grid_n: int):
     hit = (x >= g) & (x <= 1.0)
     fractions = [float(np.count_nonzero(hit)) / grid_n]
     for _ in range(max_even_iterates):
-        for _ in range(2):  # one even time = two map applications
-            nz = x > 0.0
-            y = np.zeros_like(x)
-            y[nz] = g / x[nz]
-            y[nz] -= np.floor(y[nz])
-            x = y
+        # one even time = two map applications
+        x = _apply(g, _apply(g, x))
         hit |= (x >= g) & (x <= 1.0)
         fractions.append(float(np.count_nonzero(hit)) / grid_n)
     return fractions

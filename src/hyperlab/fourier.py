@@ -234,15 +234,20 @@ def error_budget(value) -> float:
     return 100.0 * (ABS_TOL + REL_TOL * abs(value)) + 1e-8
 
 
+def _within_budget(value, err: float, what: str):
+    """(value, err), or ``QuadratureError`` when the achieved error
+    estimate err of ``what`` exceeds the error budget of value."""
+    if err > error_budget(value):
+        raise QuadratureError(f"{what} achieved error estimate {err:.3g} "
+                              f"above tolerance", err)
+    return value, err
+
+
 def _checked_ft(mu: HyperbolaMeasure, xi1: float, xi2: float):
     """(ft of mu at (xi1, xi2), error estimate) within the error budget."""
     c = mu.m**2 * xi2 / (4.0 * np.pi)
-    total, err = pairing(mu.pi1, np.pi * xi1, c)
-    if err > error_budget(total):
-        raise QuadratureError(
-            f"oscillatory quadrature at xi=({xi1}, {xi2}) achieved error "
-            f"estimate {err:.3g} above tolerance", err)
-    return total, err
+    return _within_budget(*pairing(mu.pi1, np.pi * xi1, c),
+                          f"oscillatory quadrature at xi=({xi1}, {xi2})")
 
 
 def ft_point(mu: HyperbolaMeasure, xi) -> complex:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import (ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad,
-                      error_budget, pairing)
+from .fourier import ABS_TOL, LIMIT, REL_TOL, _cquad, _within_budget, \
+    pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        _pushforward_reciprocal, compress_pi1, compress_pi2)
 
@@ -62,9 +62,7 @@ def hardy_defect(f: Measure1D, n_max: int) -> HardyDefect:
     coeffs, err = q2_coefficients(f, n_max)
     mags = np.abs(coeffs)
     total = float(np.sum(mags))
-    if err > error_budget(total):
-        raise QuadratureError(f"Q2 coefficients achieved error estimate "
-                              f"{err:.3g} above tolerance", err)
+    _within_budget(total, err, "Q2 coefficients")
     if total == 0.0:
         raise MeasureError("zero periodization has no defect ratio")
     neg = float(np.sum(mags[:n_max]))
@@ -194,7 +192,9 @@ def _witness_f(z0: complex):
 
 def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
     """Pairings <f_z0, e^{i pi j t}> (j = 0..j_max) and
-    <f_z0, e^{i pi beta k / t}> (k = 0..k_max); all vanish by residues."""
+    <f_z0, e^{i pi beta k / t}> (k = 0..k_max); all vanish by residues.
+    A pairing whose achieved error estimate exceeds its budget raises
+    ``QuadratureError``."""
     z0 = complex(z0)
     if z0.imag <= 0:
         raise MeasureError("the witness requires Im z0 > 0")
@@ -204,13 +204,11 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
     # the total-variation bound is not needed by the pairings
     nu = Measure1D(pieces=(Piece(-np.inf, 0.0, f, np.inf),
                            Piece(0.0, np.inf, f, np.inf)))
-    rows = []
-    for j in range(0, j_max + 1):
-        rows.append(PairingRow("j", j, *pairing(nu, np.pi * j, 0.0)))
-    for k in range(0, k_max + 1):
-        rows.append(PairingRow("k", k,
-                               *pairing(nu, 0.0, -np.pi * beta * k)))
-    return rows
+    freqs = [("j", j, np.pi * j, 0.0) for j in range(j_max + 1)] \
+        + [("k", k, 0.0, -np.pi * beta * k) for k in range(k_max + 1)]
+    return [PairingRow(kind, idx, *_within_budget(
+        *pairing(nu, w, c), f"witness pairing {kind} = {idx}"))
+        for kind, idx, w, c in freqs]
 
 
 def witness_l1_norm(z0: complex) -> float:

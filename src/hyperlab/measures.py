@@ -109,10 +109,35 @@ class Piece:
             raise MeasureError("tail majorant must be integrable (p > 1)")
 
 
+def _cut_table(edges, values, a: float, b: float):
+    """The bins of the table (edges, values) that meet [a, b), clipped to
+    it."""
+    edges = np.asarray(edges, dtype=float)
+    values = np.asarray(values)
+    lo, hi = max(a, edges[0]), min(b, edges[-1])
+    if not lo < hi:
+        raise MeasureError(f"bin table on [{edges[0]}, {edges[-1]}) "
+                           f"misses [{a}, {b})")
+    return (np.r_[lo, edges[(edges > lo) & (edges < hi)], hi],
+            values[(edges[1:] > lo) & (edges[:-1] < hi)])
+
+
 def piece_from_family(a: float, b: float, family: str, params: dict,
                       tv_bound: float) -> Piece:
+    """A family piece on [a, b); a bin table is cut to the piece (for
+    binned_inverted, to [s/b, s/a) in its own chart), so the table is the
+    piece's support."""
+    params = dict(params)
+    if family == "binned":
+        params["edges"], params["values"] = _cut_table(
+            params["edges"], params["values"], a, b)
+    elif family == "binned_inverted":
+        s = params["s"]
+        params["edges"], params["values"] = _cut_table(
+            params["edges"], params["values"], s / b,
+            s / a if a > 0.0 else np.inf)
     return Piece(a, b, density_from_family(family, params), tv_bound,
-                 family=family, params=dict(params))
+                 family=family, params=params)
 
 
 @dataclass(frozen=True)
@@ -144,12 +169,10 @@ class Measure1D:
         atoms = tuple((x, c * w) for x, w in self.atoms)
         pieces = []
         for p in self.pieces:
-            if p.family in ("cauchy1p", "cauchy_inv1p"):
-                params = dict(p.params, scale=c * p.params["scale"])
-                pieces.append(piece_from_family(p.a, p.b, p.family, params,
-                                                abs(c) * p.tv_bound))
-            elif p.family in ("binned", "binned_inverted"):
-                params = dict(p.params, values=c * np.asarray(p.params["values"]))
+            if p.family is not None:
+                # the scale of the cauchy families, the values of a table
+                key = "scale" if "scale" in p.params else "values"
+                params = dict(p.params, **{key: c * p.params[key]})
                 pieces.append(piece_from_family(p.a, p.b, p.family, params,
                                                 abs(c) * p.tv_bound))
             else:
@@ -231,14 +254,11 @@ def _pushforward_reciprocal(nu: Measure1D, s: float) -> Measure1D:
         side = 1.0 if p.a >= 0.0 else -1.0
         a_new, b_new = sorted((inv_end(p.a, side), inv_end(p.b, side)))
         if p.family == "binned" and s > 0 and p.a >= 0.0:
-            params = {"edges": np.asarray(p.params["edges"]),
-                      "values": np.asarray(p.params["values"]), "s": s}
             pieces.append(piece_from_family(a_new, b_new, "binned_inverted",
-                                            params, p.tv_bound))
+                                            dict(p.params, s=s), p.tv_bound))
         elif p.family == "binned_inverted" and s == p.params["s"]:
             # involution: back to the original binned piece
-            params = {"edges": np.asarray(p.params["edges"]),
-                      "values": np.asarray(p.params["values"])}
+            params = {k: p.params[k] for k in ("edges", "values")}
             pieces.append(piece_from_family(a_new, b_new, "binned",
                                             params, p.tv_bound))
         elif p.family == "cauchy_inv1p":
@@ -248,13 +268,16 @@ def _pushforward_reciprocal(nu: Measure1D, s: float) -> Measure1D:
                 np.asarray(x, dtype=float) + s), p.tv_bound))
         else:
             rho = p.density
+            # x = 0 is the image of t = inf; a majorant |t|^-p with p > 2
+            # makes the image density vanish there, otherwise its limit
+            # is unknown
+            at_0 = 0.0 if p.params.get("tail_p", 0.0) > 2.0 else np.nan
 
-            def rho_new(x, rho=rho, s=s):
+            def rho_new(x, rho=rho, s=s, at_0=at_0):
                 x = np.asarray(x, dtype=float)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     out = rho(s / x) * abs(s) / x**2
-                # x = 0 is the image of t = inf, where the density vanishes
-                return np.where(x == 0.0, 0.0, out)
+                return np.where(x == 0.0, at_0, out)
             pieces.append(Piece(a_new, b_new, rho_new, p.tv_bound))
     return Measure1D(tuple(atoms), tuple(pieces))
 
@@ -287,7 +310,8 @@ def total_variation(nu: Measure1D) -> float:
 
 
 def restrict(nu: Measure1D, a: float, b: float) -> Measure1D:
-    """Restriction to [a, b); atoms at the right endpoint are dropped."""
+    """Restriction to [a, b); atoms at the right endpoint are dropped, and
+    family pieces are rebuilt, which cuts their bin tables."""
     if not a < b:
         return ZERO
     atoms = tuple((x, w) for x, w in nu.atoms if a <= x < b)
@@ -295,5 +319,7 @@ def restrict(nu: Measure1D, a: float, b: float) -> Measure1D:
     for p in nu.pieces:
         lo, hi = max(p.a, a), min(p.b, b)
         if lo < hi:
-            pieces.append(replace(p, a=lo, b=hi))
+            pieces.append(replace(p, a=lo, b=hi) if p.family is None else
+                          piece_from_family(lo, hi, p.family, p.params,
+                                            p.tv_bound))
     return Measure1D(atoms, tuple(pieces))

@@ -6,8 +6,9 @@ Conventions (fixed once, used everywhere in this package):
     ci(x) = -integral_x^inf  cos(y)/y dy   (the standard Ci),
 
 so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Both are
-read off ``scipy.special.sici``, which returns (Si, Ci) with
-Si = pi/2 - si.
+parts of E(y) = -ci(|y|) + i sgn(y) si(|y|) (``exp_integral_tail``); E
+and the spiral read them off ``scipy.special.sici``, which returns
+(Si, Ci) with Si = pi/2 - si.
 """
 
 from __future__ import annotations
@@ -16,20 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici as _sici
-
-
-def sine_integral_tail(x: float) -> float:
-    """si(x) = integral_x^inf sin(y)/y dy for x > 0."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return 0.5 * np.pi - float(_sici(x)[0])
-
-
-def cosine_integral(x: float) -> float:
-    """ci(x), with integral_x^inf cos(y)/y dy = -ci(x); x > 0 required."""
-    if x <= 0:
-        raise ValueError("x must be positive (logarithmic divergence at 0)")
-    return float(_sici(x)[1])
 
 
 def exp_integral_tail(y):

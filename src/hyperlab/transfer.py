@@ -199,11 +199,9 @@ def invariant_density(gamma: float, n_bins: int) -> InvariantDensity:
     return InvariantDensity(gamma, edges, values)
 
 
-def _bin_table_sum(edges, values, s: float, t: np.ndarray,
-                   lo: float = 0.0, hi: float = np.inf) -> np.ndarray:
-    """sum_{j>=0} v(s/(t+j)) s/(t+j)^2 over the j with lo <= t+j < hi, for
-    t in [0, 1) and the bin table v = (edges, values), zero off
-    [edges[0], edges[-1]).
+def _bin_table_sum(edges, values, s: float, t: np.ndarray) -> np.ndarray:
+    """sum_{j>=0} v(s/(t+j)) s/(t+j)^2 for t in [0, 1) and the bin table
+    v = (edges, values), zero off [edges[0], edges[-1]).
 
     This is the transfer operator of U_s applied to the table.  The j below
     J = max(20, sqrt(s n)) are summed term by term.  Beyond J, bin m takes
@@ -218,14 +216,13 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray,
         return out.reshape(t.shape)
     # index 0 is below the table and n + 1 above it (searchsorted, right)
     table = np.concatenate([[0.0], values, [0.0]])
-    top = min(hi, s / edges[0] if edges[0] > 0.0 else np.inf)
+    top = s / edges[0] if edges[0] > 0.0 else np.inf
     J = max(20, int(np.ceil(np.sqrt(s * values.size))))
     j_hi = int(min(J - 1, np.ceil(top)))
     step = max(1, _BLOCK_ELEMS // flat.size)
     for j0 in range(0, j_hi + 1, step):
         js = np.arange(j0, min(j0 + step, j_hi + 1), dtype=float)
         x = flat[None, :] + js[:, None]
-        live = (x >= lo) & (x < hi)
         if j0 == 0:
             # x = 0 is the image of an infinite argument: weight 0, not 0*inf
             x[0, x[0] == 0.0] = np.inf
@@ -233,9 +230,9 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray,
         # a block's arguments span few bins: search only those edges
         i0, i1 = np.searchsorted(edges, [u.min(), u.max()], side="right")
         w = table[i0 + np.searchsorted(edges[i0:i1], u, side="right")] * (u / x)
-        out += np.sum(np.where(live, w, 0.0), axis=0)
+        out += np.sum(w, axis=0)
     # bins reached by some j >= J, and where each one's run of j starts:
-    # b[:, m] = floor(s/e_m - t) + 1, clipped to the summed range of j
+    # b[:, m] = floor(s/e_m - t) + 1, at least J
     m_hi = min(int(np.searchsorted(edges, s / J, side="right")), values.size)
     if m_hi:
         with np.errstate(divide="ignore"):
@@ -243,9 +240,7 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray,
         step = max(1, _BLOCK_ELEMS // (m_hi + 1))
         for k0 in range(0, flat.size, step):
             tt = flat[k0:k0 + step, None]
-            first = np.maximum(J, np.ceil(lo - tt))
-            last = np.maximum(first, np.ceil(hi - tt))
-            b = np.clip(np.floor(over[None, :] - tt) + 1.0, first, last)
+            b = np.maximum(np.floor(over[None, :] - tt) + 1.0, J)
             psi1 = _trigamma(tt + b)
             out[k0:k0 + step] += s * ((psi1[:, 1:] - psi1[:, :-1])
                                       @ values[:m_hi])

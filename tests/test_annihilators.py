@@ -116,6 +116,23 @@ class TestPeriodizationSums:
         assert abs(periodization_sum1(nu, t)[0]) <= 1e-14
         assert abs(periodization_sum2(nu, 1.0, t)[0]) <= 1e-14
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_generic_image_at_zero(self, p):
+        # at t = 0 the j = 0 term of the second sum is the image density
+        # at x = 0, the image of t = inf: it tends to 0 under a certified
+        # majorant |t|^-p with p > 2, and is unknown (NaN) otherwise; for
+        # rho = (1 + t)^-2 the limit from the right is 1.029, not 0.362
+        nu = Measure1D(pieces=(Piece(
+            0.5, np.inf, lambda t: (1.0 + np.asarray(t, dtype=float)) ** -p,
+            1.0, params={"tail_c": 1.0, "tail_p": p}),))
+        s2 = periodization_sum2(nu, 1.5, np.array([0.0, 1e-9]))
+        if p > 2.0:
+            assert s2[0] == pytest.approx(s2[1], abs=1e-8)
+        else:
+            assert np.isnan(s2[0])
+            assert s2[1] == pytest.approx(1.0 / 1.5 + 1.5 / 2.5**2
+                                          + 1.5 / 3.5**2, abs=1e-8)
+
     @pytest.fixture(scope="class")
     def nu256(self):
         dens = invariant_density(1.5, 256)

@@ -78,6 +78,15 @@ class TestParseConfig:
         assert out == ""
         assert json.loads(err)["key"] == "conjugate"
 
+    @pytest.mark.parametrize("command", ["defect-sweep", "distorted-cross"])
+    @pytest.mark.parametrize("value", ["1", "5"])
+    def test_threshold_at_least_one_usage_error(self, command, value, capsys):
+        # a relative threshold >= 1 would count every direction as null
+        code, out, err = run([command, "--threshold", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["key"] == "threshold"
+
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("gamma=1.0\nbins=64\n")
@@ -137,6 +146,17 @@ class TestRunExperiment:
                             conjugate], capsys)
         assert code == 0
         assert 0.0 < json.loads(out)["errEstimate"] <= 1e-6
+
+    def test_witness_over_budget_runtime_record(self, capsys):
+        # at Im z0 = 1e-8 the j pairings miss their budgets: j = 0 first,
+        # by 11 times, and j = 7 reads |value| 6.06, where the exact value
+        # is 0, with an estimate about 2e6 times its budget
+        code, out, err = run(["timelike-witness", "--im", "1e-8"], capsys)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err.splitlines()[-1])
+        assert record["command"] == "timelike-witness"
+        assert "above tolerance" in record["message"]
 
     def test_determinism(self, tmp_path):
         args = ["sici-spiral", "--n", "40"]

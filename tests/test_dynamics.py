@@ -33,6 +33,10 @@ class TestOrbit:
         assert len(xs) == 11
         assert xs[0] == 0.3
 
+    def test_exact_integer_image_lands_on_zero(self):
+        # 1/0.5 = 2 exactly: the orbit reaches the fixed point 0 and stays
+        assert orbit(GaussMap(1.0), 0.5, 3) == [0.5, 0.0, 0.0, 0.0]
+
     def test_orbit_matches_iterated_step(self):
         m = GaussMap(0.8)
         xs = orbit(m, 0.37, 5)

@@ -179,6 +179,53 @@ class TestPairing:
         assert val == pytest.approx(total_mass(nu), abs=1e-12)
         assert 0.0 <= err <= ABS_TOL
 
+    def test_restricted_table_pairs_only_its_piece(self, expanded15):
+        # restrict cuts the bin table to [0.13, 0.61): the origin pairing
+        # is the piece's mass, and the w = 3 pairing the sum of the bins'
+        # integrals of e^{3it} clipped to the piece
+        edges = expanded15.pieces[0].params["edges"]
+        values = expanded15.pieces[0].params["values"]
+        lo = np.clip(edges[:-1], 0.13, 0.61)
+        hi = np.clip(edges[1:], 0.13, 0.61)
+        nu = restrict(expanded15, 0.13, 0.61)
+        mass = pairing(nu, 0.0, 0.0)[0]
+        assert mass == pytest.approx(np.sum(values * (hi - lo)), abs=1e-12)
+        assert mass == pytest.approx(total_mass(nu), abs=1e-12)
+        brute = np.sum(values * (np.exp(3j * hi) - np.exp(3j * lo)) / 3j)
+        assert pairing(nu, 3.0, 0.0)[0] == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("w, c", [(np.pi, np.pi),
+                                      (10.0 * np.pi, np.pi / 2.0)])
+    def test_off_axis_table_pairing_matches_per_bin_quad(self, w, c,
+                                                         expanded15):
+        # both phases live: a restricted binned piece, and a restricted
+        # binned_inverted piece (density -v(s/t) s/t^2, s = 1.5), each
+        # away from t = 0, against quad over each bin's part of the piece
+        s = 1.5
+        edges = expanded15.pieces[0].params["edges"]
+        values = expanded15.pieces[0].params["values"]
+        nu = Measure1D(pieces=restrict(expanded15, 0.2, 0.7).pieces
+                       + restrict(expanded15, 2.1, 7.3).pieces)
+        assert [p.family for p in nu.pieces] == ["binned", "binned_inverted"]
+
+        def bins(lo, hi, vals, weight):
+            total = 0.0 + 0.0j
+            for a, b, v in zip(lo, hi, vals):
+                if a < b:
+                    total += v * quad(
+                        lambda t: weight(t) * np.exp(1j * (w * t - c / t)),
+                        a, b, complex_func=True, epsabs=1e-14,
+                        epsrel=1e-13)[0]
+            return total
+        near = np.clip(edges, 0.2, 0.7)
+        with np.errstate(divide="ignore"):
+            far = np.clip(s / edges, 2.1, 7.3)
+        want = bins(near[:-1], near[1:], values, lambda t: 1.0) \
+            + bins(far[1:], far[:-1], -values, lambda t: s / t**2)
+        val, err = pairing(nu, w, c)
+        assert abs(val - want) <= 1e-9
+        assert err <= 1e-9
+
 
 class TestLatticeCross:
     def test_deterministic_ordering(self):

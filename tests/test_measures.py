@@ -58,6 +58,29 @@ class TestRestrict:
         left = restrict(mu, 0.0, 0.5)
         assert total_variation(left) == pytest.approx(np.log(1.5), abs=1e-10)
 
+    def test_restrict_cuts_bin_tables(self):
+        # a binned table to [a, b), a binned_inverted one to [s/b, s/a)
+        edges, values = np.arange(9) / 8, np.arange(1.0, 9.0)
+        mu = Measure1D(pieces=(
+            piece_from_family(0.0, 1.0, "binned",
+                              {"edges": edges, "values": values}, 1.0),
+            piece_from_family(2.0, np.inf, "binned_inverted",
+                              {"edges": edges, "values": values, "s": 2.0},
+                              1.0)))
+        left, right = restrict(mu, 0.3, 5.0).pieces
+        assert left.params["edges"].tolist() == [0.3, 0.375, 0.5, 0.625,
+                                                 0.75, 0.875, 1.0]
+        assert left.params["values"].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0,
+                                                  8.0]
+        assert right.params["edges"].tolist() == [0.4, 0.5, 0.625, 0.75,
+                                                  0.875, 1.0]
+        assert right.params["values"].tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
+
+    def test_table_missing_its_piece_rejected(self):
+        with pytest.raises(MeasureError):
+            piece_from_family(2.0, 3.0, "binned", {
+                "edges": [0.0, 0.5, 1.0], "values": [1.0, 1.0]}, 1.0)
+
     def test_restrict_drops_outside_atoms(self):
         mu = Measure1D(atoms=((0.25, 1.0), (0.75, 1.0)))
         assert restrict(mu, 0.5, 1.0).atoms == ((0.75, 1.0),)

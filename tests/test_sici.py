@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab.sici import (cosine_integral, nielsen_spiral,
-                           sine_integral_tail)
+from hyperlab.sici import exp_integral_tail, nielsen_spiral
+
+
+def sine_integral_tail(x):
+    """si(x) = Im E(x) for x > 0."""
+    return exp_integral_tail(x).imag
+
+
+def cosine_integral(x):
+    """ci(x) = -Re E(x) for x > 0."""
+    return -exp_integral_tail(x).real
 
 
 def si_oracle(x):
