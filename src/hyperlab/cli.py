@@ -385,7 +385,7 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
     sign = -1.0 if conjugate else 1.0
 
     def rho(t):
-        return 1.0 / (np.asarray(t) + sign * 1j) ** 2
+        return 1.0 / (t + sign * 1j) ** 2
 
     return Measure1D(pieces=(
         Piece(-np.inf, 0.0, rho, 2.0, params={"tail_c": 1.0, "tail_p": 2.0}),
@@ -403,7 +403,7 @@ def _run_hardy_defect(cfg, out):
 
 def _run_hilbert_check(cfg, out):
     def cauchy(t):
-        return 1.0 / (np.pi * (1.0 + np.asarray(t) ** 2))
+        return 1.0 / (np.pi * (1.0 + t * t))
 
     f = Measure1D(pieces=(
         Piece(-np.inf, 0.0, cauchy, 0.5,

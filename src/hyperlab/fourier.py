@@ -7,11 +7,12 @@ The planar transform convention is
 
 so that the pairing exp(i 2 pi j t) used in the one-branch experiments is
 ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Every
-``pairing`` of a measure with e^{i(w t - c/t)} sends its oscillatory
-integrals through one primitive, ``_osc`` (QUADPACK's Fourier weights:
-QAWO on finite intervals, QAWF on infinite tails); piecewise constant
-(Ulam) densities are paired in closed form per bin where one phase
-vanishes.
+``pairing`` of a measure with e^{i(w t - c/t)}, over arrays of
+frequencies, sends its oscillatory integrals through one primitive,
+``_osc`` (QUADPACK's Fourier weights: QAWO on finite intervals, QAWF on
+infinite tails), which shares one cos/sin pair between w and -w;
+piecewise constant (Ulam) densities are paired in closed form per bin
+where one phase vanishes.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
         def g(u, w=w):
             return np.exp(1j * w / u) / u**2
         u_hi = np.inf if a == 0.0 else 1.0 / a
-        val, e = _osc(g, 1.0 / b, u_hi, -c)
+        (val,), (e,) = _osc(g, 1.0 / b, u_hi, np.array([-c]))
         total += v * val
         err += abs(v) * e
     return complex(total), err
@@ -140,6 +141,15 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 # generic oscillatory quadrature
 
+def _groups(*keys):
+    """[(key, indices)] of the entries on which the 1-d arrays ``keys``
+    agree, in order of first appearance (-0.0 and 0.0 agree)."""
+    out = {}
+    for i, key in enumerate(zip(*(k.tolist() for k in keys))):
+        out.setdefault(key, []).append(i)
+    return [(key, np.array(idx)) for key, idx in out.items()]
+
+
 def _cquad(f, a, b):
     v, e = quad(f, a, b, complex_func=True, limit=LIMIT, epsabs=ABS_TOL,
                 epsrel=REL_TOL)
@@ -147,64 +157,107 @@ def _cquad(f, a, b):
 
 
 def _osc(g, a, b, w):
-    """(integral_a^b g(t) e^{i w t} dt, error estimate) for w != 0 with
-    QUADPACK's Fourier weights: QAWO on finite [a, b], QAWF for b = inf."""
-    if not (np.isfinite(w) and np.isfinite(a) and a < b):
-        raise QuadratureError(f"oscillatory quadrature needs a finite "
-                              f"frequency and limits, got w={w} on [{a}, {b})")
-    kw = {"wvar": abs(w), "complex_func": True, "limit": LIMIT,
-          "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
-    cos, e_cos = quad(g, a, b, weight="cos", **kw)
-    sin, e_sin = quad(g, a, b, weight="sin", **kw)
-    err = e_cos + e_sin
-    return complex(cos + 1j * np.sign(w) * sin), err.real + err.imag
-
-
-def _piece_ft_positive(rho, a, b, w, c):
-    """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf]."""
-    val = 0.0 + 0.0j
-    err = 0.0
-    # near-zero oscillation: substitute s = k/t and push to a Fourier tail;
-    # k = min(|c|, 1) keeps its frequency c/k at least 1 in size, and
-    # with it QAWF's cycles short, however small c is
-    if a == 0.0 and c != 0.0:
-        k = min(abs(c), 1.0)
-        d = min(b, k)
-
-        def g(s):
-            return rho(k / s) * np.exp(1j * w * k / s) * k / s**2
-        val, err = _osc(g, k / d, np.inf, -c / k)
-        a = d
-        if a >= b:
-            return val, err
-
-    def integrand(t):
-        return rho(t) * np.exp(-1j * c / t) if c != 0.0 else rho(t)
-    a = max(a, 1e-300)
-    # for |c| < 1 the c/t phase turns by a radian only where t ~ |c|, a
-    # scale that one rule on [a, 1) never samples: cut at |c| 16^i
-    cuts = [a]
-    cut = abs(c) if 0.0 < abs(c) < 1.0 else np.inf
-    while cut < min(b, 1.0):
-        if cut > a:
-            cuts.append(cut)
-        cut *= 16.0
-    for lo, hi in zip(cuts, cuts[1:] + [b]):
-        v, e = _osc(integrand, lo, hi, w) if w != 0.0 else \
-            _cquad(integrand, lo, hi)
-        val += v
-        err += e
+    """(integral_a^b g(t) e^{i w t} dt, error estimate) at each entry of a
+    1-d array w of nonzero frequencies, with QUADPACK's Fourier weights:
+    QAWO on finite [a, b], QAWF for b = inf.  g does not depend on w, so
+    one cos/sin pair per distinct |w| serves both signs, and its error
+    estimate counts toward each."""
+    w = np.asarray(w, dtype=float)
+    if not (np.all(np.isfinite(w)) and np.isfinite(a) and a < b):
+        raise QuadratureError(f"oscillatory quadrature needs finite "
+                              f"frequencies and limits, got w={w} on "
+                              f"[{a}, {b})")
+    val = np.empty(w.shape, dtype=complex)
+    err = np.empty(w.shape)
+    for (mag,), idx in _groups(np.abs(w)):
+        kw = {"wvar": mag, "complex_func": True, "limit": LIMIT,
+              "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
+        cos, e_cos = quad(g, a, b, weight="cos", **kw)
+        sin, e_sin = quad(g, a, b, weight="sin", **kw)
+        e = e_cos + e_sin
+        for i in idx:
+            val[i] = cos + 1j * np.sign(w[i]) * sin
+        err[idx] = e.real + e.imag
     return val, err
 
 
-def _piece_ft(p: Piece, w: float, c: float):
-    if p.family == "binned":
-        return _binned_pairing(p.params["edges"], p.params["values"], w, c)
-    if p.family == "binned_inverted":
-        # substitute u = s/t:  w' = -c/s, c' = -w s, same bin table
-        s = p.params["s"]
-        return _binned_pairing(p.params["edges"], p.params["values"],
-                               -c / s, -w * s)
+def _piece_ft_positive(rho, a, b, w, c):
+    """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf], and
+    its error estimate, at each entry of the 1-d arrays w and c.
+
+    Where c != 0, the part of [a, b) below the crossover t* = sqrt|c/w|,
+    where the c/t phase turns faster than the w t one, runs in an s
+    chart with the c phase linear: s = k/t from t = 0, s = 1/t on a piece
+    away from 0 (only where w != 0, as t* is infinite at w = 0).  The t
+    chart takes the rest.  A sub-integral whose integrand does not depend
+    on its frequency's sign runs once per magnitude: the s = k/t tail at
+    w = 0 and the t chart at c = 0."""
+    val = np.zeros(w.shape, dtype=complex)
+    err = np.zeros(w.shape)
+    lo = np.full(w.shape, float(a))
+
+    def add(idx, v, e):
+        val[idx] += v
+        err[idx] += e
+
+    live = np.flatnonzero(c != 0.0)
+    for (wv, cm), sub in _groups(w[live], np.abs(c[live])):
+        idx = live[sub]
+        t_star = np.sqrt(cm) / np.sqrt(abs(wv)) if wv != 0.0 else np.inf
+        if a == 0.0:
+            # k = min(|c|, 1) keeps the tail's frequency c/k at least 1 in
+            # size, and with it QAWF's cycles short, however small c is
+            k = min(cm, 1.0)
+            d = min(b, k, t_star)
+
+            def g(s, wv=wv, k=k):
+                return rho(k / s) * np.exp(1j * wv * k / s) * k / s**2
+            add(idx, *_osc(g, k / d, np.inf, -c[idx] / k))
+            lo[idx] = d
+        elif wv != 0.0 and 1.0 / min(t_star, b) < 1.0 / a:
+            hi = min(t_star, b)
+
+            def g(s, wv=wv):
+                t = 1.0 / s
+                return rho(t) * np.exp(1j * wv * t) * t * t
+            add(idx, *_osc(g, 1.0 / hi, 1.0 / a, -c[idx]))
+            lo[idx] = hi
+
+    for (cv, a_t), idx in _groups(c, lo):
+        if a_t >= b:
+            continue
+
+        def integrand(t, cv=cv):
+            return rho(t) * np.exp(-1j * cv / t) if cv != 0.0 else rho(t)
+        a_t = max(a_t, 1e-300)
+        # for |c| < 1 the c/t phase turns by a radian only where t ~ |c|, a
+        # scale that one rule on [a, 1) never samples: cut at |c| 16^i
+        cuts = [a_t]
+        cut = abs(cv) if 0.0 < abs(cv) < 1.0 else np.inf
+        while cut < min(b, 1.0):
+            if cut > a_t:
+                cuts.append(cut)
+            cut *= 16.0
+        spin, still = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
+        for t0, t1 in zip(cuts, cuts[1:] + [b]):
+            if spin.size:
+                add(spin, *_osc(integrand, t0, t1, w[spin]))
+            if still.size:
+                add(still, *_cquad(integrand, t0, t1))
+    return val, err
+
+
+def _piece_ft(p: Piece, w, c):
+    if p.family in ("binned", "binned_inverted"):
+        if p.family == "binned_inverted":
+            # substitute u = s/t:  w' = -c/s, c' = -w s, same bin table
+            s = p.params["s"]
+            w, c = -c / s, -w * s
+        pairs = [_binned_pairing(p.params["edges"], p.params["values"],
+                                 wi, ci)
+                 for wi, ci in zip(w.tolist(), c.tolist())]
+        return (np.array([v for v, _ in pairs], dtype=complex),
+                np.array([e for _, e in pairs], dtype=float))
     if p.b <= 0.0:
         # reflect to positive support: t -> -t flips both frequencies
         rho = p.density
@@ -212,47 +265,69 @@ def _piece_ft(p: Piece, w: float, c: float):
     return _piece_ft_positive(p.density, p.a, p.b, w, c)
 
 
-def pairing(nu: Measure1D, w: float, c: float):
-    """(integral of e^{i(w t - c/t)} d nu(t), achieved error estimate)."""
-    if not (np.isfinite(w) and np.isfinite(c)):
+def pairing(nu: Measure1D, w, c):
+    """(values, error estimates): the integral of e^{i(w t - c/t)} d nu(t)
+    at each entry of the arrays w and c, broadcast together (a scalar pair
+    gives 0-d arrays), with the error estimate each value's integrals
+    achieved; an integral that several values share counts toward each."""
+    w, c = np.broadcast_arrays(np.asarray(w, dtype=float),
+                               np.asarray(c, dtype=float))
+    bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(c)))
+    if bad.size:
         raise QuadratureError(f"pairing needs finite frequencies, got "
-                              f"w={w}, c={c}")
-    total = 0.0 + 0.0j
-    err = 0.0
+                              f"w={w.flat[bad[0]]}, c={c.flat[bad[0]]}")
+    shape = w.shape
+    w, c = w.ravel(), c.ravel()
+    total = np.zeros(w.shape, dtype=complex)
+    err = np.zeros(w.shape)
     for x, wt in nu.atoms:
-        total += wt * np.exp(1j * (w * x - (c / x if c else 0.0)))
+        c_x = np.divide(c, x, out=np.zeros(c.shape), where=c != 0.0)
+        total += wt * np.exp(1j * (w * x - c_x))
     for p in nu.pieces:
         v, e = _piece_ft(p, w, c)
         total += v
         err += e
-    return complex(total), err
+    return total.reshape(shape), err.reshape(shape)
 
 
-def error_budget(value) -> float:
+def error_budget(value):
     """Largest achieved error estimate accepted for a pairing result of
     size |value|; above it the result raises ``QuadratureError``."""
     return 100.0 * (ABS_TOL + REL_TOL * abs(value)) + 1e-8
 
 
-def _within_budget(value, err: float, what: str):
-    """(value, err), or ``QuadratureError`` when the achieved error
-    estimate err of ``what`` exceeds the error budget of value."""
-    if err > error_budget(value):
-        raise QuadratureError(f"{what} achieved error estimate {err:.3g} "
-                              f"above tolerance", err)
-    return value, err
+def _within_budget(values, errs, labels):
+    """(values, errs), or ``QuadratureError`` naming the first labels[i]
+    whose value is not finite or whose achieved error estimate errs[i]
+    is not within the error budget of values[i] (a NaN one is not)."""
+    vals, ests = np.ravel(values), np.ravel(errs)
+    bad = np.flatnonzero(~(np.isfinite(vals)
+                           & (ests <= error_budget(vals))))
+    if bad.size:
+        i = bad[0]
+        if not np.isfinite(vals[i]):
+            raise QuadratureError(f"{labels[i]} reads the non-finite value "
+                                  f"{vals[i]}", ests[i])
+        raise QuadratureError(f"{labels[i]} achieved error estimate "
+                              f"{ests[i]:.3g} above tolerance", ests[i])
+    return values, errs
 
 
-def _checked_ft(mu: HyperbolaMeasure, xi1: float, xi2: float):
-    """(ft of mu at (xi1, xi2), error estimate) within the error budget."""
-    c = mu.m**2 * xi2 / (4.0 * np.pi)
-    return _within_budget(*pairing(mu.pi1, np.pi * xi1, c),
-                          f"oscillatory quadrature at xi=({xi1}, {xi2})")
+def _checked_ft(mu: HyperbolaMeasure, xi1, xi2, labels):
+    """(values, error estimates) of the ft of mu at the points (xi1[i],
+    xi2[i]), each within its error budget, else ``QuadratureError``
+    naming the first point over it by labels[i]."""
+    w = np.pi * np.asarray(xi1, dtype=float)
+    c = mu.m**2 * np.asarray(xi2, dtype=float) / (4.0 * np.pi)
+    return _within_budget(*pairing(mu.pi1, w, c), labels)
 
 
 def ft_point(mu: HyperbolaMeasure, xi) -> complex:
     """Fourier transform of mu at the planar point xi = (xi1, xi2)."""
-    return _checked_ft(mu, float(xi[0]), float(xi[1]))[0]
+    xi1, xi2 = float(xi[0]), float(xi[1])
+    vals, _ = _checked_ft(mu, [xi1], [xi2], [
+        f"oscillatory quadrature at xi=({xi1}, {xi2})"])
+    return complex(vals[0])
 
 
 @dataclass(frozen=True)
@@ -268,16 +343,13 @@ class CrossValue:
 def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross):
     """One transform per cross point, deterministic ordering, each with
     the error estimate its quadrature achieved (0 where closed-form)."""
-    out = []
-    for axis, idx, x1, x2 in cross.points():
-        try:
-            val, err = _checked_ft(mu, x1, x2)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"cross point axis={axis} index={idx} xi=({x1}, {x2}): {exc}",
-                exc.error_estimate) from exc
-        out.append(CrossValue(axis, idx, x1, x2, val, err))
-    return out
+    pts = cross.points()
+    vals, errs = _checked_ft(
+        mu, [p[2] for p in pts], [p[3] for p in pts],
+        [f"cross point axis={axis} index={idx} xi=({x1}, {x2}): "
+         f"oscillatory quadrature" for axis, idx, x1, x2 in pts])
+    return [CrossValue(*p, complex(v), float(e))
+            for p, v, e in zip(pts, vals, errs)]
 
 
 def critical_measure_ft(x: float) -> complex:

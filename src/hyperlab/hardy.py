@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import ABS_TOL, LIMIT, REL_TOL, _cquad, _within_budget, \
-    pairing
+from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad, \
+    _within_budget, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        _pushforward_reciprocal, compress_pi1, compress_pi2)
 
@@ -32,9 +32,8 @@ def q2_coefficients(f: Measure1D, n_max: int):
     estimate the pairings achieved."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    pairs = [pairing(f, -np.pi * n, 0.0) for n in range(-n_max, n_max + 1)]
-    coeffs = 0.5 * np.array([v for v, _ in pairs])
-    return coeffs, 0.5 * sum(e for _, e in pairs)
+    vals, errs = pairing(f, -np.pi * np.arange(-n_max, n_max + 1), 0.0)
+    return 0.5 * vals, 0.5 * float(np.sum(errs))
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def hardy_defect(f: Measure1D, n_max: int) -> HardyDefect:
     coeffs, err = q2_coefficients(f, n_max)
     mags = np.abs(coeffs)
     total = float(np.sum(mags))
-    _within_budget(total, err, "Q2 coefficients")
+    _within_budget(total, err, ["Q2 coefficients"])
     if total == 0.0:
         raise MeasureError("zero periodization has no defect ratio")
     neg = float(np.sum(mags[:n_max]))
@@ -99,6 +98,9 @@ def _pv_point(f: Measure1D, x: float, window: float = 50.0):
     boundaries (where the total density is continuous) cause no trouble;
     the remaining support is integrated plainly per piece."""
     lo, hi = x - window, x + window
+    if not lo < x < hi:
+        raise QuadratureError(f"principal-value window around x={x} is "
+                              f"below float resolution")
     total = 0.0 + 0.0j
     err = 0.0
     if any(pc.a < hi and pc.b > lo for pc in f.pieces):
@@ -136,6 +138,12 @@ def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
         v, e = _pv_point(f, float(x))
         vals[i] = v / np.pi
         errs[i] = e / np.pi
+    bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(errs)))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(f"Hilbert transform at x={x_grid[i]} reads "
+                              f"{vals[i]} with error estimate {errs[i]:.3g}",
+                              errs[i])
     return SampledFunction(x_grid, vals, errs)
 
 
@@ -204,11 +212,14 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
     # the total-variation bound is not needed by the pairings
     nu = Measure1D(pieces=(Piece(-np.inf, 0.0, f, np.inf),
                            Piece(0.0, np.inf, f, np.inf)))
-    freqs = [("j", j, np.pi * j, 0.0) for j in range(j_max + 1)] \
-        + [("k", k, 0.0, -np.pi * beta * k) for k in range(k_max + 1)]
-    return [PairingRow(kind, idx, *_within_budget(
-        *pairing(nu, w, c), f"witness pairing {kind} = {idx}"))
-        for kind, idx, w, c in freqs]
+    j, k = np.arange(j_max + 1), np.arange(k_max + 1)
+    rows = [("j", int(i)) for i in j] + [("k", int(i)) for i in k]
+    vals, errs = _within_budget(*pairing(
+        nu, np.r_[np.pi * j, np.zeros(k.size)],
+        np.r_[np.zeros(j.size), -np.pi * beta * k]),
+        [f"witness pairing {kind} = {idx}" for kind, idx in rows])
+    return [PairingRow(kind, idx, complex(v), float(e))
+            for (kind, idx), v, e in zip(rows, vals, errs)]
 
 
 def witness_l1_norm(z0: complex) -> float:

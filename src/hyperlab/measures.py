@@ -27,17 +27,14 @@ class MeasureError(ValueError):
 # ---------------------------------------------------------------------------
 # density families
 
+# plain arithmetic serves a scalar (a QUADPACK callback) and an array alike
+
 def _cauchy1p(scale: complex) -> Callable:
-    # scale / (1 + t)
-    return lambda t: scale / (1.0 + np.asarray(t, dtype=float))
+    return lambda t: scale / (1.0 + t)
 
 
 def _cauchy_inv1p(scale: complex) -> Callable:
-    # scale / (t (1 + t))
-    def rho(t):
-        t = np.asarray(t, dtype=float)
-        return scale / (t * (1.0 + t))
-    return rho
+    return lambda t: scale / (t * (1.0 + t))
 
 
 def _binned(edges: np.ndarray, values: np.ndarray) -> Callable:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,27 +10,37 @@ import hyperlab
 from hyperlab.cli import COMMANDS, emit_svg_polyline, main, parse_config
 from hyperlab.measures import MeasureError
 
-# every float key of every command, set to each non-finite value
-NONFINITE_CASES = [[cmd, f"--{key}={val}"]
-                   for cmd in COMMANDS
-                   for key, default in parse_config([cmd])[1].items()
-                   if isinstance(default, float)
-                   for val in ("nan", "inf", "-inf")]
 
-# runs each argv through main and prints [exit code, stderr] per line; an
-# escaping exception is reported as its traceback with code null
+def float_cases(commands, values):
+    """[command, --key=value] for every float key of the commands."""
+    return [[cmd, f"--{key}={val}"]
+            for cmd in commands
+            for key, default in parse_config([cmd])[1].items()
+            if isinstance(default, float)
+            for val in values]
+
+
+NONFINITE_CASES = float_cases(COMMANDS, ("nan", "inf", "-inf"))
+
+# huge and tiny finite values for the commands that pass floats on to
+# QUADPACK as frequencies or limits
+EXTREME_CASES = float_cases(
+    ("ft-eval", "ft-cross", "timelike-witness", "hilbert-check"),
+    ("1e300", "-1e300", "1e-300", "-1e-300"))
+
+# runs each argv through main and prints [exit code, stdout, stderr] per
+# line; an escaping exception is reported as its traceback with code null
 _FUZZ_CHILD = """
 import contextlib, io, json, sys, traceback
 from hyperlab.cli import main
 for argv in json.load(sys.stdin):
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), \\
-                contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except Exception:
         code, err = None, io.StringIO(traceback.format_exc())
-    print(json.dumps([code, err.getvalue()]), flush=True)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
 
@@ -207,17 +218,26 @@ class TestSvgPolyline:
                               str(tmp_path / "x.svg"))
 
 
-@pytest.fixture(scope="module")
-def nonfinite_results():
+def run_in_child(cases):
     """One child process runs every case (a crash there, not here, is what
     QUADPACK's oscillatory rules do with a non-finite frequency); returns
     the per-case results it printed and its exit status."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(hyperlab.__file__)))
     res = subprocess.run([sys.executable, "-c", _FUZZ_CHILD], env=env,
-                         input=json.dumps(NONFINITE_CASES),
+                         input=json.dumps(cases),
                          capture_output=True, text=True, timeout=600)
     return [json.loads(ln) for ln in res.stdout.splitlines()], res.returncode
+
+
+@pytest.fixture(scope="module")
+def nonfinite_results():
+    return run_in_child(NONFINITE_CASES)
+
+
+@pytest.fixture(scope="module")
+def extreme_results():
+    return run_in_child(EXTREME_CASES)
 
 
 @pytest.mark.parametrize("case", range(len(NONFINITE_CASES)),
@@ -225,8 +245,28 @@ def nonfinite_results():
 def test_nonfinite_float_usage_error(case, nonfinite_results):
     results, status = nonfinite_results
     assert case < len(results), f"child process died (status {status})"
-    code, err = results[case]
+    code, _, err = results[case]
     assert "Traceback" not in err
     assert code == 2
     key = NONFINITE_CASES[case][1][2:].partition("=")[0]
     assert json.loads(err)["key"] == key
+
+
+@pytest.mark.parametrize("case", range(len(EXTREME_CASES)),
+                         ids=[" ".join(c) for c in EXTREME_CASES])
+def test_extreme_float_artifact_or_record(case, extreme_results):
+    # either a finite artifact or a JSON error record with the documented
+    # exit code, never a traceback: NaN passed the error budget once, and
+    # ft-eval wrote it as a bare NaN, which is not JSON
+    results, status = extreme_results
+    assert case < len(results), f"child process died (status {status})"
+    code, out, err = results[case]
+    assert "Traceback" not in err
+    if code == 0:
+        assert out
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out)
+        return
+    assert code in (1, 2)
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["command"] == \
+        EXTREME_CASES[case][0]

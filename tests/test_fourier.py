@@ -11,8 +11,10 @@ import hyperlab
 from hyperlab.annihilators import (critical_annihilator,
                                    expanded_annihilator, total_mass)
 from hyperlab.fourier import (ABS_TOL, REL_TOL, LatticeCross,
-                              critical_measure_ft, ft_on_cross, ft_point,
-                              pairing)
+                              QuadratureError, _within_budget,
+                              critical_measure_ft, error_budget,
+                              ft_on_cross, ft_point, pairing)
+from hyperlab.hardy import inversion_j
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
                                QuadrantTag, restrict)
 from hyperlab.transfer import invariant_density
@@ -66,6 +68,30 @@ class TestFtPoint:
         for xi in ((0.7, 0.0), (0.0, 1.3), (1.1, -0.6)):
             assert ft_point(lift(nu), xi) == pytest.approx(
                 ft_oracle(nu, *xi), abs=1e-8)
+
+    @pytest.mark.parametrize("xi", [(1000.0, 0.5), (1e4, 0.2), (1e4, 0.3),
+                                    (1e4, 2.0), (3.0, 0.7)])
+    def test_off_axis_matches_swapped_phases(self, xi):
+        # with both phases large, the s chart below t* = sqrt|c/w| and the
+        # t chart above it stay within budget; J_1 (t -> -1/t) swaps the
+        # two phases, so its pairing at (c, w) is the same integral,
+        # computed with the charts the other way round
+        nu = critical_annihilator()
+        w, c = np.pi * xi[0], M**2 * xi[1] / (4.0 * np.pi)
+        val = ft_point(lift(nu), xi)
+        swapped, err = pairing(inversion_j(nu, 1.0), c, w)
+        assert err <= error_budget(swapped)
+        assert abs(val - swapped) <= 1e-8
+
+    def test_nan_result_is_over_budget(self):
+        # QUADPACK returns NaN at this frequency; a NaN compares False
+        # with any budget, so it must be refused by name
+        val, _ = pairing(critical_annihilator(), np.pi * 1e300, 0.0)
+        assert np.isnan(val)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            ft_point(lift(critical_annihilator()), (1e300, 0.0))
+        with pytest.raises(QuadratureError, match="nan above tolerance"):
+            _within_budget(1.0, np.nan, ["estimate"])
 
     def test_linearity(self):
         rng = np.random.default_rng(7)

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab import hardy
-from hyperlab.fourier import QuadratureError, ft_point
+from hyperlab import fourier, hardy
+from hyperlab.annihilators import critical_annihilator, expanded_annihilator
+from hyperlab.fourier import QuadratureError, ft_point, pairing
 from hyperlab.hardy import (hardy_defect, hilbert_hyperbola, hilbert_line,
                             inversion_j, q2_coefficients, timelike_witness,
                             witness_l1_norm)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
-                               Piece, _pushforward_reciprocal,
+                               Piece, _pushforward_reciprocal, compress_pi2,
                                total_variation)
+from hyperlab.transfer import invariant_density
 
 
 def hardy_plus(conjugate=False):
@@ -64,6 +66,46 @@ class TestPeriodizeQ2:
         assert series == pytest.approx(exact, abs=1e-10)
 
 
+class TestVectorPairing:
+    # axis pairs of one magnitude, the origin twice, and off-axis points
+    W = np.pi * np.array([2.0, -2.0, 0.0, 0.0, 0.0, 5.0, -5.0, 3.0, -1.0,
+                          0.0])
+    C = np.pi * np.array([0.0, 0.0, 0.0, 2.0, -2.0, 0.0, 0.0, 0.7, 0.4,
+                          0.0])
+
+    @staticmethod
+    def witness():
+        f = hardy._witness_f(1j)
+        return Measure1D(pieces=(Piece(-np.inf, 0.0, f, np.inf),
+                                 Piece(0.0, np.inf, f, np.inf)))
+
+    @pytest.mark.parametrize("kind", ["hardy", "critical", "expanded",
+                                      "witness"])
+    def test_equals_per_frequency_calls_bitwise(self, kind):
+        nu = {"hardy": hardy_plus,
+              "critical": critical_annihilator,
+              "expanded": lambda: expanded_annihilator(
+                  1.5, invariant_density(1.5, 256)),
+              "witness": self.witness}[kind]()
+        vals, errs = pairing(nu, self.W, self.C)
+        for i in range(self.W.size):
+            v, e = pairing(nu, self.W[i:i + 1], self.C[i:i + 1])
+            assert v.tobytes() == vals[i:i + 1].tobytes(), i
+            assert e.tobytes() == errs[i:i + 1].tobytes(), i
+
+    def test_one_cos_sin_pair_per_magnitude(self, monkeypatch):
+        # c_n and c_-n share their QAWF pair on each half-line: 64 pairs
+        # and one plain integral per piece, where one pair per n made 514
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+        monkeypatch.setattr(fourier, "quad", counting)
+        hardy.q2_coefficients(hardy_plus(), 64)
+        assert len(calls) <= 258
+
+
 class TestHardyDefect:
     def test_hardy_function_has_tiny_defect(self):
         d = hardy_defect(hardy_plus(), 32)
@@ -88,7 +130,8 @@ class TestHardyDefect:
             hardy_defect(f, 4)
 
     def test_error_budget_enforced(self, monkeypatch):
-        monkeypatch.setattr(hardy, "pairing", lambda f, w, c: (1.0, 1e-3))
+        monkeypatch.setattr(hardy, "pairing", lambda f, w, c: (
+            np.ones(np.shape(w)), np.full(np.shape(w), 1e-3)))
         with pytest.raises(QuadratureError):
             hardy_defect(hardy_plus(), 4)
 
@@ -178,6 +221,14 @@ class TestHilbertLine:
         assert np.max(np.abs(hilbert_line(hf, x).values
                              + f.density_at(x))) <= 5e-4
         assert np.max(np.abs(h.values - hf.density_at(x))) <= 1e-6
+
+    def test_nan_estimate_raises(self):
+        # the pi2 image of the Cauchy pair reads NaN at x = 0 (its limit
+        # there is unknown), which the Cauchy-weight rule around x = 25
+        # samples: the NaN estimate is refused, not reported
+        nu2 = compress_pi2(HyperbolaMeasure(2.0 * np.pi, cauchy_pair()))
+        with pytest.raises(QuadratureError, match="error estimate nan"):
+            hilbert_line(nu2, [25.0])
 
 
 class TestHilbertHyperbola:
