@@ -111,16 +111,16 @@ class CandidateBasis:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    rows: tuple  # (axis, index, xi1, xi2) descriptors
-    entries: np.ndarray  # nRows x nElements, complex
+    rows: tuple  # (axis, index, xi1, xi2) descriptors of the index >= 0 rows
+    entries: np.ndarray  # real stack of the full system's rows x nElements
     basis: CandidateBasis
 
 
 def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
                   c: np.ndarray) -> None:
     """Write the pairings of e^{i(w t - c/t)} with the positive-branch
-    elements into ``out``, one row per entry of w and c.  The rows must lie
-    on one axis (all c = 0, or all w = 0); rows at the origin pair to the
+    elements into ``out``, one row per entry of w and c.  The rows lie on
+    one axis: all c = 0, or else all w = 0.  Rows at the origin pair to the
     element masses, 1."""
     edges = basis.edges
     log_w = np.diff(np.log(edges))
@@ -144,7 +144,7 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
         out[:, nb + 2] = ew1 + iw1 * vals[:, -1]
         # 2 t1^2 int_t1^inf e^{iwt}/t^3, by parts twice
         out[:, nb + 3] = ew1 + iw1 * out[:, nb + 2]
-    elif not np.any(w):
+    else:
         origin = c == 0.0
         c = np.where(origin, 1.0, c)
         # int e^{-i c/t} dt/t over a bin, through u = 1/t
@@ -161,30 +161,44 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
         # 2 t1^2 int_0^{1/t1} u e^{-icu} du, elementary
         out[:, nb + 3] = 2.0 * t1**2 * (
             1.0 - z * (1.0 + 1j * c / t1)) / (1j * c) ** 2
-    else:
-        raise MeasureError("off-axis rows are not supported by the "
-                           "closed-form assembler")
     out[origin] = 1.0
 
 
 def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
                             ) -> ConstraintMatrix:
-    """One row per cross point, in the cross's deterministic order."""
-    pts = cross.points()
-    mat = np.empty((len(pts), basis.n_elements), dtype=complex)
+    """The pairing system of a symmetric cross, as one real matrix.
+
+    The elements are real measures, so the row for index -j of the full
+    complex system A is the conjugate of the row for +j.  Only the index
+    >= 0 rows R are assembled, in the cross's order, and the entries are
+    S = sqrt(2) [Re R; Im R] with the two index-0 rows (real: they pair to
+    the element masses) weighted 1/sqrt(2) and their zero imaginary parts
+    left out.  Then S^T S = A^H A, S has A's row count, sigma(S) =
+    sigma(A), and the right singular vectors of S are real.  A cross whose
+    rows are not closed under conjugation is refused."""
+    (j0, j1), (k0, k1) = cross.j_range, cross.k_range
+    if (any(cross.offset) or cross.quadrant_filter is not None
+            or j0 != -j1 or k0 != -k1):
+        raise MeasureError("the cross's rows must be closed under "
+                           "conjugation: no offset, no quadrant filter and "
+                           "index ranges symmetric about 0")
+    pts = [p for p in cross.points() if p[1] >= 0]
+    half = np.empty((len(pts), basis.n_elements), dtype=complex)
     per = basis.n_interior + 4
-    xi = np.array([(x1, x2) for _, _, x1, x2 in pts],
-                  dtype=float).reshape(-1, 2)
+    xi = np.array([(x1, x2) for _, _, x1, x2 in pts], dtype=float)
     w = np.pi * xi[:, 0]
     c = basis.m**2 * xi[:, 1] / (4.0 * np.pi)
     # the cross lists its axis-1 points first, then its axis-2 points
-    n1 = sum(axis == 1 for axis, *_ in pts)
-    for blk in (slice(0, n1), slice(n1, len(pts))):
-        _branch_block(mat[blk, :per], basis, w[blk], c[blk])
+    for blk in (slice(0, j1 + 1), slice(j1 + 1, len(pts))):
+        _branch_block(half[blk, :per], basis, w[blk], c[blk])
         if basis.two_branch:
             # reflected branch: t -> -t flips both frequency signs
-            _branch_block(mat[blk, per:], basis, -w[blk], -c[blk])
-    return ConstraintMatrix(tuple(pts), mat, basis)
+            _branch_block(half[blk, per:], basis, -w[blk], -c[blk])
+    zero = np.array([idx == 0 for _, idx, _, _ in pts])
+    scale = np.where(zero, 1.0, np.sqrt(2.0))[:, None]
+    entries = np.concatenate([scale * half.real,
+                              np.sqrt(2.0) * half[~zero].imag])
+    return ConstraintMatrix(tuple(pts), entries, basis)
 
 
 @dataclass(frozen=True)
@@ -195,16 +209,23 @@ class DefectEstimate:
     nullvectors: np.ndarray  # numerical_defect x nElements
 
 
-def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
-    """SVD of a pairing system; the numerical defect counts singular
-    values <= threshold * sigma_max, and their right singular vectors are
-    the null vectors."""
+def _checked(entries: np.ndarray, threshold: float) -> np.ndarray:
+    """``entries``, once defect counting can read it: the threshold lies
+    in (0, 1) and there are at least as many rows as elements."""
     if not 0.0 < threshold < 1.0:
         raise MeasureError("threshold must lie in (0, 1)")
     if entries.shape[0] < entries.shape[1]:
         raise MeasureError("underdetermined system: defect counting needs "
                            "at least as many rows as elements")
-    sv, vh = np.linalg.svd(entries, full_matrices=False)[1:]
+    return entries
+
+
+def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
+    """SVD of a pairing system; the numerical defect counts singular
+    values <= threshold * sigma_max, and their right singular vectors are
+    the null vectors."""
+    sv, vh = np.linalg.svd(_checked(entries, threshold),
+                           full_matrices=False)[1:]
     defect = int(np.sum(sv <= threshold * sv[0]))
     nullvectors = vh[len(sv) - defect:] if defect else \
         np.zeros((0, entries.shape[1]))
@@ -213,7 +234,8 @@ def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
 
 def defect_estimate(mat: ConstraintMatrix,
                     threshold: float = 1e-6) -> DefectEstimate:
-    """Numerical defect of a constraint matrix (see ``_null_spectrum``)."""
+    """Numerical defect of a constraint matrix (see ``_null_spectrum``);
+    the null vectors of a built matrix are real."""
     return _null_spectrum(mat.entries, threshold)
 
 
@@ -231,25 +253,28 @@ class SweepRow:
     defect: int
 
 
-def _anchored_estimate(basis: CandidateBasis, gamma: float, j_max: int,
-                       k_max: int, threshold: float) -> DefectEstimate:
-    """Defect estimate at one gamma, on the grid anchored at 1 and gamma so
-    the expanded annihilators' density jumps fall on bin edges."""
+def _anchored_spectrum(basis: CandidateBasis, gamma: float, j_max: int,
+                       k_max: int, threshold: float):
+    """(singular values, descending; numerical defect) at one gamma, on the
+    grid anchored at 1 and gamma so the expanded annihilators' density
+    jumps fall on bin edges.  Values only: no singular vectors."""
     b = basis.with_anchor(1.0).with_anchor(float(gamma))
-    return defect_estimate(build_constraint_matrix(
-        b, cross_for_gamma(gamma, j_max, k_max)), threshold)
+    mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max, k_max))
+    sv = np.linalg.svd(_checked(mat.entries, threshold), compute_uv=False)
+    return sv, int(np.sum(sv <= threshold * sv[0]))
 
 
 def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
                 k_max: int = 40, threshold: float = 1e-6):
-    """Per-gamma defect estimates on the anchored grids."""
+    """Per-gamma singular tails and defects on the anchored grids."""
     rows = []
     for gamma in gamma_grid:
         if not (np.isfinite(gamma) and gamma > 0):
             raise MeasureError("gamma grid must be positive and finite")
-        est = _anchored_estimate(basis, gamma, j_max, k_max, threshold)
-        tail = tuple(float(s) for s in np.sort(est.singular_values)[:6])
-        rows.append(SweepRow(float(gamma), tail, est.numerical_defect))
+        sv, defect = _anchored_spectrum(basis, gamma, j_max, k_max,
+                                        threshold)
+        tail = tuple(float(s) for s in np.sort(sv)[:6])
+        rows.append(SweepRow(float(gamma), tail, defect))
     return rows
 
 
@@ -259,10 +284,10 @@ def calibrate(basis: CandidateBasis, gamma: float = 1.0, j_max: int = 40,
     singular value must move < 5% when j_max and k_max double."""
     out = {}
     for tag, scale in (("base", 1), ("doubled", 2)):
-        est = _anchored_estimate(basis, gamma, scale * j_max, scale * k_max,
-                                 threshold)
-        out[tag] = float(np.min(est.singular_values))
-        out[tag + "_defect"] = est.numerical_defect
+        sv, defect = _anchored_spectrum(basis, gamma, scale * j_max,
+                                        scale * k_max, threshold)
+        out[tag] = float(np.min(sv))
+        out[tag + "_defect"] = defect
     out["rel_change"] = abs(out["doubled"] - out["base"]) \
         / max(out["base"], 1e-300)
     out["stable"] = bool(out["rel_change"] < 0.05)

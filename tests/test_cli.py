@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hyperlab
@@ -168,6 +169,46 @@ class TestRunExperiment:
         record = json.loads(err.splitlines()[-1])
         assert record["command"] == "timelike-witness"
         assert "above tolerance" in record["message"]
+
+    def test_defect_sweep_defaults_pinned(self, capsys):
+        # the parent commit's full complex system gave these tails
+        want = {
+            0.6: (0, [1.0964920654296817, 1.4666082619707754,
+                      3.278822533648966, 4.315502897215187,
+                      4.979980386000176, 5.601298740947156]),
+            0.8: (0, [1.018178758003203, 1.172205894286671,
+                      2.3456016978776906, 3.373846130181117,
+                      3.9168672223265046, 4.311707100897453]),
+            1.0: (1, [0.030898885991134602, 1.0125036058395505,
+                      1.1655537022591211, 2.930107011347755,
+                      3.1625255587172214, 3.7461317681560415]),
+            1.2: (2, [0.13091973957835543, 0.23997819430075565,
+                      0.33076466178286357, 0.4935191560701807,
+                      1.2894164389915952, 3.2736989277141215]),
+            1.5: (3, [0.05943550268083249, 0.14231521631682817,
+                      0.2253662904183216, 0.26579983147512226,
+                      0.3668937424726835, 0.38202932668709116])}
+        code, out, _ = run(["defect-sweep"], capsys)
+        assert code == 0
+        table = [ln.split(",") for ln in out.splitlines()
+                 if ln[:1].isdigit()]
+        assert [float(r[0]) for r in table] == list(want)
+        for r in table:
+            defect, tail = want[float(r[0])]
+            assert int(r[1]) == defect
+            assert np.max(np.abs(np.array(r[2:], dtype=float) - tail)) \
+                <= 1e-12
+
+    @pytest.mark.parametrize("reach,want", [(51, 1), (52, 0)])
+    def test_defect_sweep_row_count_boundary(self, reach, want, capsys):
+        # the full system has (2 jmax + 1) + (2 kmax + 1) rows: 206 < 207
+        # elements at jmax = kmax = 51 (gamma != 1 adds an anchor)
+        code, out, err = run(["defect-sweep", "--jmax", str(reach),
+                              "--kmax", str(reach)], capsys)
+        assert code == want
+        if want:
+            assert out == ""
+            assert "underdetermined" in json.loads(err)["message"]
 
     def test_determinism(self, tmp_path):
         args = ["sici-spiral", "--n", "40"]

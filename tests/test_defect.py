@@ -4,12 +4,12 @@ from scipy.integrate import quad
 
 from hyperlab.annihilators import critical_annihilator
 from hyperlab.defect import (CandidateBasis, ConstraintMatrix,
-                             build_constraint_matrix, calibrate,
-                             cosine_similarity, cross_for_gamma,
+                             _branch_block, build_constraint_matrix,
+                             calibrate, cosine_similarity, cross_for_gamma,
                              defect_estimate, distorted_cross_residual,
                              sweep_gamma)
 from hyperlab.fourier import LatticeCross
-from hyperlab.measures import MeasureError
+from hyperlab.measures import MeasureError, QuadrantTag
 
 
 def row_oracle(basis, w, c):
@@ -66,31 +66,74 @@ class TestCandidateBasis:
         assert b2.n_elements == 2 * (64 + 4)
 
 
-def small_system(w, c):
-    """Anchored two-branch basis and its matrix on the symmetric cross
-    whose rows pair at frequencies (+-w, 0), (0, +-c) and twice (0, 0)."""
-    basis = CandidateBasis(0.1, 10.0, 16, two_branch=True) \
+def small_system(w, c, two_branch=True, reach=1):
+    """Anchored basis and its matrix on the symmetric cross whose rows pair
+    at frequencies (+-n w, 0), (0, +-n c) for n <= reach and twice (0, 0)."""
+    basis = CandidateBasis(0.1, 10.0, 16, two_branch=two_branch) \
         .with_anchor(1.0).with_anchor(0.8)
     alpha = abs(w) / np.pi if w else 1.0
     beta = 4.0 * np.pi * abs(c) / basis.m**2 if c else 1.0
-    cross = LatticeCross(alpha, beta, (-1, 1), (-1, 1))
-    return basis, build_constraint_matrix(basis, cross)
+    cross = LatticeCross(alpha, beta, (-reach, reach), (-reach, reach))
+    return basis, cross, build_constraint_matrix(basis, cross)
+
+
+def frequencies(basis, rows):
+    """(w, c) of each cross-point descriptor: the row pairs e^{i(wt - c/t)}."""
+    xi = np.array([(x1, x2) for _, _, x1, x2 in rows], dtype=float)
+    return np.pi * xi[:, 0], basis.m**2 * xi[:, 1] / (4.0 * np.pi)
+
+
+def complex_rows(mat):
+    """The index >= 0 rows R read back from the real stack
+    sqrt(2) [Re R; Im R] (index-0 rows weighted 1/sqrt(2), no Im rows)."""
+    n = len(mat.rows)
+    zero = np.array([idx == 0 for _, idx, _, _ in mat.rows])
+    rows = mat.entries[:n] / np.where(zero, 1.0, np.sqrt(2.0))[:, None] \
+        + 0j
+    rows[~zero] += 1j * mat.entries[n:] / np.sqrt(2.0)
+    return rows
+
+
+def full_system(basis, cross):
+    """The full complex system: every cross point, both index signs, each
+    axis assembled by ``_branch_block`` at its own frequencies."""
+    pts = cross.points()
+    w, c = frequencies(basis, pts)
+    a = np.empty((len(pts), basis.n_elements), dtype=complex)
+    per = basis.n_interior + 4
+    n1 = sum(axis == 1 for axis, *_ in pts)
+    for blk in (slice(0, n1), slice(n1, len(pts))):
+        _branch_block(a[blk, :per], basis, w[blk], c[blk])
+        if basis.two_branch:
+            _branch_block(a[blk, per:], basis, -w[blk], -c[blk])
+    return a
+
+
+def branch_oracle(basis, w, c):
+    """row_oracle of every branch: the reflected one pairs at (-w, -c)."""
+    if not basis.two_branch:
+        return row_oracle(basis, w, c)
+    return np.concatenate([row_oracle(basis, w, c),
+                           row_oracle(basis, -w, -c)])
 
 
 class TestBranchRow:
     @pytest.mark.parametrize("w,c", [(0.0, 0.0), (3.0, 0.0), (-2.0, 0.0),
                                      (0.0, 4.0), (0.0, -1.5)])
     def test_against_quadrature_oracle(self, w, c):
-        basis, mat = small_system(w, c)
-        for (_, _, x1, x2), row in zip(mat.rows, mat.entries):
-            rw, rc = np.pi * x1, basis.m**2 * x2 / (4.0 * np.pi)
-            # the reflected branch pairs at the negated frequencies
-            oracle = np.concatenate([row_oracle(basis, rw, rc),
-                                     row_oracle(basis, -rw, -rc)])
-            assert np.max(np.abs(row - oracle)) <= 1e-4
+        # one and two branches; the index -n row, which is not assembled,
+        # is the conjugate of the index +n row
+        for two_branch in (False, True):
+            basis, _, mat = small_system(w, c, two_branch)
+            rw, rc = frequencies(basis, mat.rows)
+            for row, fw, fc in zip(complex_rows(mat), rw, rc):
+                oracle = branch_oracle(basis, fw, fc)
+                assert np.max(np.abs(row - oracle)) <= 1e-4
+                oracle = branch_oracle(basis, -fw, -fc)
+                assert np.max(np.abs(np.conj(row) - oracle)) <= 1e-4
 
     def test_zero_row_is_masses(self):
-        _, mat = small_system(3.0, 4.0)
+        _, _, mat = small_system(3.0, 4.0)
         origin = [r for r, (_, idx, _, _) in enumerate(mat.rows) if idx == 0]
         assert len(origin) == 2
         assert np.allclose(mat.entries[origin], 1.0)
@@ -99,6 +142,40 @@ class TestBranchRow:
         cross = LatticeCross(1.0, 1.0, (-1, 1), (-1, 1), offset=(0.5, 0.5))
         with pytest.raises(MeasureError):
             build_constraint_matrix(CandidateBasis(0.1, 10.0, 16), cross)
+
+    @pytest.mark.parametrize("cross", [
+        LatticeCross(1.0, 1.0, (-1, 1), (-1, 1), offset=(0.5, 0.0)),
+        LatticeCross(1.0, 1.0, (-1, 1), (-1, 1),
+                     quadrant_filter=QuadrantTag("++")),
+        LatticeCross(1.0, 1.0, (-1, 2), (-1, 1)),
+        LatticeCross(1.0, 1.0, (-1, 1), (0, 1))],
+        ids=["offset", "quadrant", "j-range", "k-range"])
+    def test_cross_not_closed_under_conjugation_rejected(self, cross):
+        # the -index rows are read as conjugates of the +index rows
+        with pytest.raises(MeasureError, match="conjugation"):
+            build_constraint_matrix(CandidateBasis(0.1, 10.0, 16), cross)
+
+
+class TestRealSystem:
+    @pytest.mark.parametrize("two_branch", [False, True])
+    def test_spectrum_of_the_full_system(self, two_branch):
+        basis, cross, mat = small_system(3.0, 4.0, two_branch, reach=12)
+        a = full_system(basis, cross)
+        assert mat.entries.shape == a.shape
+        assert mat.entries.dtype == np.float64
+        sv = np.linalg.svd(a, compute_uv=False)
+        est = defect_estimate(mat, 0.05)
+        assert np.max(np.abs(est.singular_values - sv)) <= 1e-13 * sv[0]
+
+    @pytest.mark.parametrize("two_branch", [False, True])
+    def test_real_null_vectors(self, two_branch):
+        basis, cross, mat = small_system(3.0, 4.0, two_branch, reach=12)
+        vh = np.linalg.svd(full_system(basis, cross))[2]
+        est = defect_estimate(mat, 0.05)
+        assert est.numerical_defect >= 1
+        assert est.nullvectors.dtype == np.float64
+        for v, ref in zip(est.nullvectors, vh[-est.numerical_defect:]):
+            assert cosine_similarity(v, ref) >= 1.0 - 1e-12
 
 
 class TestDefectEstimate:
@@ -170,6 +247,10 @@ class TestSweep:
             with pytest.raises(MeasureError):
                 sweep_gamma(CandidateBasis(0.08, 12.5, 32), [gamma])
 
+    def test_bad_threshold_rejected(self):
+        with pytest.raises(MeasureError, match="threshold"):
+            sweep_gamma(CandidateBasis(0.08, 12.5, 32), [1.0], threshold=2.0)
+
 
 class TestCalibrate:
     def test_truncation_stable_at_calibration_point(self):
@@ -177,6 +258,10 @@ class TestCalibrate:
         cal = calibrate(basis, 1.0, 640, 640, 1e-2)
         assert cal["stable"]
         assert cal["base_defect"] == 1
+
+    def test_bad_threshold_rejected(self):
+        with pytest.raises(MeasureError, match="threshold"):
+            calibrate(CandidateBasis(0.08, 12.5, 32), threshold=0.0)
 
 
 class TestDistortedCross:
