@@ -29,7 +29,8 @@ from .hardy import hardy_defect, hilbert_line, timelike_witness
 from .measures import HyperbolaMeasure, Measure1D, MeasureError, \
     Piece, piece_from_family
 from .sici import nielsen_spiral
-from .transfer import UlamError, invariance_residual, invariant_density
+from .transfer import WORK_BUDGET_BRANCHES, UlamError, invariance_residual, \
+    invariant_density
 
 SCHEMA_VERSION = 1
 
@@ -197,6 +198,12 @@ def _validate(command, cfg):
     for key in ("bins", "gridn", "jmax", "kmax", "n", "nmax", "iterates"):
         if key in cfg and cfg[key] < 1:
             raise UsageError(key, f"{key} must be a positive integer")
+    # Ulam bins (every bins key but the defect basis's) need gamma >= 1, so
+    # more than the branch work budget can never be assembled
+    if command != "defect-sweep" and cfg.get("bins", 0) > WORK_BUDGET_BRANCHES:
+        raise UsageError("bins", f"bins must be at most "
+                                 f"{WORK_BUDGET_BRANCHES:.0e}, the Ulam "
+                                 f"branch work budget at gamma >= 1")
     if command == "hardy-defect" and cfg["conjugate"] not in (0, 1):
         raise UsageError("conjugate", "conjugate must be 0 or 1")
     if "measure" in cfg and cfg["measure"] not in ("critical", "expanded"):
@@ -224,7 +231,11 @@ def _config_lines(command, cfg):
 def _emit_csv(out, command, cfg, header, rows):
     lines = list(_config_lines(command, cfg))
     lines.append(",".join(header))
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    # a float column is formatted at once, as _fmt would: repr of its floats
+    cols = [map(repr, np.asarray(col, dtype=float).tolist())
+            if all(isinstance(v, float) for v in col) else map(_fmt, col)
+            for col in zip(*rows)]
+    lines += map(",".join, zip(*cols))
     _write_text(out, "\n".join(lines) + "\n")
 
 
@@ -474,7 +485,8 @@ def run_experiment(command, cfg, out) -> int:
     try:
         _RUNNERS[command](cfg, out)
         return 0
-    except (MeasureError, UlamError, QuadratureError, ValueError) as exc:
+    except (MeasureError, UlamError, QuadratureError, ValueError,
+            MemoryError) as exc:
         sys.stderr.write(_error_record(command, "", str(exc)))
         return 1
 

@@ -8,6 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# orbit points a coverage estimate may follow, (iterates + 1) * grid_n: a
+# bound on the problem size, not on its accuracy
+WORK_BUDGET_POINTS = 10 ** 8
+
 
 @dataclass(frozen=True)
 class GaussMap:
@@ -67,6 +71,9 @@ def coverage_fraction(m: GaussMap, max_even_iterates: int, grid_n: int):
     """
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
+    if (max_even_iterates + 1) * grid_n > WORK_BUDGET_POINTS:
+        raise ValueError(f"(iterates + 1) * grid_n exceeds the work "
+                         f"budget {WORK_BUDGET_POINTS:.0e}")
     g = m.gamma
     x = (np.arange(grid_n) + 0.5) / grid_n
     hit = (x >= g) & (x <= 1.0)

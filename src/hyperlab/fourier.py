@@ -40,6 +40,9 @@ class QuadratureError(RuntimeError):
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 LIMIT = 200
+# points a lattice-cross may list, each one transform or one pairing row:
+# a bound on the problem size, not on its accuracy
+MAX_CROSS_POINTS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,9 @@ class LatticeCross:
         k0, k1 = self.k_range
         if j0 > j1 or k0 > k1:
             raise ValueError("index ranges must be nonempty")
+        if j1 - j0 + k1 - k0 + 2 > MAX_CROSS_POINTS:
+            raise ValueError(f"the cross has {j1 - j0 + k1 - k0 + 2:.3g} "
+                             f"points, over the budget {MAX_CROSS_POINTS:.0e}")
 
     def points(self):
         """Cross points in deterministic order: axis 1 ascending j, then

@@ -35,10 +35,7 @@ class SpiralPoint:
     x: float
     ci: float
     si: float
-
-    @property
-    def modulus(self) -> float:
-        return float(np.hypot(self.ci, self.si))
+    modulus: float  # hypot(ci, si)
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,8 @@ def nielsen_spiral(x_grid) -> SpiralResult:
     if np.any(x_grid <= 0) or not np.all(np.isfinite(x_grid)):
         raise ValueError("grid must be positive and finite")
     big_si, ci = _sici(x_grid)
-    pts = tuple(map(SpiralPoint, x_grid.tolist(), ci.tolist(),
-                    (0.5 * np.pi - big_si).tolist()))
-    return SpiralResult(pts, min(p.modulus for p in pts))
+    si = 0.5 * np.pi - big_si
+    modulus = np.hypot(ci, si)
+    pts = tuple(map(SpiralPoint, x_grid.tolist(), ci.tolist(), si.tolist(),
+                    modulus.tolist()))
+    return SpiralResult(pts, float(np.min(modulus)))

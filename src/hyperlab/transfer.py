@@ -2,16 +2,19 @@
 density computation.
 
 Bin-to-bin transition fractions are computed analytically from the branch
-inverses t = gamma/(y + j) (no sampling), straight into a sparse CSR
-matrix.  Branch j spans (gamma/(j+1), gamma/j]; the J ~ sqrt(gamma n)
-branches longer than a bin are cut at the bin edges and at the preimages
-of the bin edges in one merge.  Every shorter branch lies in at most two
-bins: the whole branches inside a bin are summed per target as digamma
+inverses t = gamma/(y + j) (no sampling), written once into the arrays of
+a sparse CSR matrix.  Branch j spans (gamma/(j+1), gamma/j]; the
+J ~ sqrt(gamma n) branches longer than a bin are cut at the bin edges and
+at the preimages of the bin edges in one merge, whose runs fill the
+sparse rows in order.  Every shorter branch lies in at most two bins of
+the first ~sqrt(gamma n) rows, which are dense and filled in row blocks:
+the whole branches inside a bin are summed per target as digamma
 differences that do not cancel, and the one branch straddling each bin
 edge is clipped at it.  So every row is stochastic to machine precision,
 assembly costs O(n sqrt(gamma n)), and the matrix has about 2 n^{3/2}
-nonzeros at gamma = 1.  The memory budget is charged for what assembly
-holds at its peak, about 4.5 times the finished CSR's bytes.
+entries at gamma = 1, in t order within a row (a bin pair reached twice
+keeps two entries, and a few are 0).  Assembly holds about 1.9 times the
+CSR's bytes at its peak.
 
 The operator applied to a bin table, sum_j v(s/(t+j)) s/(t+j)^2, is one
 blocked kernel shared by the invariance residual and the periodization
@@ -35,15 +38,16 @@ POWER_MAX_ITER = 100_000
 # gamma * n_bins, the number of branches reaching the bins: a bound on the
 # problem size the assembly accepts, not on its accuracy
 WORK_BUDGET_BRANCHES = 10 ** 7
-# elements per block of the bin-table sum: a cache's worth, not an option
+# elements per block of the bin-table sum and of the dense Ulam rows
 _BLOCK_ELEMS = 1 << 16
-# bytes assembly holds at its peak per entry of the dense block of short
-# branches (with its digamma temporaries) and per cut of the long ones (with
-# the merge arrays, the COO triplets and the CSR sum), plus a MiB for the
-# O(n) arrays; tracemalloc reads at most 72 and 88 bytes, the whole peak
-# being about 4.5 times the finished CSR's bytes
-_FAR_ENTRY_BYTES = 80
-_NEAR_ENTRY_BYTES = 96
+# bytes assembly holds at its peak per entry of the dense rows (slot and
+# normalizing mass: 20), per cut of the long branches (slot, merge arrays and
+# the length's temporaries: 37) and per element of a row block or bin (the
+# digamma temporaries, the O(n) arrays: tracemalloc reads 65), charged with
+# slack
+_FAR_ENTRY_BYTES = 24
+_NEAR_ENTRY_BYTES = 48
+_STAGED_BYTES = 80
 
 
 class UlamError(RuntimeError):
@@ -66,17 +70,20 @@ class InvariantDensity:
 def _digamma_diff(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """psi(x + h) - psi(x) for x >= 1 and 0 < h <= 1, as a sum of positive
     terms: the two digammas agree in most digits once x is large, so their
-    difference would cancel.  psi(x + 1) = psi(x) + 1/x carries x past
-    100, where psi(x) = log x - 1/(2x) - 1/(12x^2) + 1/(120x^4) + O(x^-6)
-    is differenced term by term (relative error below 1e-13)."""
-    out = np.zeros(np.shape(x))
-    for _ in range(max(0, int(np.ceil(100.0 - np.min(x))))):
+    difference would cancel.  psi(x + 1) = psi(x) + 1/x carries x to
+    max(20, 320 h); there the series about m = x + h/2, h psi'(m) +
+    h^3 psi'''(m)/24 + h^5 psi^(5)(m)/1920 (_trigamma's series and its
+    derivatives), leaves out less than 1e-17 relative."""
+    out = np.zeros(np.broadcast(x, h).shape)
+    for _ in range(max(0, int(np.ceil(max(20.0, 320.0 * np.max(h))
+                                      - np.min(x))))):
         out += h / (x * (x + h))
         x = x + 1.0
-    y = x + h
-    return (out + np.log1p(h / x) + h / (2.0 * x * y)
-            + h * (x + y) / (12.0 * x * x * y * y)
-            + (1.0 / y**4 - 1.0 / x**4) / 120.0)
+    m = x + 0.5 * h
+    r, hr2 = 1.0 / m, (h / m) ** 2
+    return out + h * (_trigamma(m) + hr2 * r * (
+        (2.0 + r * (3.0 + r * (2.0 + r * r * (r * r * 4.0 / 3.0 - 1.0)))) / 24
+        + hr2 * (24.0 + r * (60.0 + r * 60.0)) / 1920))
 
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
@@ -98,72 +105,76 @@ def _ulam_matrix(gamma: float, n_bins: int) -> sparse.csr_array:
                         f"branch work budget {WORK_BUDGET_BRANCHES:.0e}")
     n = n_bins
     edges = np.arange(n + 1) / n
+    h = np.diff(edges)
     # branches j >= J are shorter than a bin: gamma/(J(J+1)) < 1/n; those
     # below j_first lie beyond t = 1
     J = int(np.ceil(np.sqrt(gamma * n))) + 1
     j_first = int(np.floor(gamma))
     # q[i] = gamma/e_i: bin i holds the short branches ceil(q[i+1]) ..
-    # floor(q[i]) - 1 whole, and branch floor(q[i]) straddles e_i
+    # floor(q[i]) - 1 whole, and branch floor(q[i]) straddles e_i.  Rows
+    # 0 .. n_far - 1, up to the one holding gamma/J, are stored densely
     q = np.full(n + 1, np.inf)
     q[1:] = gamma / edges[1:]
-    n_far = int(np.count_nonzero(q[:-1] >= J))
+    n_far = min(int(np.searchsorted(edges, gamma / J, side="right")), n)
     n_near = max(0, J - j_first)
-    peak = n * (_FAR_ENTRY_BYTES * min(n_far + 1, n)
-                + _NEAR_ENTRY_BYTES * (n_near + 1)) + (1 << 20)
+    peak = (n * (_FAR_ENTRY_BYTES * n_far + _NEAR_ENTRY_BYTES * (n_near + 1))
+            + _STAGED_BYTES * max(_BLOCK_ELEMS, n))
     if peak > MEMORY_BUDGET_BYTES:
         raise UlamError(f"n_bins={n_bins} exceeds the memory budget: "
                         f"assembly needs {peak / 2**30:.3g} GiB")
 
-    # short branches j >= J fill the first rows densely: whole ones per bin
-    # as digamma differences sum_{j=ja}^{jb} [1/(j + e_k) - 1/(j + e_{k+1})]
-    far = np.zeros((min(n_far + 1, n), n))
-    ja = np.maximum(J, np.ceil(q[1:n_far + 1]))
-    jb = np.floor(q[:n_far]) - 1.0
-    whole = np.nonzero(ja <= jb)[0]
-    if whole.size:
-        h = np.diff(edges)
-        far[whole] = _digamma_diff(ja[whole, None] + edges[None, :-1], h)
-        fin = whole[np.isfinite(jb[whole])]
-        if fin.size:
-            far[fin] -= _digamma_diff(jb[fin, None] + 1.0 + edges[None, :-1], h)
-        far[whole] *= gamma * n
-    # the branch straddling edge e_i, split between bins i - 1 and i
-    i = np.arange(1, min(n_far, n) + 1)
-    j = np.floor(q[i])
-    cut = (j >= J) & (j < q[i])
-    i, j = i[cut], j[cut]
-    pre = gamma / (edges[None, :] + j[:, None])
-    for row in (i - 1, i[i < n]):  # i ascends, so only the last can be n
-        clipped = np.clip(pre[:row.size], edges[row, None],
-                          edges[row + 1, None])
-        far[row] += n * (clipped[:, :-1] - clipped[:, 1:])
-    P = sparse.csr_array(far)
-    P.resize((n, n))
-
-    # long branches j_first <= j < J, ascending in t: branch j's preimages
-    # p_k = gamma/(e_k + j), k = n..1, open the runs mapped to bin k - 1;
-    # merged with the bin edges, each run between two cuts is one entry
+    # long branches j_first <= j < J, ascending in t from gamma/J: branch j's
+    # preimages p_k = gamma/(e_k + j), k = n..1, open the runs mapped to bin
+    # k - 1; merged with the bin edges, each run between two cuts is one entry
     js = np.arange(max(j_first, 0), J)[::-1]
-    if js.size:
-        pre = (gamma / (edges[None, :0:-1] + js[:, None])).ravel()
-        target = np.tile(np.arange(n - 1, -1, -1, dtype=np.int32), js.size)
-        keep = pre < 1.0
-        pre, target = pre[keep], target[keep]
-        inner = edges[edges > pre[0]]
-        at = np.searchsorted(pre, inner, side="right") + np.arange(inner.size)
-        is_edge = np.zeros(pre.size + inner.size, dtype=bool)
-        is_edge[at] = True
-        cuts = np.empty(is_edge.size)
-        cuts[at] = inner
-        cuts[~is_edge] = pre
-        # edges passed before each run's left cut, and its last preimage
-        passed = np.cumsum(is_edge[:-1], dtype=np.int32)
-        row = int(np.searchsorted(edges, pre[0], side="right")) - 1 + passed
-        col = target[np.arange(passed.size, dtype=np.int32) - passed]
-        length = np.diff(cuts)
-        nz = length > 0.0
-        P = P + sparse.csr_array((n * length[nz], (row[nz], col[nz])),
-                                 shape=(n, n))
+    pre = (gamma / (edges[None, :0:-1] + js[:, None])).ravel()
+    pre = pre[:np.searchsorted(pre, 1.0)]  # ascending; the rest is >= 1
+    inner = edges[n_far:]
+    at = np.searchsorted(pre, inner, side="right") + np.arange(inner.size)
+    is_edge = np.zeros(pre.size + inner.size, dtype=bool)
+    is_edge[at] = True
+    cuts = np.empty(is_edge.size)
+    cuts[at] = inner
+    cuts[~is_edge] = pre
+    del pre
+    # the runs fill their rows' slots in order, the first row's after its
+    # dense entries.  A run maps to the bin of its last preimage: with c
+    # preimages up to its left cut, number c - 1, so bin n - 1 - (c - 1) % n
+    indptr = np.r_[n * np.arange(n_far), n * n_far + at].astype(np.int32)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    data[n_far * n:] = n * np.diff(cuts)
+    indices[n_far * n:] = -np.cumsum(~is_edge[:-1], dtype=np.int32) % n
+    del cuts, is_edge
+
+    # short branches j >= J fill the dense rows, in blocks: whole ones per
+    # bin as digamma differences sum_{j=ja}^{jb} [1/(j+e_k) - 1/(j+e_{k+1})].
+    # Row i's jb + 1 = floor(q[i]) is row i - 1's ja or one less, so its
+    # upper difference is row i - 1's lower one, plus that one branch's term
+    ja = np.maximum(J, np.ceil(q[1:n_far + 1]))
+    jb1 = np.floor(q[:n_far])
+    one = jb1 < np.r_[np.inf, ja[:-1]]
+    indices[:n_far * n].reshape(n_far, n)[:] = np.arange(n, dtype=np.int32)
+    dense = data[:n_far * n].reshape(n_far, n)
+    lower = np.zeros((1, n))  # above row 0, where jb = inf
+    step = max(1, _BLOCK_ELEMS // n)
+    for r0 in range(0, n_far, step):
+        r1, block = min(r0 + step, n_far), dense[r0:r0 + step]
+        block[0] = lower[-1]
+        lower = _digamma_diff(ja[r0:r1, None] + edges[:-1], h)
+        block[1:] = lower[:-1]
+        y = jb1[r0:r1, None] + edges[:-1]
+        block += one[r0:r1, None] * (h / (y * (y + h)))
+        np.subtract(lower, block, out=block)
+        block[ja[r0:r1] >= jb1[r0:r1]] = 0.0
+        block *= gamma * n
+        # the branch straddling edge e_s, split between rows s - 1 and s;
+        # where none does, j = inf puts nothing in either
+        j = np.floor(q[r0:r1 + 1])
+        j[(j < J) | (j >= q[r0:r1 + 1])] = np.inf
+        pre, e = gamma / (edges + j[:, None]), edges[r0:r1 + 1, None]
+        block -= n * np.diff(np.minimum(pre[1:], e[1:]), axis=1)
+        block -= n * np.diff(np.maximum(pre[:-1], e[:-1]), axis=1)
+    P = sparse.csr_array((data, indices, indptr), shape=(n, n))
     mass = P.sum(axis=1)
     bad = np.nonzero(np.abs(mass - 1.0) > 1e-10)[0]
     if bad.size:
@@ -179,7 +190,7 @@ def invariant_density(gamma: float, n_bins: int) -> InvariantDensity:
         raise UlamError(
             f"gamma = {gamma!r} < 1: x -> gamma/x is an involution of "
             f"[gamma, 1), so U_gamma has no unique invariant density")
-    PT = _ulam_matrix(gamma, n_bins).T.tocsr()
+    PT = _ulam_matrix(gamma, n_bins).T
     n = n_bins
     v = np.full(n, 1.0 / n)
     residual = np.inf

@@ -12,35 +12,48 @@ from hyperlab.cli import COMMANDS, emit_svg_polyline, main, parse_config
 from hyperlab.measures import MeasureError
 
 
-def float_cases(commands, values):
-    """[command, --key=value] for every float key of the commands."""
+def key_cases(commands, kind, values):
+    """[command, --key=value] for every key of the commands whose default
+    is of type ``kind``."""
     return [[cmd, f"--{key}={val}"]
             for cmd in commands
             for key, default in parse_config([cmd])[1].items()
-            if isinstance(default, float)
+            if isinstance(default, kind)
             for val in values]
 
 
-NONFINITE_CASES = float_cases(COMMANDS, ("nan", "inf", "-inf"))
+NONFINITE_CASES = key_cases(COMMANDS, float, ("nan", "inf", "-inf"))
 
 # huge and tiny finite values for the commands that pass floats on to
 # QUADPACK as frequencies or limits
-EXTREME_CASES = float_cases(
-    ("ft-eval", "ft-cross", "timelike-witness", "hilbert-check"),
+EXTREME_CASES = key_cases(
+    ("ft-eval", "ft-cross", "timelike-witness", "hilbert-check"), float,
     ("1e300", "-1e300", "1e-300", "-1e-300"))
 
+# 10**14 of every count: each once ended in a raw MemoryError traceback or
+# ran on for minutes
+HUGE_INT_CASES = key_cases(COMMANDS, int, (10 ** 14,))
+
 # runs each argv through main and prints [exit code, stdout, stderr] per
-# line; an escaping exception is reported as its traceback with code null
+# line; an escaping exception, or a case whose Python code still runs after
+# 20 s, is reported as its traceback with code null
 _FUZZ_CHILD = """
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, signal, sys, traceback
 from hyperlab.cli import main
+class TooSlow(Exception):
+    pass
+def too_slow(signum, frame):
+    raise TooSlow("still running after 20 s")
+signal.signal(signal.SIGALRM, too_slow)
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
+    signal.alarm(20)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except Exception:
         code, err = None, io.StringIO(traceback.format_exc())
+    signal.alarm(0)
     print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
@@ -281,6 +294,11 @@ def extreme_results():
     return run_in_child(EXTREME_CASES)
 
 
+@pytest.fixture(scope="module")
+def huge_int_results():
+    return run_in_child(HUGE_INT_CASES)
+
+
 @pytest.mark.parametrize("case", range(len(NONFINITE_CASES)),
                          ids=[" ".join(c) for c in NONFINITE_CASES])
 def test_nonfinite_float_usage_error(case, nonfinite_results):
@@ -311,3 +329,18 @@ def test_extreme_float_artifact_or_record(case, extreme_results):
     assert out == ""
     assert json.loads(err.splitlines()[-1])["command"] == \
         EXTREME_CASES[case][0]
+
+
+@pytest.mark.parametrize("case", range(len(HUGE_INT_CASES)),
+                         ids=[" ".join(c) for c in HUGE_INT_CASES])
+def test_huge_integer_refused_with_record(case, huge_int_results):
+    # refused before the work starts: a usage error, a budget's runtime
+    # record or the record of a failed allocation, never a traceback
+    results, status = huge_int_results
+    assert case < len(results), f"child process died (status {status})"
+    code, out, err = results[case]
+    assert "Traceback" not in err
+    assert code in (1, 2)
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["command"] == \
+        HUGE_INT_CASES[case][0]

@@ -111,7 +111,8 @@ class TestBuildUlam:
         with pytest.raises(UlamError, match="memory budget"):
             _ulam_matrix(1.0, 10 ** 6)
         # 10^5 bins: the CSR (about 2 n^{3/2} entries of 12 bytes, 0.76 GB)
-        # fits in 2 GiB, but assembly holds about 4.5 times that at once
+        # fits in 2 GiB; assembly holds about 1.9 times that at once, and
+        # its charge, with slack, is about 3 times
         assert 12 * 2 * 1e5 ** 1.5 < transfer.MEMORY_BUDGET_BYTES
         with pytest.raises(UlamError, match="memory budget"):
             _ulam_matrix(1.0, 10 ** 5)
@@ -121,7 +122,7 @@ class TestBuildUlam:
     def test_budget_bounds_the_assembly_peak(self, gamma, n, monkeypatch):
         # a budget just below the traced peak refuses the build, and one
         # three times the peak admits it: the charge is an upper bound, and
-        # not a loose one (1.3 to 1.7 times the peak with numpy 2.4 and
+        # not a loose one (1.2 to 2.1 times the peak with numpy 2.4 and
         # scipy 1.17; the slack leaves room for other versions)
         tracemalloc.start()
         try:
@@ -160,6 +161,39 @@ class TestBuildUlam:
         steps = transfer._digamma_diff(x + edges[:-1], np.diff(edges))
         assert np.all(steps > 0.0)
         assert np.sum(steps) == pytest.approx(1.0 / x, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, exact", [
+        # psi(x + h) - psi(x) at h = 1.0/n for the x below, to 30 digits
+        (16, (9.83621748414284941007883072804e-2,
+              3.28332031722865384494414172237e-3,
+              3.19930431649033615959219364624e-3,
+              6.82820138303760246350585612043e-4,
+              6.2529305419061559044527144208e-5,
+              3.90625114440938830374361712432e-8)),
+        (777, (2.11504351169802109931954380428e-3,
+               6.77189961084200313970810504872e-5,
+               6.59834386243325005616704215313e-5,
+               1.40653489233636818178063184196e-5,
+               1.28764417313091423236522694704e-6,
+               8.04376055419785165768987225962e-10)),
+        (8192, (2.00779705506885009424573352092e-4,
+                6.42325100815694256984957170512e-6,
+                6.25862579687629948836006243265e-6,
+                1.33408760762013897956838993316e-6,
+                1.22131360543263718755861036724e-7,
+                7.6293969151452492345465969698e-11)),
+        (65536, (2.50994220759200185169627817119e-5,
+                 8.02908631808815802965450783433e-7,
+                 7.82330366275495746550373285482e-7,
+                 1.66761048283832798597159441021e-7,
+                 1.5266420883630457620340047556e-8,
+                 9.53674614424988488773758466727e-12))])
+    def test_digamma_difference_pinned(self, n, exact):
+        # on both sides of the switch from the recurrence to the midpoint
+        # series at x = 20; at n = 16 the series needs its h^5 term
+        x = np.array([1.0, 19.5, 20.0, 92.0, 1e3, 1.6e6])
+        got = transfer._digamma_diff(x, np.full(x.shape, 1.0 / n))
+        assert got.tolist() == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_huge_gamma_rejected_without_hanging(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
