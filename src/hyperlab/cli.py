@@ -328,9 +328,7 @@ def _run_ft_eval(cfg, out):
 
 
 def _run_ft_cross(cfg, out):
-    cross = LatticeCross(cfg["alpha"], cfg["beta"],
-                         (-cfg["jmax"], cfg["jmax"]),
-                         (-cfg["kmax"], cfg["kmax"]))
+    cross = LatticeCross(cfg["alpha"], cfg["beta"], cfg["jmax"], cfg["kmax"])
     rows = [(cv.axis, cv.index, cv.xi1, cv.xi2, cv.value.real, cv.value.imag,
              cv.abs_err_estimate)
             for cv in ft_on_cross(_named_measure(cfg), cross)]

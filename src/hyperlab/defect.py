@@ -11,9 +11,9 @@ singular spectrum.  The band [t_min, t_max] is chosen so each bin is
 resolved by at least one row family: axis-1 rows e^{i pi alpha j t} see
 scales up to ~1/(2 lr), axis-2 rows e^{-i c k / t} see scales down to
 ~2 gamma lr; outside the joint window the system aliases and the defect
-count becomes meaningless.  ``calibrate`` checks this by doubling the
-cross.  Grid edges may be anchored at density-jump locations (t = gamma
-for the expanded annihilators); the sweep does this automatically.
+count becomes meaningless.  Grid edges may be anchored at density-jump
+locations (t = gamma for the expanded annihilators); the sweep does this
+automatically.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fourier import LatticeCross, _antideriv_exp_over_t
+from .fourier import LatticeCross
 from .measures import Measure1D, MeasureError, Piece
-from .sici import exp_integral_tail
+from .sici import _antideriv_exp_over_t, exp_integral_tail
+
+# largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite
+MAX_BAND_SCALE = float(np.sqrt(np.finfo(float).max / 2.0))
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,12 @@ class CandidateBasis:
     def __post_init__(self):
         if not 0.0 < self.t_min < self.t_max:
             raise MeasureError("need 0 < t_min < t_max")
+        if not (self.t_max < MAX_BAND_SCALE
+                and self.t_min * MAX_BAND_SCALE > 1.0):
+            raise MeasureError(f"the end elements scale as 2 t_max^2 and "
+                               f"2 / t_min^2, which overflow unless "
+                               f"{1.0 / MAX_BAND_SCALE:.3g} < t_min and "
+                               f"t_max < {MAX_BAND_SCALE:.3g}")
         if self.n_bins < 8:
             raise MeasureError("basis too small to be meaningful")
         for a in self.anchors:
@@ -174,14 +183,7 @@ def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
     S = sqrt(2) [Re R; Im R] with the two index-0 rows (real: they pair to
     the element masses) weighted 1/sqrt(2) and their zero imaginary parts
     left out.  Then S^T S = A^H A, S has A's row count, sigma(S) =
-    sigma(A), and the right singular vectors of S are real.  A cross whose
-    rows are not closed under conjugation is refused."""
-    (j0, j1), (k0, k1) = cross.j_range, cross.k_range
-    if (any(cross.offset) or cross.quadrant_filter is not None
-            or j0 != -j1 or k0 != -k1):
-        raise MeasureError("the cross's rows must be closed under "
-                           "conjugation: no offset, no quadrant filter and "
-                           "index ranges symmetric about 0")
+    sigma(A), and the right singular vectors of S are real."""
     pts = [p for p in cross.points() if p[1] >= 0]
     half = np.empty((len(pts), basis.n_elements), dtype=complex)
     per = basis.n_interior + 4
@@ -189,7 +191,8 @@ def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
     w = np.pi * xi[:, 0]
     c = basis.m**2 * xi[:, 1] / (4.0 * np.pi)
     # the cross lists its axis-1 points first, then its axis-2 points
-    for blk in (slice(0, j1 + 1), slice(j1 + 1, len(pts))):
+    n1 = cross.j_max + 1
+    for blk in (slice(0, n1), slice(n1, len(pts))):
         _branch_block(half[blk, :per], basis, w[blk], c[blk])
         if basis.two_branch:
             # reflected branch: t -> -t flips both frequency signs
@@ -243,7 +246,7 @@ def cross_for_gamma(gamma: float, j_max: int = 40, k_max: int = 40
                     ) -> LatticeCross:
     """The normalized cross alpha = 2, beta = 2 gamma (m = 2 pi), whose
     rows pair e^{i 2 pi j t} and e^{-i 2 pi gamma k / t}."""
-    return LatticeCross(2.0, 2.0 * gamma, (-j_max, j_max), (-k_max, k_max))
+    return LatticeCross(2.0, 2.0 * gamma, j_max, k_max)
 
 
 @dataclass(frozen=True)
@@ -276,22 +279,6 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
         tail = tuple(float(s) for s in np.sort(sv)[:6])
         rows.append(SweepRow(float(gamma), tail, defect))
     return rows
-
-
-def calibrate(basis: CandidateBasis, gamma: float = 1.0, j_max: int = 40,
-              k_max: int = 40, threshold: float = 1e-6) -> dict:
-    """Truncation stability at the calibration point: the smallest
-    singular value must move < 5% when j_max and k_max double."""
-    out = {}
-    for tag, scale in (("base", 1), ("doubled", 2)):
-        sv, defect = _anchored_spectrum(basis, gamma, scale * j_max,
-                                        scale * k_max, threshold)
-        out[tag] = float(np.min(sv))
-        out[tag + "_defect"] = defect
-    out["rel_change"] = abs(out["doubled"] - out["base"]) \
-        / max(out["base"], 1e-300)
-    out["stable"] = bool(out["rel_change"] < 0.05)
-    return out
 
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,6 +1,6 @@
-"""Gauss-type interval maps U_gamma(x) = frac(gamma/x) on [0,1), orbit
-iteration, branch inverses, and Lebesgue-coverage estimates for the hitting
-sets of [gamma, 1] at even times."""
+"""Gauss-type interval maps U_gamma(x) = frac(gamma/x) on [0,1) and
+Lebesgue-coverage estimates for the hitting sets of [gamma, 1] at even
+times."""
 
 from __future__ import annotations
 
@@ -36,30 +36,6 @@ def step(m: GaussMap, x: float) -> float:
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x} outside [0, 1)")
     return float(_apply(m.gamma, np.array([x], dtype=float))[0])
-
-
-def orbit(m: GaussMap, x0: float, n: int):
-    """[x0, U(x0), ..., U^n(x0)], length n + 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = [x0]
-    x = x0
-    for _ in range(n):
-        x = step(m, x)
-        out.append(x)
-    return out
-
-
-def branch_inverse(m: GaussMap, y: float, j: int):
-    """Inverse branch t = gamma/(y+j) when it lands in (0, 1), else None."""
-    if not 0.0 <= y < 1.0:
-        raise ValueError(f"y={y} outside [0, 1)")
-    if j < 1:
-        raise ValueError("branch index must be >= 1")
-    x = m.gamma / (y + j)
-    if not 0.0 < x < 1.0:
-        return None
-    return float(x)
 
 
 def coverage_fraction(m: GaussMap, max_even_iterates: int, grid_n: int):

@@ -18,14 +18,12 @@ where one phase vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import sici as _scipy_sici
 
-from .measures import HyperbolaMeasure, Measure1D, Piece, QuadrantTag
-from .sici import exp_integral_tail
+from .measures import HyperbolaMeasure, Measure1D, Piece
+from .sici import _antideriv_exp_over_t, exp_integral_tail
 
 
 class QuadratureError(RuntimeError):
@@ -47,58 +45,35 @@ MAX_CROSS_POINTS = 10 ** 5
 
 @dataclass(frozen=True)
 class LatticeCross:
-    """Lattice-cross (alpha Z x {0}) u ({0} x beta Z), optionally offset
-    and filtered to a quadrant."""
+    """Lattice-cross (alpha Z x {0}) u ({0} x beta Z) truncated to |j| <=
+    j_max and |k| <= k_max: symmetric under xi -> -xi by construction."""
 
     alpha: float
     beta: float
-    j_range: tuple
-    k_range: tuple
-    offset: tuple = (0.0, 0.0)
-    quadrant_filter: Optional[QuadrantTag] = None
+    j_max: int
+    k_max: int
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("spacings must be strictly positive")
-        j0, j1 = self.j_range
-        k0, k1 = self.k_range
-        if j0 > j1 or k0 > k1:
-            raise ValueError("index ranges must be nonempty")
-        if j1 - j0 + k1 - k0 + 2 > MAX_CROSS_POINTS:
-            raise ValueError(f"the cross has {j1 - j0 + k1 - k0 + 2:.3g} "
-                             f"points, over the budget {MAX_CROSS_POINTS:.0e}")
+        if self.j_max < 0 or self.k_max < 0:
+            raise ValueError("index bounds must be nonnegative")
+        n = 2 * (self.j_max + self.k_max + 1)
+        if n > MAX_CROSS_POINTS:
+            raise ValueError(f"the cross has {n:.3g} points, over the "
+                             f"budget {MAX_CROSS_POINTS:.0e}")
 
     def points(self):
         """Cross points in deterministic order: axis 1 ascending j, then
-        axis 2 ascending k.  The origin may appear once per axis."""
-        out = []
-        ox, oy = self.offset
-        for j in range(self.j_range[0], self.j_range[1] + 1):
-            out.append((1, j, self.alpha * j + ox, oy))
-        for k in range(self.k_range[0], self.k_range[1] + 1):
-            out.append((2, k, ox, self.beta * k + oy))
-        if self.quadrant_filter is not None:
-            out = [p for p in out if self.quadrant_filter.contains(p[2], p[3])]
-        return out
+        axis 2 ascending k.  The origin appears once per axis."""
+        return ([(1, j, self.alpha * j, 0.0)
+                 for j in range(-self.j_max, self.j_max + 1)]
+                + [(2, k, 0.0, self.beta * k)
+                   for k in range(-self.k_max, self.k_max + 1)])
 
 
 # ---------------------------------------------------------------------------
 # closed-form bin pairings
-
-def _antideriv_exp_over_t(c, t) -> np.ndarray:
-    """Antiderivative of e^{i c / t} on t > 0 (finite limit |c| pi/2 at 0+),
-    elementwise over broadcast c and t; it is t itself where c = 0."""
-    c, t = np.broadcast_arrays(np.asarray(c, dtype=float),
-                               np.asarray(t, dtype=float))
-    ac = np.abs(c)
-    out = np.where(c == 0.0, t, ac * np.pi / 2.0).astype(complex)
-    live = (c != 0.0) & (t > 0.0)
-    u = ac[live] / t[live]
-    si_u, ci_u = _scipy_sici(u)
-    a = t[live] * np.exp(1j * u) - 1j * ac[live] * (ci_u + 1j * si_u)
-    out[live] = np.where(c[live] > 0.0, a, np.conj(a))
-    return out
-
 
 def _binned_pairing(edges: np.ndarray, values: np.ndarray,
                     w: float, c: float):

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad, \
     _within_budget, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
-                       _pushforward_reciprocal, compress_pi1, compress_pi2)
+                       _pushforward_reciprocal, compress_pi2)
 
 
 def q2_coefficients(f: Measure1D, n_max: int):
@@ -162,7 +162,7 @@ class HyperbolaHilbert:
 
 
 def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid) -> HyperbolaHilbert:
-    nu1 = compress_pi1(mu)
+    nu1 = mu.pi1
     if abs(pairing(nu1, 0.0, 0.0)[0]) > 1e-10:
         raise MeasureError("hyperbola Hilbert transform requires total "
                            "mass 0")
@@ -220,9 +220,3 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
         [f"witness pairing {kind} = {idx}" for kind, idx in rows])
     return [PairingRow(kind, idx, complex(v), float(e))
             for (kind, idx), v, e in zip(rows, vals, errs)]
-
-
-def witness_l1_norm(z0: complex) -> float:
-    f = _witness_f(complex(z0))
-    v, _ = _cquad(lambda t: abs(f(t)), -np.inf, np.inf)
-    return float(np.real(v))

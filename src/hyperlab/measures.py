@@ -201,32 +201,8 @@ class HyperbolaMeasure:
                                    "interior")
 
 
-@dataclass(frozen=True)
-class QuadrantTag:
-    """Sign condition on (xi1, xi2); one of ++, --, +-, -+."""
-
-    tag: str
-    closed: bool = True
-
-    def __post_init__(self):
-        if self.tag not in ("++", "--", "+-", "-+"):
-            raise MeasureError(f"bad quadrant tag {self.tag!r}")
-
-    def contains(self, xi1: float, xi2: float) -> bool:
-        s1 = 1.0 if self.tag[0] == "+" else -1.0
-        s2 = 1.0 if self.tag[1] == "+" else -1.0
-        if self.closed:
-            return s1 * xi1 >= 0.0 and s2 * xi2 >= 0.0
-        return s1 * xi1 > 0.0 and s2 * xi2 > 0.0
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-def compress_pi1(mu: HyperbolaMeasure) -> Measure1D:
-    """Compression to the x1-axis (identity on the stored representation)."""
-    return mu.pi1
-
 
 def _pushforward_reciprocal(nu: Measure1D, s: float) -> Measure1D:
     """Image of nu under t -> s/t (s != 0), composed symbolically."""

@@ -6,9 +6,10 @@ Conventions (fixed once, used everywhere in this package):
     ci(x) = -integral_x^inf  cos(y)/y dy   (the standard Ci),
 
 so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Both are
-parts of E(y) = -ci(|y|) + i sgn(y) si(|y|) (``exp_integral_tail``); E
-and the spiral read them off ``scipy.special.sici``, which returns
-(Si, Ci) with Si = pi/2 - si.
+parts of E(y) = -ci(|y|) + i sgn(y) si(|y|) (``exp_integral_tail``); E,
+the antiderivative of e^{i c/t} and the spiral read them off
+``scipy.special.sici``, which returns (Si, Ci) with Si = pi/2 - si.  No
+other module calls it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,21 @@ def exp_integral_tail(y):
     big_si, ci = _sici(np.abs(y))
     out = -ci + 1j * np.sign(y) * (0.5 * np.pi - big_si)
     return complex(out) if out.ndim == 0 else out
+
+
+def _antideriv_exp_over_t(c, t) -> np.ndarray:
+    """Antiderivative of e^{i c / t} on t > 0 (finite limit |c| pi/2 at 0+),
+    elementwise over broadcast c and t; it is t itself where c = 0."""
+    c, t = np.broadcast_arrays(np.asarray(c, dtype=float),
+                               np.asarray(t, dtype=float))
+    ac = np.abs(c)
+    out = np.where(c == 0.0, t, ac * np.pi / 2.0).astype(complex)
+    live = (c != 0.0) & (t > 0.0)
+    u = ac[live] / t[live]
+    si_u, ci_u = _sici(u)
+    a = t[live] * np.exp(1j * u) - 1j * ac[live] * (ci_u + 1j * si_u)
+    out[live] = np.where(c[live] > 0.0, a, np.conj(a))
+    return out
 
 
 @dataclass(frozen=True)

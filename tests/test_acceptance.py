@@ -113,7 +113,7 @@ def test_criterion_5_expanded_annihilator(density_15_4096):
     nu = expanded_annihilator(1.5, density_15_4096)
     sym = symmetry_residual(nu, 1.5)
     r1, r2 = periodized_residual(nu, 1.5, 2000)
-    cross = LatticeCross(2.0, 3.0, (-20, 20), (-20, 20))
+    cross = LatticeCross(2.0, 3.0, 20, 20)
     vals = ft_on_cross(HyperbolaMeasure(M, nu), cross)
     worst = max(abs(v.value) for v in vals)
     ok = sym <= 1e-12 and r1 <= 5e-3 and r2 <= 5e-3 and worst <= 1e-3

@@ -3,13 +3,13 @@ import pytest
 from scipy.integrate import quad
 
 from hyperlab.annihilators import critical_annihilator
-from hyperlab.defect import (CandidateBasis, ConstraintMatrix,
-                             _branch_block, build_constraint_matrix,
-                             calibrate, cosine_similarity, cross_for_gamma,
-                             defect_estimate, distorted_cross_residual,
-                             sweep_gamma)
+from hyperlab.defect import (MAX_BAND_SCALE, CandidateBasis,
+                             ConstraintMatrix, _branch_block,
+                             build_constraint_matrix, cosine_similarity,
+                             cross_for_gamma, defect_estimate,
+                             distorted_cross_residual, sweep_gamma)
 from hyperlab.fourier import LatticeCross
-from hyperlab.measures import MeasureError, QuadrantTag
+from hyperlab.measures import MeasureError
 
 
 def row_oracle(basis, w, c):
@@ -51,6 +51,18 @@ class TestCandidateBasis:
         with pytest.raises(MeasureError):
             CandidateBasis(1.0, 0.5, 64)
 
+    @pytest.mark.parametrize("t_min, t_max", [
+        (0.1, MAX_BAND_SCALE), (1.0 / MAX_BAND_SCALE, 10.0)])
+    def test_band_with_overflowing_end_elements_rejected(self, t_min, t_max):
+        with pytest.raises(MeasureError, match="overflow"):
+            CandidateBasis(t_min, t_max, 64)
+
+    def test_widest_band_has_finite_rows(self):
+        basis = CandidateBasis(1.0001 / MAX_BAND_SCALE,
+                               0.9999 * MAX_BAND_SCALE, 64)
+        mat = build_constraint_matrix(basis, cross_for_gamma(1.0, 8, 8))
+        assert np.all(np.isfinite(mat.entries))
+
     def test_anchor_inserts_edge(self):
         b = CandidateBasis(0.1, 10.0, 64).with_anchor(1.0)
         assert np.any(np.isclose(b.edges, 1.0))
@@ -73,7 +85,7 @@ def small_system(w, c, two_branch=True, reach=1):
         .with_anchor(1.0).with_anchor(0.8)
     alpha = abs(w) / np.pi if w else 1.0
     beta = 4.0 * np.pi * abs(c) / basis.m**2 if c else 1.0
-    cross = LatticeCross(alpha, beta, (-reach, reach), (-reach, reach))
+    cross = LatticeCross(alpha, beta, reach, reach)
     return basis, cross, build_constraint_matrix(basis, cross)
 
 
@@ -137,23 +149,6 @@ class TestBranchRow:
         origin = [r for r, (_, idx, _, _) in enumerate(mat.rows) if idx == 0]
         assert len(origin) == 2
         assert np.allclose(mat.entries[origin], 1.0)
-
-    def test_mixed_frequencies_rejected(self):
-        cross = LatticeCross(1.0, 1.0, (-1, 1), (-1, 1), offset=(0.5, 0.5))
-        with pytest.raises(MeasureError):
-            build_constraint_matrix(CandidateBasis(0.1, 10.0, 16), cross)
-
-    @pytest.mark.parametrize("cross", [
-        LatticeCross(1.0, 1.0, (-1, 1), (-1, 1), offset=(0.5, 0.0)),
-        LatticeCross(1.0, 1.0, (-1, 1), (-1, 1),
-                     quadrant_filter=QuadrantTag("++")),
-        LatticeCross(1.0, 1.0, (-1, 2), (-1, 1)),
-        LatticeCross(1.0, 1.0, (-1, 1), (0, 1))],
-        ids=["offset", "quadrant", "j-range", "k-range"])
-    def test_cross_not_closed_under_conjugation_rejected(self, cross):
-        # the -index rows are read as conjugates of the +index rows
-        with pytest.raises(MeasureError, match="conjugation"):
-            build_constraint_matrix(CandidateBasis(0.1, 10.0, 16), cross)
 
 
 class TestRealSystem:
@@ -251,17 +246,15 @@ class TestSweep:
         with pytest.raises(MeasureError, match="threshold"):
             sweep_gamma(CandidateBasis(0.08, 12.5, 32), [1.0], threshold=2.0)
 
-
-class TestCalibrate:
-    def test_truncation_stable_at_calibration_point(self):
+    def test_truncation_stable_at_gamma_one(self):
+        # doubling the cross keeps the one null direction, and moves the
+        # smallest singular value by less than 5%
         basis = CandidateBasis(0.08, 12.5, 202)
-        cal = calibrate(basis, 1.0, 640, 640, 1e-2)
-        assert cal["stable"]
-        assert cal["base_defect"] == 1
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(MeasureError, match="threshold"):
-            calibrate(CandidateBasis(0.08, 12.5, 32), threshold=0.0)
+        base, doubled = (sweep_gamma(basis, [1.0], n, n, 1e-2)[0]
+                         for n in (640, 1280))
+        assert base.defect == doubled.defect == 1
+        s, s2 = base.singular_tail[0], doubled.singular_tail[0]
+        assert abs(s2 - s) < 0.05 * s
 
 
 class TestDistortedCross:

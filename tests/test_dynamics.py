@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperlab.dynamics import (GaussMap, branch_inverse, coverage_fraction,
-                               orbit, step)
+from hyperlab.dynamics import GaussMap, coverage_fraction, step
 
 
 class TestStep:
@@ -24,35 +23,6 @@ class TestStep:
     def test_domain_error(self):
         with pytest.raises(Exception):
             step(GaussMap(1.0), 1.5)
-
-
-class TestOrbit:
-    def test_orbit_length_and_start(self):
-        m = GaussMap(1.0)
-        xs = orbit(m, 0.3, 10)
-        assert len(xs) == 11
-        assert xs[0] == 0.3
-
-    def test_exact_integer_image_lands_on_zero(self):
-        # 1/0.5 = 2 exactly: the orbit reaches the fixed point 0 and stays
-        assert orbit(GaussMap(1.0), 0.5, 3) == [0.5, 0.0, 0.0, 0.0]
-
-    def test_orbit_matches_iterated_step(self):
-        m = GaussMap(0.8)
-        xs = orbit(m, 0.37, 5)
-        x = 0.37
-        for val in xs[1:]:
-            x = step(m, x)
-            assert val == pytest.approx(x, abs=1e-14)
-
-
-class TestBranchInverse:
-    def test_roundtrip_away_from_branch_points(self):
-        m = GaussMap(0.9)
-        for x in (0.11, 0.35, 0.72, 0.88):
-            y = step(m, x)
-            j = int(np.floor(m.gamma / x))
-            assert branch_inverse(m, y, j) == pytest.approx(x, abs=1e-14)
 
 
 class TestCoverage:

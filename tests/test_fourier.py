@@ -10,13 +10,12 @@ from scipy.integrate import quad
 import hyperlab
 from hyperlab.annihilators import (critical_annihilator,
                                    expanded_annihilator, total_mass)
-from hyperlab.fourier import (ABS_TOL, REL_TOL, LatticeCross,
-                              QuadratureError, _within_budget,
+from hyperlab.fourier import (ABS_TOL, MAX_CROSS_POINTS, REL_TOL,
+                              LatticeCross, QuadratureError, _within_budget,
                               critical_measure_ft, error_budget,
                               ft_on_cross, ft_point, pairing)
 from hyperlab.hardy import inversion_j
-from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
-                               QuadrantTag, restrict)
+from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece, restrict
 from hyperlab.transfer import invariant_density
 
 M = 2.0 * np.pi
@@ -255,25 +254,30 @@ class TestPairing:
 
 class TestLatticeCross:
     def test_deterministic_ordering(self):
-        cross = LatticeCross(2.0, 2.0, (-1, 1), (-1, 1))
-        axes = [p[0] for p in cross.points()]
-        assert axes == [1, 1, 1, 2, 2, 2]
+        # axis 1 from -j_max to j_max, then axis 2: closed under xi -> -xi
+        pts = LatticeCross(2.0, 3.0, 1, 2).points()
+        assert pts == [(1, -1, -2.0, 0.0), (1, 0, 0.0, 0.0),
+                       (1, 1, 2.0, 0.0), (2, -2, 0.0, -6.0),
+                       (2, -1, 0.0, -3.0), (2, 0, 0.0, 0.0),
+                       (2, 1, 0.0, 3.0), (2, 2, 0.0, 6.0)]
 
-    def test_offset_applied(self):
-        cross = LatticeCross(2.0, 2.0, (0, 1), (0, 0), offset=(0.5, -0.5))
-        pts = cross.points()
-        assert pts[0][2:] == (0.5, -0.5)
-        assert pts[1][2:] == (2.5, -0.5)
+    @pytest.mark.parametrize("j_max, k_max", [(-1, 0), (0, -1)])
+    def test_negative_index_bound_rejected(self, j_max, k_max):
+        with pytest.raises(ValueError, match="nonnegative"):
+            LatticeCross(2.0, 2.0, j_max, k_max)
 
-    def test_quadrant_filter(self):
-        cross = LatticeCross(2.0, 2.0, (-2, 2), (-2, 2),
-                             quadrant_filter=QuadrantTag("+-"))
-        for _, _, x1, x2 in cross.points():
-            assert x1 >= 0.0 and x2 <= 0.0
+    def test_point_budget_boundary(self):
+        # 2 (j_max + k_max + 1) points: exactly the budget, then one more
+        # index, which adds a point on each side of the origin
+        reach = MAX_CROSS_POINTS // 2 - 1
+        assert len(LatticeCross(2.0, 2.0, reach, 0).points()) \
+            == MAX_CROSS_POINTS
+        with pytest.raises(ValueError, match="over the budget"):
+            LatticeCross(2.0, 2.0, reach, 1)
 
     def test_single_point_cross_gives_mass(self):
         mu = lift(Measure1D(atoms=((1.0, 3.0),)))
-        cross = LatticeCross(2.0, 2.0, (0, 0), (0, 0))
+        cross = LatticeCross(2.0, 2.0, 0, 0)
         vals = ft_on_cross(mu, cross)
         # the origin appears once per axis, same value
         assert len(vals) == 2
@@ -281,25 +285,25 @@ class TestLatticeCross:
 
     def test_zero_measure_cross_all_zero(self):
         vals = ft_on_cross(lift(Measure1D()), LatticeCross(
-            2.0, 2.0, (-2, 2), (-2, 2)))
+            2.0, 2.0, 2, 2))
         assert all(v.value == 0.0 for v in vals)
 
     def test_critical_annihilator_positive_branch_pairings(self):
         nu = critical_annihilator()
-        cross = LatticeCross(2.0, 2.0, (-3, 3), (-3, 3))
+        cross = LatticeCross(2.0, 2.0, 3, 3)
         for v in ft_on_cross(lift(nu), cross):
             assert abs(v.value) <= 1e-8, (v.axis, v.index)
 
     def test_reports_achieved_error(self):
         vals = ft_on_cross(lift(critical_annihilator()),
-                           LatticeCross(2.0, 2.0, (-3, 3), (-3, 3)))
+                           LatticeCross(2.0, 2.0, 3, 3))
         errs = [v.abs_err_estimate for v in vals]
         assert all(e >= 0.0 for e in errs)
         assert any(e != ABS_TOL for e in errs)
 
     def test_closed_form_rows_report_zero_error(self, expanded15):
         vals = ft_on_cross(lift(expanded15),
-                           LatticeCross(2.0, 3.0, (-2, 2), (-2, 2)))
+                           LatticeCross(2.0, 3.0, 2, 2))
         assert [v.abs_err_estimate for v in vals] == [0.0] * len(vals)
 
 

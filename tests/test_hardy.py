@@ -6,8 +6,7 @@ from hyperlab import fourier, hardy
 from hyperlab.annihilators import critical_annihilator, expanded_annihilator
 from hyperlab.fourier import QuadratureError, ft_point, pairing
 from hyperlab.hardy import (hardy_defect, hilbert_hyperbola, hilbert_line,
-                            inversion_j, q2_coefficients, timelike_witness,
-                            witness_l1_norm)
+                            inversion_j, q2_coefficients, timelike_witness)
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
                                Piece, _pushforward_reciprocal, compress_pi2,
                                total_variation)
@@ -268,9 +267,6 @@ class TestTimelikeWitness:
         rows = timelike_witness(1j, 1.0, 3, 3)
         assert len(rows) == 8
         assert max(abs(r.value) for r in rows) <= 1e-6
-
-    def test_l1_norm_positive(self):
-        assert witness_l1_norm(1j) > 1.0
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(MeasureError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
-                               Piece, compress_pi1, compress_pi2,
+                               Piece, compress_pi2,
                                piece_from_family, pushforward_inversion,
                                restrict, total_variation)
 
@@ -103,10 +103,6 @@ class TestHyperbolaMeasure:
 
 
 class TestCompressions:
-    def test_pi1_preserves_mass(self):
-        mu = HyperbolaMeasure(2.0 * np.pi, cauchy1p_measure())
-        assert compress_pi1(mu) is mu.pi1
-
     def test_pi2_atom_location(self):
         # atom at t=1 on Gamma_{2pi} sits at x2 = -m^2/(4 pi^2 t) = -1
         mu = HyperbolaMeasure(2.0 * np.pi, Measure1D(atoms=((1.0, 1.0),)))
