@@ -17,7 +17,7 @@ from .sici import exp_integral_tail, SpiralPoint, SpiralResult, \
     nielsen_spiral
 from .fourier import (QuadratureError, LatticeCross, CrossValue, pairing,
                       ft_point, ft_on_cross, critical_measure_ft)
-from .dynamics import GaussMap, step, coverage_fraction
+from .dynamics import GaussMap, coverage_fraction
 from .transfer import UlamError, InvariantDensity, invariant_density, \
     invariance_residual
 from .annihilators import (critical_annihilator, expanded_annihilator,

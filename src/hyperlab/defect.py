@@ -24,7 +24,7 @@ import numpy as np
 
 from .fourier import LatticeCross
 from .measures import Measure1D, MeasureError, Piece
-from .sici import _antideriv_exp_over_t, exp_integral_tail
+from .sici import _e2_e3, exp_integral_tail
 
 # largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite
 MAX_BAND_SCALE = float(np.sqrt(np.finfo(float).max / 2.0))
@@ -130,7 +130,8 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
     """Write the pairings of e^{i(w t - c/t)} with the positive-branch
     elements into ``out``, one row per entry of w and c.  The rows lie on
     one axis: all c = 0, or else all w = 0.  Rows at the origin pair to the
-    element masses, 1."""
+    element masses, 1.  The end elements on the row's fast side (beyond
+    t_max for w, below t_min for c) are E_2 and 2 E_3 (``sici._e2_e3``)."""
     edges = basis.edges
     log_w = np.diff(np.log(edges))
     nb = basis.n_interior
@@ -147,12 +148,9 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
         out[:, nb] = (ew0 - 1.0) / iw0
         # (2/t0^2) int_0^t0 t e^{iwt} dt, elementary
         out[:, nb + 1] = 2.0 * (ew0 * (iw0 - 1.0) + 1.0) / iw0**2
-        iw1 = 1j * w * t1
-        ew1 = np.exp(iw1)
-        # t1 int_t1^inf e^{iwt}/t^2, by parts; vals[:, -1] = E(w t1)
-        out[:, nb + 2] = ew1 + iw1 * vals[:, -1]
-        # 2 t1^2 int_t1^inf e^{iwt}/t^3, by parts twice
-        out[:, nb + 3] = ew1 + iw1 * out[:, nb + 2]
+        # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
+        e2, e3 = _e2_e3(w * t1)
+        out[:, nb + 2], out[:, nb + 3] = e2, 2.0 * e3
     else:
         origin = c == 0.0
         c = np.where(origin, 1.0, c)
@@ -160,11 +158,10 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
         vals = exp_integral_tail(-c[:, None] / edges)
         np.subtract(vals[:, 1:], vals[:, :-1], out=bins)
         bins /= log_w
-        a0 = _antideriv_exp_over_t(-c, t0) - _antideriv_exp_over_t(-c, 0.0)
-        out[:, nb] = a0 / t0
-        # (2/t0^2) int_0^t0 t e^{-ic/t} dt = (t^2 e^{-ic/t} - ic A)/t0^2
-        out[:, nb + 1] = (t0**2 * np.exp(-1j * c / t0)
-                          - 1j * c * a0) / t0**2
+        # (1/t0) int_0^t0 e^{-ic/t} dt and (2/t0^2) int_0^t0 t e^{-ic/t} dt,
+        # through u = t0/t
+        e2, e3 = _e2_e3(-c / t0)
+        out[:, nb], out[:, nb + 1] = e2, 2.0 * e3
         z = np.exp(-1j * c / t1)
         out[:, nb + 2] = (1.0 - z) * t1 / (1j * c)
         # 2 t1^2 int_0^{1/t1} u e^{-icu} du, elementary

@@ -31,13 +31,6 @@ def _apply(gamma: float, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def step(m: GaussMap, x: float) -> float:
-    """One application of U_gamma; U_gamma(0) = 0 by convention."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x={x} outside [0, 1)")
-    return float(_apply(m.gamma, np.array([x], dtype=float))[0])
-
-
 def coverage_fraction(m: GaussMap, max_even_iterates: int, grid_n: int):
     """Fraction of a midpoint grid whose orbit visits [gamma, 1] at some
     even time <= 2k, for k = 0 .. max_even_iterates.

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import HyperbolaMeasure, Measure1D, Piece
-from .sici import _antideriv_exp_over_t, exp_integral_tail
+from .sici import exp_integral_tail
 
 
 class QuadratureError(RuntimeError):
@@ -87,7 +87,12 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray,
         prim = np.exp(1j * w * edges) / (1j * w)
         return complex(np.sum(values * np.diff(prim))), 0.0
     if w == 0.0:
-        prim = _antideriv_exp_over_t(-c, edges)
+        # t e^{-ic/t} - ic E(-c/t), a primitive of e^{-ic/t} that is 0 at 0
+        pos = edges > 0.0
+        t = edges[pos]
+        prim = np.zeros(edges.shape, dtype=complex)
+        prim[pos] = (t * np.exp(-1j * c / t)
+                     - 1j * c * exp_integral_tail(-c / t))
         return complex(np.sum(values * np.diff(prim))), 0.0
     # mixed phase: Gauss where the c/t oscillation is tame, otherwise switch
     # to u = 1/t where the fast phase is linear and Clenshaw-Curtis applies
@@ -151,6 +156,12 @@ def _osc(g, a, b, w):
     val = np.empty(w.shape, dtype=complex)
     err = np.empty(w.shape)
     for (mag,), idx in _groups(np.abs(w)):
+        # QAWF runs up to LIMIT cycles of length (2 floor|w| + 1) pi / |w|
+        # from a, and crashes the interpreter on one that ends at inf
+        if b == np.inf and a + LIMIT * (2 * (mag // 1) + 1) * np.pi / mag \
+                == np.inf:
+            raise QuadratureError(f"QAWF's cycles at |w|={mag:.3g} from "
+                                  f"{a:.3g} pass the largest float")
         kw = {"wvar": mag, "complex_func": True, "limit": LIMIT,
               "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
         cos, e_cos = quad(g, a, b, weight="cos", **kw)
@@ -211,15 +222,19 @@ def _piece_ft_positive(rho, a, b, w, c):
         def integrand(t, cv=cv):
             return rho(t) * np.exp(-1j * cv / t) if cv != 0.0 else rho(t)
         a_t = max(a_t, 1e-300)
-        # for |c| < 1 the c/t phase turns by a radian only where t ~ |c|, a
-        # scale that one rule on [a, 1) never samples: cut at |c| 16^i
+        spin, still = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
+        # one rule samples neither the scale t ~ |c| < 1 where the c/t
+        # phase turns by a radian, nor, on an infinite piece, the mass near
+        # t = 1 below a first w t cycle of length 1/|w| > 1: cut at 16^i
+        # steps from |c| (or 1) up to 1 (or 1/|w|, reached as cut |w| = 1)
+        slow = np.min(np.abs(w[spin])) if b == np.inf and spin.size \
+            else np.inf
         cuts = [a_t]
-        cut = abs(cv) if 0.0 < abs(cv) < 1.0 else np.inf
-        while cut < min(b, 1.0):
+        cut = abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
+        while cut < min(b, 1.0) or cut * slow < 1.0:
             if cut > a_t:
                 cuts.append(cut)
             cut *= 16.0
-        spin, still = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
         for t0, t1 in zip(cuts, cuts[1:] + [b]):
             if spin.size:
                 add(spin, *_osc(integrand, t0, t1, w[spin]))

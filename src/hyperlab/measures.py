@@ -162,22 +162,6 @@ class Measure1D:
                 out[mask] += p.density(t[mask])
         return out
 
-    def scaled(self, c: complex) -> "Measure1D":
-        atoms = tuple((x, c * w) for x, w in self.atoms)
-        pieces = []
-        for p in self.pieces:
-            if p.family is not None:
-                # the scale of the cauchy families, the values of a table
-                key = "scale" if "scale" in p.params else "values"
-                params = dict(p.params, **{key: c * p.params[key]})
-                pieces.append(piece_from_family(p.a, p.b, p.family, params,
-                                                abs(c) * p.tv_bound))
-            else:
-                rho = p.density
-                pieces.append(replace(p, density=(lambda t, rho=rho: c * rho(t)),
-                                      tv_bound=abs(c) * p.tv_bound))
-        return Measure1D(atoms, tuple(pieces))
-
 
 ZERO = Measure1D()
 

@@ -1,4 +1,5 @@
-"""Sine/cosine integral tails and the Nielsen (sici) spiral.
+"""Exponential integrals E_p, p = 1, 2, 3, the sine/cosine integral tails
+that make up E = E_1, and the Nielsen (sici) spiral.
 
 Conventions (fixed once, used everywhere in this package):
 
@@ -6,10 +7,11 @@ Conventions (fixed once, used everywhere in this package):
     ci(x) = -integral_x^inf  cos(y)/y dy   (the standard Ci),
 
 so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Both are
-parts of E(y) = -ci(|y|) + i sgn(y) si(|y|) (``exp_integral_tail``); E,
-the antiderivative of e^{i c/t} and the spiral read them off
-``scipy.special.sici``, which returns (Si, Ci) with Si = pi/2 - si.  No
-other module calls it.
+parts of E(y) = -ci(|y|) + i sgn(y) si(|y|) (``exp_integral_tail``), the
+one reader of ``scipy.special.sici``, which returns (Si, Ci) with Si =
+pi/2 - si.  The spiral reads (ci, si) off E, and the end integrals E_2,
+E_3 of the defect basis come from E or its asymptotic series; no other
+module calls sici.
 """
 
 from __future__ import annotations
@@ -31,19 +33,25 @@ def exp_integral_tail(y):
     return complex(out) if out.ndim == 0 else out
 
 
-def _antideriv_exp_over_t(c, t) -> np.ndarray:
-    """Antiderivative of e^{i c / t} on t > 0 (finite limit |c| pi/2 at 0+),
-    elementwise over broadcast c and t; it is t itself where c = 0."""
-    c, t = np.broadcast_arrays(np.asarray(c, dtype=float),
-                               np.asarray(t, dtype=float))
-    ac = np.abs(c)
-    out = np.where(c == 0.0, t, ac * np.pi / 2.0).astype(complex)
-    live = (c != 0.0) & (t > 0.0)
-    u = ac[live] / t[live]
-    si_u, ci_u = _sici(u)
-    a = t[live] * np.exp(1j * u) - 1j * ac[live] * (ci_u + 1j * si_u)
-    out[live] = np.where(c[live] > 0.0, a, np.conj(a))
-    return out
+def _e2_e3(y):
+    """(E_2(y), E_3(y)) at each entry of a 1-d array y of nonzero reals,
+    E_p(y) = integral_1^inf e^{i y u} u^{-p} du (E_1 = E).  The recurrence
+    E_{p+1} = (e^{iy} + iy E_p) / p from E cancels by about |y| per step;
+    below |y| = 60 it loses at most about 1e-11 relative.  From |y| = 60
+    on, both are 20 terms of the asymptotic series -(e^{iy} / iy) sum_k
+    (p)_k (iy)^{-k} (DLMF 8.20.2 at z = -iy), exact there to rounding."""
+    y = np.asarray(y, dtype=float)
+    ey = np.exp(1j * y)
+    e2 = ey + 1j * y * exp_integral_tail(y)
+    e3 = (ey + 1j * y * e2) / 2.0
+    far = np.abs(y) >= 60.0
+    z = 1.0 / (1j * y[far])
+    for p, out in ((2, e2), (3, e3)):
+        s = 1.0
+        for k in range(19, -1, -1):
+            s = 1.0 + (p + k) * z * s
+        out[far] = -ey[far] * z * s
+    return e2, e3
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ def nielsen_spiral(x_grid) -> SpiralResult:
         return SpiralResult((), np.inf)
     if np.any(x_grid <= 0) or not np.all(np.isfinite(x_grid)):
         raise ValueError("grid must be positive and finite")
-    big_si, ci = _sici(x_grid)
-    si = 0.5 * np.pi - big_si
+    e = exp_integral_tail(x_grid)
+    ci, si = -e.real, e.imag
     modulus = np.hypot(ci, si)
     pts = tuple(map(SpiralPoint, x_grid.tolist(), ci.tolist(), si.tolist(),
                     modulus.tolist()))

@@ -63,9 +63,6 @@ class InvariantDensity:
     def __call__(self, t):
         return _binned(self.edges, self.values)(t)
 
-    def bin_masses(self) -> np.ndarray:
-        return self.values * np.diff(self.edges)
-
 
 def _digamma_diff(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """psi(x + h) - psi(x) for x >= 1 and 0 < h <= 1, as a sum of positive

@@ -182,23 +182,25 @@ class TestRunExperiment:
         assert "above tolerance" in record["message"]
 
     def test_defect_sweep_defaults_pinned(self, capsys):
-        # the parent commit's full complex system gave these tails
+        # the sweep with its four fast-side end columns (E_2 and 2 E_3 at
+        # w t_max and -c / t_min) evaluated in arbitrary precision and
+        # everything else as in the library gave these tails
         want = {
-            0.6: (0, [1.0964920654296817, 1.4666082619707754,
-                      3.278822533648966, 4.315502897215187,
-                      4.979980386000176, 5.601298740947156]),
-            0.8: (0, [1.018178758003203, 1.172205894286671,
-                      2.3456016978776906, 3.373846130181117,
-                      3.9168672223265046, 4.311707100897453]),
-            1.0: (1, [0.030898885991134602, 1.0125036058395505,
-                      1.1655537022591211, 2.930107011347755,
-                      3.1625255587172214, 3.7461317681560415]),
-            1.2: (2, [0.13091973957835543, 0.23997819430075565,
-                      0.33076466178286357, 0.4935191560701807,
-                      1.2894164389915952, 3.2736989277141215]),
-            1.5: (3, [0.05943550268083249, 0.14231521631682817,
-                      0.2253662904183216, 0.26579983147512226,
-                      0.3668937424726835, 0.38202932668709116])}
+            0.6: (0, [1.0964920705049628, 1.4666082645169154,
+                      3.2788225341115202, 4.315502898712001,
+                      4.97998038188023, 5.60129874397633]),
+            0.8: (0, [1.0181787596819951, 1.1722058883267021,
+                      2.3456016951138627, 3.3738461324081856,
+                      3.916867224275929, 4.3117071046035615]),
+            1.0: (1, [0.030898885817683363, 1.0125036074105438,
+                      1.1655537057423817, 2.9301070044348707,
+                      3.162525558979067, 3.7461317691738505]),
+            1.2: (2, [0.13091973993636358, 0.23997819591769043,
+                      0.3307646499040184, 0.4935191582391698,
+                      1.2894164424319736, 3.2736989275892032]),
+            1.5: (3, [0.05943549814483138, 0.14231521695604243,
+                      0.22536629286040588, 0.26579986468433736,
+                      0.36689374666763735, 0.38202930862707596])}
         code, out, _ = run(["defect-sweep"], capsys)
         assert code == 0
         table = [ln.split(",") for ln in out.splitlines()
@@ -209,6 +211,29 @@ class TestRunExperiment:
             assert int(r[1]) == defect
             assert np.max(np.abs(np.array(r[2:], dtype=float) - tail)) \
                 <= 1e-12
+
+    def test_ft_eval_tiny_xi1_is_quiet(self):
+        # in a child process with warnings shown, so that a raw
+        # IntegrationWarning would reach its stderr
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "hyperlab.cli", "ft-eval", "--xi1", "1e-7"],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0
+        assert res.stderr == ""
+
+    def test_ft_cross_tiny_alpha_axis1_rows(self, capsys):
+        # ft(alpha j, 0) of the critical measure is about 0 at a tiny alpha
+        code, out, _ = run(["ft-cross", "--alpha", "1e-300"], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
+                if ln.startswith("1,")]
+        assert len(rows) == 11
+        for r in rows:
+            want = hyperlab.critical_measure_ft(float(r[2]) / 2.0)
+            assert abs(complex(float(r[4]), float(r[5])) - want) <= 1e-10
 
     @pytest.mark.parametrize("reach,want", [(51, 1), (52, 0)])
     def test_defect_sweep_row_count_boundary(self, reach, want, capsys):

@@ -129,6 +129,48 @@ def branch_oracle(basis, w, c):
                            row_oracle(basis, -w, -c)])
 
 
+# E_2(y) and 2 E_3(y), the four fast-side end columns of _branch_block, on
+# CandidateBasis(0.08, 12.5, 202) at the rows (axis, n) of
+# cross_for_gamma(1.5, 640, 640): y = w t_max at the far end of the axis-1
+# rows, y = -c / t_min at the near end of the axis-2 rows.  30 digits from
+# an arbitrary-precision E_p(y) = integral_1^inf e^{iyu} u^{-p} du; the
+# index -n row is the conjugate of the index n row.
+END_COLUMNS = {
+    (1, 1): (-3.23600085816140960849770599254e-4
+             - 1.27200507421428114491192363159e-2j,
+             -9.69550879868647604854417627748e-4
+             - 2.54154913075258686055571362078e-2j),
+    (1, 10): (3.24221480552942822988440795986e-6
+              + 1.27322716054745566675242754072e-3j,
+              9.72651828036460147021267163398e-6
+              + 2.54642955352247354605275263829e-3j),
+    (1, 100): (3.24227724735914061219052443061e-8
+               + 1.27323942088931059723337484528e-4j,
+               9.72683047904877430522206602138e-8
+               + 2.54647859408699732508129799655e-4j),
+    (1, 640): (7.91571845756344799990541488014e-10
+               + 1.9894367839243456667299324763e-5j,
+               2.37471542743990838109874721184e-9
+               + 3.97887355839999934749086208557e-5j),
+    (2, 1): (8.48459939553718236318239278133e-3
+             + 1.4397691618177309067364966035e-4j,
+             1.69618808311125715194118981631e-2
+             + 4.31682637299586972302603798102e-4j),
+    (2, 10): (-1.44099993080302816215601886939e-6
+              + 8.4882269370173380895108894452e-4j,
+              -4.32297487523169915353387817431e-6
+              + 1.69763804859913471493664938968e-3j),
+    (2, 100): (1.44101226653491441266025068153e-8
+               - 8.48826326461701221453647406197e-5j,
+               4.32303654887687111455656611584e-8
+               - 1.69765257953326521321951071989e-4j),
+    (2, 640): (3.51809718742067151168446295213e-10
+               - 1.3262911910326548826363277035e-5j,
+               1.05542910068105744212748708086e-9
+               - 2.65258237926569727757991050751e-5j),
+}
+
+
 class TestBranchRow:
     @pytest.mark.parametrize("w,c", [(0.0, 0.0), (3.0, 0.0), (-2.0, 0.0),
                                      (0.0, 4.0), (0.0, -1.5)])
@@ -150,6 +192,23 @@ class TestBranchRow:
         assert len(origin) == 2
         assert np.allclose(mat.entries[origin], 1.0)
 
+
+    def test_end_columns_pinned(self):
+        # |y| reaches 7.5e4: a recurrence from E_1 cancels there
+        basis = CandidateBasis(0.08, 12.5, 202)
+        nb = basis.n_interior
+        pts = [p for p in cross_for_gamma(1.5, 640, 640).points()
+               if (p[0], abs(p[1])) in END_COLUMNS]
+        w, c = frequencies(basis, pts)
+        for axis, cols in ((1, [nb + 2, nb + 3]), (2, [nb, nb + 1])):
+            sel = [i for i, p in enumerate(pts) if p[0] == axis]
+            out = np.empty((len(sel), nb + 4), dtype=complex)
+            _branch_block(out, basis, w[sel], c[sel])
+            for row, i in zip(out, sel):
+                idx = pts[i][1]
+                pin = np.array(END_COLUMNS[axis, abs(idx)])
+                pin = pin if idx > 0 else np.conj(pin)
+                assert np.all(np.abs(row[cols] - pin) <= 1e-10 * np.abs(pin))
 
 class TestRealSystem:
     @pytest.mark.parametrize("two_branch", [False, True])

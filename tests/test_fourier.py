@@ -98,14 +98,16 @@ class TestFtPoint:
         nu1 = Measure1D(atoms=((1.0, 1.0), (2.5, -0.5j)))
         nu2 = Measure1D(atoms=((0.5, 2.0),))
         xi = tuple(rng.normal(size=2))
-        combo = Measure1D(atoms=nu1.scaled(a).atoms + nu2.scaled(b).atoms)
+        combo = Measure1D(atoms=tuple((x, a * m) for x, m in nu1.atoms)
+                          + tuple((x, b * m) for x, m in nu2.atoms))
         lhs = ft_point(lift(combo), xi)
         rhs = a * ft_point(lift(nu1), xi) + b * ft_point(lift(nu2), xi)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_nonfinite_frequency_raises_cleanly(self):
         # QUADPACK's QAWF crashes the interpreter on a NaN or infinite
-        # frequency, so the guard is exercised in a child process
+        # frequency, or one so small that its cycles pi / |w| pass the
+        # largest float, so the guard is exercised in a child process
         script = """
 import numpy as np
 from hyperlab.annihilators import critical_annihilator
@@ -114,7 +116,8 @@ from hyperlab.measures import HyperbolaMeasure
 
 mu = HyperbolaMeasure(2.0 * np.pi, critical_annihilator())
 calls = [lambda xi=xi: ft_point(mu, xi)
-         for xi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0))]
+         for xi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                    (5e-324, 0.0), (1e-308, 0.0))]
 calls += [lambda a=a, b=b, w=w: _osc(np.exp, a, b, w)
           for a, b, w in ((1.0, np.inf, np.nan), (1.0, np.inf, np.inf),
                           (1.0, 2.0, -np.inf), (1.0, np.nan, 1.0))]
@@ -130,7 +133,7 @@ for call in calls:
         res = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["QuadratureError"] * 7
+        assert res.stdout.split() == ["QuadratureError"] * 9
 
 
 # ft-eval at xi = (0, xi2) in a child process: [exit code, stdout, stderr]
@@ -185,6 +188,14 @@ def test_small_xi2_matches_closed_form(xi2):
     # the s = 1/t tail and the cuts at |c| 16^i resolve the t ~ |c| scale
     val = ft_point(lift(critical_annihilator()), (0.0, xi2))
     assert val == pytest.approx(-critical_measure_ft(-xi2 / 2.0), abs=1e-11)
+
+
+@pytest.mark.parametrize("xi1", [1e-300, 1e-9, 1e-7, 1e-6])
+def test_tiny_xi1_matches_closed_form(xi1):
+    # the cuts at 16^i up to 1/|w| resolve the mass near t = 1, which one
+    # rule over a first w t cycle of length ~1/|w| does not sample
+    val = ft_point(lift(critical_annihilator()), (xi1, 0.0))
+    assert val == pytest.approx(critical_measure_ft(xi1 / 2.0), abs=1e-11)
 
 
 @pytest.fixture(scope="module")

@@ -32,13 +32,6 @@ class TestMeasure1D:
         assert vals[1] == pytest.approx(1.0 / 1.5)
         assert vals[2] == 0.0
 
-    def test_scaled_scales_density_and_tv(self):
-        mu = cauchy1p_measure().scaled(2.0 - 1.0j)
-        assert mu.density_at(np.array([0.5]))[0] == pytest.approx(
-            (2.0 - 1.0j) / 1.5)
-        assert mu.pieces[0].tv_bound == pytest.approx(
-            abs(2.0 - 1.0j) * np.log(2.0))
-
 
 class TestTotalVariation:
     def test_atoms_plus_density(self):

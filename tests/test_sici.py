@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab.sici import exp_integral_tail, nielsen_spiral
+from hyperlab.sici import _e2_e3, exp_integral_tail, nielsen_spiral
 
 
 def sine_integral_tail(x):
@@ -34,6 +34,16 @@ def ci_oracle(x):
     s, c = np.sin(T), np.cos(T)
     val += -s / T + c / T**2 + 2.0 * s / T**3 - 6.0 * c / T**4
     return -val
+
+
+def e_oracle(p, y):
+    """E_p(y) = int_1^inf e^{iyu} u^{-p} du by QUADPACK's QAWF."""
+    def amp(u):
+        return u ** -float(p)
+    kw = {"wvar": abs(y), "epsabs": 1e-13, "limlst": 200}
+    re, _ = quad(amp, 1.0, np.inf, weight="cos", **kw)
+    im, _ = quad(amp, 1.0, np.inf, weight="sin", **kw)
+    return complex(re, np.sign(y) * im)
 
 
 class TestSineIntegralTail:
@@ -81,6 +91,19 @@ class TestAsymptoticEnvelope:
         for x in np.geomspace(10.0, 1e4, 40):
             assert abs(cosine_integral(x)) + abs(sine_integral_tail(x)) \
                 <= 2.2 / x
+
+
+class TestEndIntegrals:
+    # on both sides of |y| = 60, where the recurrence from E hands over to
+    # the asymptotic series, and out to |y| = 7.5e4, where the recurrence
+    # alone would have lost every digit of E_3
+    @pytest.mark.parametrize("y", [-7.5e4, -117.8, -60.0, -59.9, 2.0, 12.0,
+                                   59.9, 60.0, 78.5, 5e4])
+    def test_matches_quadrature_oracle(self, y):
+        e2, e3 = _e2_e3(np.array([y]))
+        for p, got in ((2, e2[0]), (3, e3[0])):
+            want = e_oracle(p, y)
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 class TestNielsenSpiral:

@@ -279,7 +279,8 @@ class TestBinTableSum:
 class TestInvariantDensity:
     def test_normalized(self):
         dens = invariant_density(1.0, 256)
-        assert np.sum(dens.bin_masses()) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(dens.values * np.diff(dens.edges)) == pytest.approx(
+            1.0, abs=1e-12)
         assert np.all(dens.values >= 0.0)
 
     def test_matches_gauss_density_coarsely(self):
