@@ -90,10 +90,10 @@ class CandidateBasis:
         u = (np.arange(16) + 0.5) / 16
         nb = self.n_interior
         coeffs = np.empty(self.n_elements, dtype=complex)
-        log_w = np.diff(np.log(edges))
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            t = a * (b / a) ** u
-            coeffs[i] = np.mean(nu.density_at(t) * t) * log_w[i]
+        a, b = edges[:-1, None], edges[1:, None]
+        t = a * (b / a) ** u
+        coeffs[:nb] = np.mean(nu.density_at(t) * t, axis=1) \
+            * np.diff(np.log(edges))
         # near end: match mass and first moment of {1, t} shapes
         t = self.t_min * u
         m0 = np.mean(nu.density_at(t)) * self.t_min

@@ -11,8 +11,8 @@ ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Every
 frequencies, sends its oscillatory integrals through one primitive,
 ``_osc`` (QUADPACK's Fourier weights: QAWO on finite intervals, QAWF on
 infinite tails), which shares one cos/sin pair between w and -w;
-piecewise constant (Ulam) densities are paired in closed form per bin
-where one phase vanishes.
+piecewise constant (Ulam) densities are paired in closed form where one
+phase vanishes, and bin by bin through the same charts elsewhere.
 """
 
 from __future__ import annotations
@@ -70,58 +70,6 @@ class LatticeCross:
                  for j in range(-self.j_max, self.j_max + 1)]
                 + [(2, k, 0.0, self.beta * k)
                    for k in range(-self.k_max, self.k_max + 1)])
-
-
-# ---------------------------------------------------------------------------
-# closed-form bin pairings
-
-def _binned_pairing(edges: np.ndarray, values: np.ndarray,
-                    w: float, c: float):
-    """(integral of v(t) e^{i(w t - c/t)} dt, error estimate) for a bin
-    table on t >= 0; exact (error 0) when one of w, c vanishes."""
-    edges = np.asarray(edges, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if c == 0.0:
-        if w == 0.0:
-            return complex(np.sum(values * np.diff(edges))), 0.0
-        prim = np.exp(1j * w * edges) / (1j * w)
-        return complex(np.sum(values * np.diff(prim))), 0.0
-    if w == 0.0:
-        # t e^{-ic/t} - ic E(-c/t), a primitive of e^{-ic/t} that is 0 at 0
-        pos = edges > 0.0
-        t = edges[pos]
-        prim = np.zeros(edges.shape, dtype=complex)
-        prim[pos] = (t * np.exp(-1j * c / t)
-                     - 1j * c * exp_integral_tail(-c / t))
-        return complex(np.sum(values * np.diff(prim))), 0.0
-    # mixed phase: Gauss where the c/t oscillation is tame, otherwise switch
-    # to u = 1/t where the fast phase is linear and Clenshaw-Curtis applies
-    nodes, wts = np.polynomial.legendre.leggauss(10)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for a, b, v in zip(edges[:-1], edges[1:], values):
-        if v == 0.0:
-            continue
-        dphase = abs(w) * (b - a)
-        if a > 0.0:
-            dphase += abs(c) * (1.0 / a - 1.0 / b)
-        if a > 0.0 and dphase < 200.0:
-            nseg = int(max(1, np.ceil(dphase / 0.5)))
-            seg = np.linspace(a, b, nseg + 1)
-            mid = 0.5 * (seg[:-1] + seg[1:])
-            half = 0.5 * np.diff(seg)
-            t = mid[:, None] + half[:, None] * nodes[None, :]
-            ph = np.exp(1j * (w * t - c / t))
-            total += v * np.sum(half[:, None] * wts[None, :] * ph)
-            continue
-
-        def g(u, w=w):
-            return np.exp(1j * w / u) / u**2
-        u_hi = np.inf if a == 0.0 else 1.0 / a
-        (val,), (e,) = _osc(g, 1.0 / b, u_hi, np.array([-c]))
-        total += v * val
-        err += abs(v) * e
-    return complex(total), err
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +170,65 @@ def _piece_ft_positive(rho, a, b, w, c):
         def integrand(t, cv=cv):
             return rho(t) * np.exp(-1j * cv / t) if cv != 0.0 else rho(t)
         a_t = max(a_t, 1e-300)
+
+        def ladder(slow):
+            # one rule samples neither the scale t ~ |c| < 1 where the c/t
+            # phase turns by a radian, nor, on an infinite piece, the mass
+            # near t = 1 below a first w t cycle of length 1/slow > 1: cut
+            # at 16^i steps from |c| (or 1) up to 1 (or 1/slow)
+            cuts = [a_t]
+            cut = abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
+            while cut < min(b, 1.0) or cut * slow < 1.0:
+                if cut > a_t:
+                    cuts.append(cut)
+                cut *= 16.0
+            return zip(cuts, cuts[1:] + [b])
         spin, still = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
-        # one rule samples neither the scale t ~ |c| < 1 where the c/t
-        # phase turns by a radian, nor, on an infinite piece, the mass near
-        # t = 1 below a first w t cycle of length 1/|w| > 1: cut at 16^i
-        # steps from |c| (or 1) up to 1 (or 1/|w|, reached as cut |w| = 1)
-        slow = np.min(np.abs(w[spin])) if b == np.inf and spin.size \
-            else np.inf
-        cuts = [a_t]
-        cut = abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
-        while cut < min(b, 1.0) or cut * slow < 1.0:
-            if cut > a_t:
-                cuts.append(cut)
-            cut *= 16.0
-        for t0, t1 in zip(cuts, cuts[1:] + [b]):
-            if spin.size:
+        if spin.size:
+            slow = np.min(np.abs(w[spin])) if b == np.inf else np.inf
+            for t0, t1 in ladder(slow):
                 add(spin, *_osc(integrand, t0, t1, w[spin]))
-            if still.size:
+        if still.size:  # the w = 0 entries take the c ladder alone
+            for t0, t1 in ladder(np.inf):
                 add(still, *_cquad(integrand, t0, t1))
+    return val, err
+
+
+def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
+    """(values, error estimates) of the integral of v(t) e^{i(w t - c/t)} dt
+    for a bin table on t >= 0, at each entry of the 1-d arrays w and c: in
+    closed form (error 0) where one of w, c vanishes, and elsewhere through
+    ``_piece_ft_positive``, one constant piece per nonzero bin."""
+    val = np.zeros(w.shape, dtype=complex)
+    err = np.zeros(w.shape)
+    val[(w == 0.0) & (c == 0.0)] = np.sum(values * np.diff(edges))
+
+    def closed(rows, prim):
+        # rows of primitives at the edges, in blocks of 2^16 entries
+        step = max(1, (1 << 16) // edges.size)
+        for i in range(0, rows.size, step):
+            blk = rows[i:i + step]
+            val[blk] = np.sum(values * np.diff(prim(blk[:, None]), axis=1),
+                              axis=1)
+    closed(np.flatnonzero((c == 0.0) & (w != 0.0)),
+           lambda r: np.exp(1j * w[r] * edges) / (1j * w[r]))
+
+    def axis2(r):
+        # t e^{-ic/t} - ic E(-c/t), a primitive of e^{-ic/t} that is 0 at 0
+        pos = edges > 0.0
+        t = edges[pos]
+        prim = np.zeros((r.shape[0], edges.size), dtype=complex)
+        prim[:, pos] = (t * np.exp(-1j * c[r] / t)
+                        - 1j * c[r] * exp_integral_tail(-c[r] / t))
+        return prim
+    closed(np.flatnonzero((w == 0.0) & (c != 0.0)), axis2)
+    off = np.flatnonzero((w != 0.0) & (c != 0.0))
+    for a, b, v in zip(edges[:-1], edges[1:], values):
+        if off.size and v != 0.0:
+            v_off, e_off = _piece_ft_positive(lambda t, v=v: v, a, b,
+                                              w[off], c[off])
+            val[off] += v_off
+            err[off] += e_off
     return val, err
 
 
@@ -249,11 +238,7 @@ def _piece_ft(p: Piece, w, c):
             # substitute u = s/t:  w' = -c/s, c' = -w s, same bin table
             s = p.params["s"]
             w, c = -c / s, -w * s
-        pairs = [_binned_pairing(p.params["edges"], p.params["values"],
-                                 wi, ci)
-                 for wi, ci in zip(w.tolist(), c.tolist())]
-        return (np.array([v for v, _ in pairs], dtype=complex),
-                np.array([e for _, e in pairs], dtype=float))
+        return _binned_pairing(p.params["edges"], p.params["values"], w, c)
     if p.b <= 0.0:
         # reflect to positive support: t -> -t flips both frequencies
         rho = p.density

@@ -128,7 +128,9 @@ def _pv_point(f: Measure1D, x: float, window: float = 50.0):
 
 
 def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
-    """H[f](x) = (1/pi) pv int f(t)/(x - t) dt on the given grid."""
+    """H[f](x) = (1/pi) pv int f(t)/(x - t) dt on the given grid; a value
+    whose achieved error estimate is over its budget raises
+    ``QuadratureError``."""
     if f.atoms:
         raise MeasureError("Hilbert transform of atoms is not a function")
     x_grid = np.asarray(x_grid, dtype=float)
@@ -138,12 +140,8 @@ def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
         v, e = _pv_point(f, float(x))
         vals[i] = v / np.pi
         errs[i] = e / np.pi
-    bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(errs)))
-    if bad.size:
-        i = bad[0]
-        raise QuadratureError(f"Hilbert transform at x={x_grid[i]} reads "
-                              f"{vals[i]} with error estimate {errs[i]:.3g}",
-                              errs[i])
+    _within_budget(vals, errs, [f"Hilbert transform at x={x}"
+                                for x in x_grid.tolist()])
     return SampledFunction(x_grid, vals, errs)
 
 

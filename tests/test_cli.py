@@ -235,6 +235,18 @@ class TestRunExperiment:
             want = hyperlab.critical_measure_ft(float(r[2]) / 2.0)
             assert abs(complex(float(r[4]), float(r[5])) - want) <= 1e-10
 
+    def test_ft_cross_tiny_alpha_origin_rows(self, capsys):
+        # the origin rows pair to the total mass 0: the w = 0 entries take
+        # the c ladder alone, not the 16^i cuts up to 1/|w| of axis 1
+        code, out, _ = run(["ft-cross", "--alpha", "1e-300"], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
+                if ln.startswith(("1,0,", "2,0,"))]
+        assert len(rows) == 2
+        for r in rows:
+            assert float(r[4]) == 0.0 and float(r[5]) == 0.0
+            assert float(r[6]) < 1e-12
+
     @pytest.mark.parametrize("reach,want", [(51, 1), (52, 0)])
     def test_defect_sweep_row_count_boundary(self, reach, want, capsys):
         # the full system has (2 jmax + 1) + (2 kmax + 1) rows: 206 < 207

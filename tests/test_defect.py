@@ -77,6 +77,22 @@ class TestCandidateBasis:
         b2 = CandidateBasis(0.1, 10.0, 64, two_branch=True)
         assert b2.n_elements == 2 * (64 + 4)
 
+    @pytest.mark.parametrize("two_branch", [False, True])
+    def test_project_matches_per_bin_loop(self, two_branch):
+        # one density_at call over all bins: the same arithmetic as a loop
+        # over the bins, so the bin coefficients are equal, not just close
+        nu = critical_annihilator()
+        basis = CandidateBasis(0.08, 12.5, 202,
+                               two_branch=two_branch).with_anchor(1.0)
+        edges = basis.edges
+        u = (np.arange(16) + 0.5) / 16
+        want = []
+        for a, b, lw in zip(edges[:-1], edges[1:], np.diff(np.log(edges))):
+            t = a * (b / a) ** u
+            want.append(np.mean(nu.density_at(t) * t) * lw)
+        got = basis.project(nu)[:basis.n_interior]
+        assert np.array_equal(got, want)
+
 
 def small_system(w, c, two_branch=True, reach=1):
     """Anchored basis and its matrix on the symmetric cross whose rows pair

@@ -229,6 +229,13 @@ class TestHilbertLine:
         with pytest.raises(QuadratureError, match="error estimate nan"):
             hilbert_line(nu2, [25.0])
 
+    def test_estimate_over_budget_raises(self, monkeypatch):
+        # a finite value whose estimate is over its budget is refused, as
+        # for every pairing
+        monkeypatch.setattr(hardy, "_pv_point", lambda f, x: (0.1, 1.0))
+        with pytest.raises(QuadratureError, match="above tolerance"):
+            hilbert_line(cauchy_pair(), [0.5])
+
 
 class TestHilbertHyperbola:
     def test_intertwining_routes_agree(self):
