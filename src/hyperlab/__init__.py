@@ -11,8 +11,8 @@ defects of cross-pairing systems by SVD.
 """
 
 from .measures import (MeasureError, Piece, Measure1D, HyperbolaMeasure,
-                       piece_from_family, density_from_family, compress_pi2,
-                       pushforward_inversion, total_variation, restrict)
+                       piece_from_family, compress_pi2, pushforward_inversion,
+                       total_variation, restrict)
 from .sici import exp_integral_tail, SpiralPoint, SpiralResult, \
     nielsen_spiral
 from .fourier import (QuadratureError, LatticeCross, CrossValue, pairing,

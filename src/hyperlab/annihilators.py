@@ -1,13 +1,15 @@
 """Explicit annihilating measures for the one-branch lattice-cross system
 and residual checks of the periodized functional equations.
 
-The critical (gamma = 1) annihilator is
+Every annihilator is one antisymmetrized invariant measure,
+d nu(t) = d w(t) - d w(gamma/t): w on [0, 1), and the image of -w under
+t -> gamma/t on [gamma, inf).  At gamma = 1, w is the Gauss measure
+dt/(1+t), and
 
-    d nu(t) = 1_[0,1)(t) dt/(1+t)  -  1_[1,inf)(t) dt/(t(1+t)),
+    d nu(t) = 1_[0,1)(t) dt/(1+t)  -  1_[1,inf)(t) dt/(t(1+t))
 
-the defect-1 witness; for gamma > 1 the annihilator is the antisymmetrized
-invariant measure d nu(t) = d w_gamma(t) - d w_gamma(gamma/t).  Both must
-satisfy the two periodized sums
+is the defect-1 witness; for gamma > 1, w is the Ulam invariant density.
+Both must satisfy the two periodized sums
 
     sum_{j>=0} d nu(t+j) = sum_{j>=0} d nu(gamma/(t+j)) = 0  on [0,1).
 
@@ -23,20 +25,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma
 
-from .measures import (Measure1D, MeasureError, Piece, piece_from_family,
-                       pushforward_inversion)
+from .measures import (Measure1D, MeasureError, Piece, _image_piece,
+                       piece_from_family, pushforward_inversion)
 from .transfer import InvariantDensity, _bin_table_sum
 
 LOG2 = float(np.log(2.0))
 
 
+def _antisymmetrized(gamma: float, family: str, w: dict, minus_w: dict,
+                     tv_bound: float) -> Measure1D:
+    """nu = w - w(gamma/t): the family piece w on [0, 1), and on [gamma, inf)
+    the image under t -> gamma/t of -w, w's params updated by ``minus_w``."""
+    return Measure1D(pieces=(
+        piece_from_family(0.0, 1.0, family, w, tv_bound),
+        piece_from_family(gamma, np.inf, family,
+                          dict(w, **minus_w, s=gamma), tv_bound)))
+
+
 def critical_annihilator() -> Measure1D:
     """The two-piece measure dt/(1+t) on [0,1) minus dt/(t(1+t)) on [1,inf)."""
-    return Measure1D(pieces=(
-        piece_from_family(0.0, 1.0, "cauchy1p", {"scale": 1.0 + 0.0j}, LOG2),
-        piece_from_family(1.0, np.inf, "cauchy_inv1p", {"scale": -1.0 + 0.0j},
-                          LOG2),
-    ))
+    return _antisymmetrized(1.0, "cauchy1p", {"scale": 1.0 + 0.0j},
+                            {"scale": -1.0 + 0.0j}, LOG2)
 
 
 def expanded_annihilator(gamma: float, density: InvariantDensity) -> Measure1D:
@@ -46,24 +55,20 @@ def expanded_annihilator(gamma: float, density: InvariantDensity) -> Measure1D:
         raise MeasureError("expanded annihilator requires gamma > 1")
     if abs(density.gamma - gamma) > 1e-14:
         raise MeasureError("density was computed for a different gamma")
-    edges = np.asarray(density.edges, dtype=float)
     values = np.asarray(density.values, dtype=complex)
-    pos = piece_from_family(0.0, 1.0, "binned",
-                            {"edges": edges, "values": values}, 1.0)
-    neg = piece_from_family(gamma, np.inf, "binned_inverted",
-                            {"edges": edges, "values": -values, "s": gamma},
-                            1.0)
-    return Measure1D(pieces=(pos, neg))
+    return _antisymmetrized(
+        gamma, "binned", {"edges": np.asarray(density.edges, dtype=float),
+                          "values": values}, {"values": -values}, 1.0)
 
 
 def piece_mass(p: Piece) -> complex:
+    if p.image_s is not None:
+        # t -> s/t keeps mass: read it in the family chart
+        return piece_mass(_image_piece(p, p.image_s))
     if p.family == "cauchy1p":
         return p.params["scale"] * complex(np.log1p(p.b) - np.log1p(p.a))
-    if p.family == "cauchy_inv1p":
-        hi = 0.0 if not np.isfinite(p.b) else np.log(p.b / (1.0 + p.b))
-        return p.params["scale"] * complex(hi - np.log(p.a / (1.0 + p.a)))
-    if p.family in ("binned", "binned_inverted"):
-        # the table is the piece's support, and t -> s/t keeps bin masses
+    if p.family == "binned":
+        # the table is the piece's support
         return complex(np.sum(np.asarray(p.params["values"])
                               * np.diff(p.params["edges"])))
     raise MeasureError("mass of an unregistered piece family")
@@ -82,13 +87,16 @@ def periodization_sum1(nu: Measure1D, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     for p in nu.pieces:
-        if p.family == "cauchy_inv1p" and not np.isfinite(p.b):
-            # telescoping: sum_{j>=j0} 1/((t+j)(1+t+j)) = 1/(t+j0)
-            j0 = np.maximum(np.ceil(p.a - t), 0.0)
-            out += p.params["scale"] / (t + j0)
-        elif p.family == "binned_inverted":
-            out += _bin_table_sum(p.params["edges"], p.params["values"],
-                                  p.params["s"], t)
+        s = p.image_s
+        if s is not None and p.family == "binned":
+            out += _bin_table_sum(p.params["edges"], p.params["values"], s, t)
+        elif s is not None:
+            # scale s/(x(x+s)) = scale (1/x - 1/(x+s)) telescopes
+            def tail(end):  # the sum over the j with t + j >= end
+                j = np.maximum(np.ceil(end - t), 0.0)
+                return digamma(t + j + s) - digamma(t + j)
+            out += p.params["scale"] * (
+                tail(p.a) - (tail(p.b) if np.isfinite(p.b) else 0.0))
         elif not np.isfinite(p.b):
             raise MeasureError("periodization of an infinite piece without "
                                "a closed-form tail")
@@ -103,27 +111,12 @@ def periodization_sum1(nu: Measure1D, t: np.ndarray) -> np.ndarray:
 
 def periodization_sum2(nu: Measure1D, gamma: float, t: np.ndarray) -> np.ndarray:
     """sum_{j>=0} rho_nu(gamma/(t+j)) * gamma/(t+j)^2 for t in [0, 1): the
-    first sum of the image of nu under t -> gamma/t, so a piece [a, b)
-    counts where gamma/b <= t + j < gamma/a.  A cauchy1p piece at 0, whose
-    image has no closed-form tail, is summed through digamma instead."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=complex)
-    rest = []
-    for p in nu.pieces:
-        if p.family == "cauchy1p" and p.a == 0.0:
-            # gamma/((t+j)(t+j+gamma)) telescopes into digamma differences
-            j0 = np.maximum(np.ceil(gamma / p.b - t), 0.0)
-            out += p.params["scale"] * (digamma(t + j0 + gamma) - digamma(t + j0))
-        else:
-            rest.append(p)
-    image = pushforward_inversion(Measure1D(pieces=tuple(rest)), gamma)
-    return out + periodization_sum1(image, t)
+    first sum of the image of nu under t -> gamma/t."""
+    return periodization_sum1(pushforward_inversion(nu, gamma), t)
 
 
 def periodized_residual(nu: Measure1D, gamma: float, grid_n: int):
     """Sup norms of the two periodized sums over a midpoint grid of [0, 1)."""
-    if gamma <= 0:
-        raise MeasureError("gamma must be positive")
     t = (np.arange(grid_n) + 0.5) / grid_n
     s1 = periodization_sum1(nu, t)
     s2 = periodization_sum2(nu, gamma, t)

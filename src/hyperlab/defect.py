@@ -125,13 +125,23 @@ class ConstraintMatrix:
     basis: CandidateBasis
 
 
+def _small_y(y: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> None:
+    """Where |y| < 0.1, overwrite f1 = int_0^1 e^{iyu} du and f2 = 2 int_0^1
+    u e^{iyu} du, whose closed forms cancel to about eps/|y| and eps/y^2,
+    by 12 terms of sum_n (iy)^n/n! (1/(n+1), 2/(n+2))."""
+    near, n = np.abs(y) < 0.1, np.arange(12.0)
+    terms = (1j * y[near, None]) ** n / np.cumprod(np.maximum(n, 1.0))
+    f1[near], f2[near] = terms @ (1.0 / (n + 1.0)), terms @ (2.0 / (n + 2.0))
+
+
 def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
                   c: np.ndarray) -> None:
     """Write the pairings of e^{i(w t - c/t)} with the positive-branch
     elements into ``out``, one row per entry of w and c.  The rows lie on
     one axis: all c = 0, or else all w = 0.  Rows at the origin pair to the
     element masses, 1.  The end elements on the row's fast side (beyond
-    t_max for w, below t_min for c) are E_2 and 2 E_3 (``sici._e2_e3``)."""
+    t_max for w, below t_min for c) are E_2 and 2 E_3 (``sici._e2_e3``);
+    those on its slow side are elementary, or ``_small_y`` near 0."""
     edges = basis.edges
     log_w = np.diff(np.log(edges))
     nb = basis.n_interior
@@ -148,6 +158,7 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
         out[:, nb] = (ew0 - 1.0) / iw0
         # (2/t0^2) int_0^t0 t e^{iwt} dt, elementary
         out[:, nb + 1] = 2.0 * (ew0 * (iw0 - 1.0) + 1.0) / iw0**2
+        _small_y(w * t0, out[:, nb], out[:, nb + 1])
         # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
         e2, e3 = _e2_e3(w * t1)
         out[:, nb + 2], out[:, nb + 3] = e2, 2.0 * e3
@@ -167,6 +178,7 @@ def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
         # 2 t1^2 int_0^{1/t1} u e^{-icu} du, elementary
         out[:, nb + 3] = 2.0 * t1**2 * (
             1.0 - z * (1.0 + 1j * c / t1)) / (1j * c) ** 2
+        _small_y(-c / t1, out[:, nb + 2], out[:, nb + 3])
     out[origin] = 1.0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import HyperbolaMeasure, Measure1D, Piece
+from .measures import HyperbolaMeasure, Measure1D, Piece, _image_piece
 from .sici import exp_integral_tail
 
 
@@ -233,11 +233,11 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
 
 
 def _piece_ft(p: Piece, w, c):
-    if p.family in ("binned", "binned_inverted"):
-        if p.family == "binned_inverted":
-            # substitute u = s/t:  w' = -c/s, c' = -w s, same bin table
-            s = p.params["s"]
-            w, c = -c / s, -w * s
+    s = p.image_s
+    if s is not None:
+        # u = s/t: the family piece on [s/b, s/a) at w' = -c/s, c' = -w s
+        return _piece_ft(_image_piece(p, s), -c / s, -w * s)
+    if p.family == "binned":
         return _binned_pairing(p.params["edges"], p.params["values"], w, c)
     if p.b <= 0.0:
         # reflect to positive support: t -> -t flips both frequencies

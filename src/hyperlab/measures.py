@@ -2,9 +2,10 @@
 
 A measure is a finite list of atoms plus a finite list of density pieces on
 half-open intervals [a, b).  Densities are stored as evaluable functions
-together with a declared total-variation bound; selected density families
-carry a ``family`` tag so that downstream code (Fourier pairings,
-periodization sums) can switch to closed-form evaluation.
+together with a declared total-variation bound; family pieces (``cauchy1p``,
+``binned``) let downstream code switch to closed-form evaluation, and one
+with ``s`` > 0 in its params, on [a, b), is the image of the family piece
+on [s/b, s/a) under t -> s/t.
 
 Hyperbola measures are represented through their compression to the first
 coordinate axis; the branch map t -> (t, -m^2/(4 pi^2 t)) recovers the
@@ -33,46 +34,35 @@ def _cauchy1p(scale: complex) -> Callable:
     return lambda t: scale / (1.0 + t)
 
 
-def _cauchy_inv1p(scale: complex) -> Callable:
-    return lambda t: scale / (t * (1.0 + t))
-
-
 def _binned(edges: np.ndarray, values: np.ndarray) -> Callable:
+    # v on the bins [e_k, e_{k+1}), 0 off the table
     edges = np.asarray(edges, dtype=float)
-    values = np.asarray(values)
-
-    def rho(t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(values) - 1)
-        out = values[idx]
-        return np.where((t >= edges[0]) & (t < edges[-1]), out, 0.0 * out)
-    return rho
+    table = np.concatenate([[0.0], np.asarray(values), [0.0]])
+    return lambda t: table[np.searchsorted(edges, t, side="right")]
 
 
-def _binned_inverted(edges: np.ndarray, values: np.ndarray, s: float) -> Callable:
-    # pushforward of a binned density under t -> s/t:  rho(x) = w(s/x) * s / x^2
-    base = _binned(edges, values)
+def density_from_family(family: str, params: dict) -> Callable:
+    """The family density w, or with params["s"] the density w(s/x) s/x^2
+    of its image under x = s/t.  The image is the composition, point by
+    point: a bin [e_k, e_{k+1}) of w becomes (s/e_{k+1}, s/e_k], so an
+    image piece on [a, b) reads 0 at a and its sums count t + j = b."""
+    if family == "cauchy1p":
+        w = _cauchy1p(params["scale"])
+    elif family == "binned":
+        w = _binned(params["edges"], params["values"])
+    else:
+        raise MeasureError(f"unknown density family {family!r}")
+    s = params.get("s")
+    if s is None:
+        return w
 
     def rho(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = s / x
-            out = base(u) * s / x**2
-        return np.where(x != 0.0, out, 0.0 * out)
+            out = w(s / x) * s / x**2
+        # x = 0 is the image of t = inf, past the end of any bin table
+        return np.where(x != 0.0, out, 0.0)
     return rho
-
-
-def density_from_family(family: str, params: dict) -> Callable:
-    if family == "cauchy1p":
-        return _cauchy1p(params["scale"])
-    if family == "cauchy_inv1p":
-        return _cauchy_inv1p(params["scale"])
-    if family == "binned":
-        return _binned(np.asarray(params["edges"]), np.asarray(params["values"]))
-    if family == "binned_inverted":
-        return _binned_inverted(
-            np.asarray(params["edges"]), np.asarray(params["values"]), params["s"])
-    raise MeasureError(f"unknown density family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +82,18 @@ class Piece:
         if self.tv_bound < 0:
             raise MeasureError("tv_bound must be nonnegative")
 
+    @property
+    def image_s(self) -> Optional[float]:
+        """s when the piece is the image of a family piece under t -> s/t
+        (params["s"]), else None: a generic piece is never an image."""
+        return None if self.family is None else self.params.get("s")
+
     def check_integrable(self) -> None:
-        """Raise MeasureError unless the piece is finite, of a family with
-        an integrable closed-form tail, or carries a caller-certified
-        majorant |rho(t)| <= tail_c |t|^-tail_p with tail_p > 1."""
+        """Raise MeasureError unless the piece is finite, the image of a
+        family piece, or carries a caller-certified majorant |rho(t)| <=
+        tail_c |t|^-tail_p with tail_p > 1."""
         if np.isfinite(self.a) and np.isfinite(self.b) \
-                or self.family in ("cauchy_inv1p", "binned_inverted"):
+                or self.image_s is not None:
             return
         if "tail_c" not in self.params:
             raise MeasureError("infinite piece without a certified tail "
@@ -121,18 +117,17 @@ def _cut_table(edges, values, a: float, b: float):
 
 def piece_from_family(a: float, b: float, family: str, params: dict,
                       tv_bound: float) -> Piece:
-    """A family piece on [a, b); a bin table is cut to the piece (for
-    binned_inverted, to [s/b, s/a) in its own chart), so the table is the
-    piece's support."""
+    """A family piece on [a, b), or with params["s"] > 0 the image of one
+    under t -> s/t.  A bin table is cut to the piece (for an image, to
+    [s/b, s/a) in the family chart), so the table is the piece's support."""
     params = dict(params)
+    s = params.get("s")
+    if s is not None and not s > 0.0:
+        raise MeasureError("an image piece needs s > 0")
     if family == "binned":
+        lo, hi = (a, b) if s is None else (s / b, s / a if a > 0.0 else np.inf)
         params["edges"], params["values"] = _cut_table(
-            params["edges"], params["values"], a, b)
-    elif family == "binned_inverted":
-        s = params["s"]
-        params["edges"], params["values"] = _cut_table(
-            params["edges"], params["values"], s / b,
-            s / a if a > 0.0 else np.inf)
+            params["edges"], params["values"], lo, hi)
     return Piece(a, b, density_from_family(family, params), tv_bound,
                  family=family, params=params)
 
@@ -188,61 +183,58 @@ class HyperbolaMeasure:
 # ---------------------------------------------------------------------------
 # operations
 
+def _image_piece(p: Piece, s: float) -> Piece:
+    """Image of the piece p under t -> s/t (s != 0), composed symbolically.
+    A family piece and its image under one s > 0 map to each other: so
+    ``_image_piece(p, p.image_s)`` is an image's family piece."""
+    if p.a < 0.0 < p.b:
+        raise MeasureError("pushforward under t -> s/t needs support away "
+                           "from 0")
+    side = 1.0 if p.a >= 0.0 else -1.0
+
+    def inv_end(x):
+        # an end at 0 is reached from the piece's side
+        return (np.inf * np.sign(s) * side if x == 0.0
+                else s / x if np.isfinite(x) else 0.0)
+    a_new, b_new = sorted((inv_end(p.a), inv_end(p.b)))
+    s0 = p.image_s
+    if p.family is not None:
+        params = {k: v for k, v in p.params.items() if k != "s"}
+        if s > 0.0 and p.a >= 0.0 and s0 in (None, s):
+            if s0 is None:
+                params["s"] = s
+            return piece_from_family(a_new, b_new, p.family, params,
+                                     p.tv_bound)
+        if s0 is not None:
+            # an image under t -> s0/t pushed by another s is a dilation of
+            # the family density w: w(k x) |k| with k = s0/s, finite at 0
+            w, k = density_from_family(p.family, params), s0 / s
+            return Piece(a_new, b_new, lambda x: w(
+                k * np.asarray(x, dtype=float)) * abs(k), p.tv_bound)
+    rho = p.density
+    # x = 0 is the image of t = inf; a majorant |t|^-p with p > 2 makes the
+    # image density vanish there, otherwise its limit is unknown
+    at_0 = 0.0 if p.params.get("tail_p", 0.0) > 2.0 else np.nan
+
+    def rho_new(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = rho(s / x) * abs(s) / x**2
+        return np.where(x == 0.0, at_0, out)
+    return Piece(a_new, b_new, rho_new, p.tv_bound)
+
+
 def _pushforward_reciprocal(nu: Measure1D, s: float) -> Measure1D:
     """Image of nu under t -> s/t (s != 0), composed symbolically."""
-    atoms = []
-    for x, w in nu.atoms:
-        if x == 0.0:
-            raise MeasureError("pushforward under t -> s/t needs no mass at 0")
-        atoms.append((s / x, w))
-    pieces = []
-    for p in nu.pieces:
-        if p.a < 0.0 < p.b:
-            raise MeasureError("pushforward under t -> s/t needs support "
-                               "away from 0")
-        def inv_end(x, side):
-            # image of an endpoint under t -> s/t; side is the sign of the
-            # piece's interior, used to resolve s/0
-            if x == 0.0:
-                return np.inf * np.sign(s) * side
-            if not np.isfinite(x):
-                return 0.0
-            return s / x
-        side = 1.0 if p.a >= 0.0 else -1.0
-        a_new, b_new = sorted((inv_end(p.a, side), inv_end(p.b, side)))
-        if p.family == "binned" and s > 0 and p.a >= 0.0:
-            pieces.append(piece_from_family(a_new, b_new, "binned_inverted",
-                                            dict(p.params, s=s), p.tv_bound))
-        elif p.family == "binned_inverted" and s == p.params["s"]:
-            # involution: back to the original binned piece
-            params = {k: p.params[k] for k in ("edges", "values")}
-            pieces.append(piece_from_family(a_new, b_new, "binned",
-                                            params, p.tv_bound))
-        elif p.family == "cauchy_inv1p":
-            # scale / (t (1 + t)) maps to scale sgn(s) / (x + s), finite at 0
-            k = p.params["scale"] * np.sign(s)
-            pieces.append(Piece(a_new, b_new, lambda x, k=k, s=s: k / (
-                np.asarray(x, dtype=float) + s), p.tv_bound))
-        else:
-            rho = p.density
-            # x = 0 is the image of t = inf; a majorant |t|^-p with p > 2
-            # makes the image density vanish there, otherwise its limit
-            # is unknown
-            at_0 = 0.0 if p.params.get("tail_p", 0.0) > 2.0 else np.nan
-
-            def rho_new(x, rho=rho, s=s, at_0=at_0):
-                x = np.asarray(x, dtype=float)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out = rho(s / x) * abs(s) / x**2
-                return np.where(x == 0.0, at_0, out)
-            pieces.append(Piece(a_new, b_new, rho_new, p.tv_bound))
-    return Measure1D(tuple(atoms), tuple(pieces))
+    if any(x == 0.0 for x, _ in nu.atoms):
+        raise MeasureError("pushforward under t -> s/t needs no mass at 0")
+    return Measure1D(tuple((s / x, w) for x, w in nu.atoms),
+                     tuple(_image_piece(p, s) for p in nu.pieces))
 
 
 def compress_pi2(mu: HyperbolaMeasure) -> Measure1D:
     """Compression to the x2-axis: pushforward of pi1 under t -> -m^2/(4 pi^2 t)."""
-    s = -mu.m**2 / (4.0 * np.pi**2)
-    return _pushforward_reciprocal(mu.pi1, s)
+    return _pushforward_reciprocal(mu.pi1, -mu.m**2 / (4.0 * np.pi**2))
 
 
 def pushforward_inversion(nu: Measure1D, gamma: float) -> Measure1D:

@@ -154,11 +154,12 @@ class TestPeriodizationSums:
         assert np.max(np.abs(periodization_sum2(nu256, 1.5, t) - s2)) <= 1e-5
 
     def test_restricted_pieces_match_brute_force(self, nu256):
-        # both pieces cut inside their tables' images: a finite
-        # binned_inverted piece, and a binned piece whose image is one
+        # both pieces cut inside their tables' images: a finite image of a
+        # binned piece, and a binned piece whose image is one
         nu = Measure1D(pieces=restrict(nu256, 0.13, 0.61).pieces
                        + restrict(nu256, 2.1, 7.3).pieces)
-        assert [p.family for p in nu.pieces] == ["binned", "binned_inverted"]
+        assert [(p.family, p.image_s) for p in nu.pieces] == [
+            ("binned", None), ("binned", 1.5)]
         t = np.array([0.0, 0.25, 0.5, 0.75])
         s1, s2 = self.brute_sums(nu, 1.5, t, n_terms=100)
         assert np.max(np.abs(periodization_sum1(nu, t) - s1)) <= 1e-12

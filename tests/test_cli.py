@@ -224,6 +224,32 @@ class TestRunExperiment:
         assert res.returncode == 0
         assert res.stderr == ""
 
+    def test_ft_eval_axis2_away_from_origin_is_quiet(self):
+        # a w = 0 row meets the c/t phase near t = 1 in the family chart of
+        # the [1, inf) piece, under QAWO; in a child process with warnings
+        # shown, as above
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "hyperlab.cli", "ft-eval", "--xi2", "1000"],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0
+        assert res.stderr == ""
+        rec = json.loads(res.stdout)
+        assert abs(complex(rec["re"], rec["im"])) <= 1e-11
+
+    def test_ft_cross_wide_critical_cross(self, capsys):
+        # every pairing of the critical measure on the cross vanishes
+        code, out, _ = run(["ft-cross", "--jmax", "500", "--kmax", "500"],
+                           capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
+                if ln[:2] in ("1,", "2,")]
+        assert len(rows) == 2002
+        assert max(abs(complex(float(r[4]), float(r[5]))) for r in rows) \
+            <= 1e-8
+
     def test_ft_cross_tiny_alpha_axis1_rows(self, capsys):
         # ft(alpha j, 0) of the critical measure is about 0 at a tiny alpha
         code, out, _ = run(["ft-cross", "--alpha", "1e-300"], capsys)

@@ -186,6 +186,22 @@ END_COLUMNS = {
                - 2.65258237926569727757991050751e-5j),
 }
 
+# int_0^1 e^{iyu} du and 2 int_0^1 u e^{iyu} du, the slow-side end columns
+# of _branch_block ({1, t} on axis 1, {1/t^2, 1/t^3} on axis 2), on
+# CandidateBasis(1e-6, 1e4, 16) at the index-1 rows of cross_for_gamma(0.6,
+# 1, 1): y = w t_min = 2 pi 1e-6 on axis 1, y = -c / t_max = -1.2 pi 1e-4
+# on axis 2.  30 digits from arbitrary-precision quadrature at those y.
+SLOW_END_COLUMNS = {
+    1: (0.999999999993420263732620083535
+        + 3.14159265357945747806977659707e-6j,
+        0.99999999999013039559893228995
+        + 4.18879020476985385727701399424e-6j),
+    2: (0.999999976312949605708447566183
+        - 1.88495556982935685835101562616e-4j,
+        0.999999964469424436616489424672
+        - 2.51327408715260406214013241563e-4j),
+}
+
 
 class TestBranchRow:
     @pytest.mark.parametrize("w,c", [(0.0, 0.0), (3.0, 0.0), (-2.0, 0.0),
@@ -225,6 +241,20 @@ class TestBranchRow:
                 pin = np.array(END_COLUMNS[axis, abs(idx)])
                 pin = pin if idx > 0 else np.conj(pin)
                 assert np.all(np.abs(row[cols] - pin) <= 1e-10 * np.abs(pin))
+
+    def test_slow_end_columns_pinned(self):
+        # |y| is 6.3e-6 and 3.8e-4: the closed forms cancel to eps/|y| and
+        # eps/y^2 there
+        basis = CandidateBasis(1e-6, 1e4, 16)
+        nb = basis.n_interior
+        pts = [p for p in cross_for_gamma(0.6, 1, 1).points() if p[1] == 1]
+        w, c = frequencies(basis, pts)
+        for i, (axis, cols) in enumerate(((1, [nb, nb + 1]),
+                                          (2, [nb + 2, nb + 3]))):
+            out = np.empty((1, nb + 4), dtype=complex)
+            _branch_block(out, basis, w[i:i + 1], c[i:i + 1])
+            pin = np.array(SLOW_END_COLUMNS[axis])
+            assert np.all(np.abs(out[0, cols] - pin) <= 1e-10 * np.abs(pin))
 
 class TestRealSystem:
     @pytest.mark.parametrize("two_branch", [False, True])

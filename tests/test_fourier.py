@@ -108,17 +108,22 @@ class TestFtPoint:
     def test_nonfinite_frequency_raises_cleanly(self):
         # QUADPACK's QAWF crashes the interpreter on a NaN or infinite
         # frequency, or one so small that its cycles pi / |w| pass the
-        # largest float, so the guard is exercised in a child process
+        # largest float (here on a generic density on [0, inf), whose t
+        # chart reaches QAWF), so the guard is exercised in a child process
         script = """
 import numpy as np
 from hyperlab.annihilators import critical_annihilator
-from hyperlab.fourier import QuadratureError, _osc, ft_point
-from hyperlab.measures import HyperbolaMeasure
+from hyperlab.fourier import QuadratureError, _osc, ft_point, pairing
+from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece
 
 mu = HyperbolaMeasure(2.0 * np.pi, critical_annihilator())
 calls = [lambda xi=xi: ft_point(mu, xi)
-         for xi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
-                    (5e-324, 0.0), (1e-308, 0.0))]
+         for xi in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0))]
+cauchy = Measure1D(pieces=(Piece(
+    0.0, np.inf, lambda t: 1.0 / (np.pi * (1.0 + t * t)), 0.5,
+    params={"tail_c": 1.0 / np.pi, "tail_p": 2.0}),))
+calls += [lambda w=w: pairing(cauchy, w, 0.0)
+          for w in (np.pi * 5e-324, np.pi * 1e-308)]
 calls += [lambda a=a, b=b, w=w: _osc(np.exp, a, b, w)
           for a, b, w in ((1.0, np.inf, np.nan), (1.0, np.inf, np.inf),
                           (1.0, 2.0, -np.inf), (1.0, np.nan, 1.0))]
@@ -191,10 +196,20 @@ def test_small_xi2_matches_closed_form(xi2):
     assert val == pytest.approx(-critical_measure_ft(-xi2 / 2.0), abs=1e-11)
 
 
-@pytest.mark.parametrize("xi1", [1e-300, 1e-9, 1e-7, 1e-6])
+@pytest.mark.parametrize("xi2", [400.0, 700.0, -1000.0, 1e4, 1e5, 1e6, 1e7,
+                                 1e8])
+def test_large_xi2_matches_closed_form(xi2):
+    # the piece on [1, inf) is paired in its family chart [0, 1), where the
+    # c/t phase near t = 1 becomes a linear one under QAWO
+    val = ft_point(lift(critical_annihilator()), (0.0, xi2))
+    assert val == pytest.approx(-critical_measure_ft(-xi2 / 2.0), abs=1e-11)
+
+
+@pytest.mark.parametrize("xi1", [5e-324, 1e-308, 1e-300, 1e-9, 1e-7, 1e-6])
 def test_tiny_xi1_matches_closed_form(xi1):
-    # the cuts at 16^i up to 1/|w| resolve the mass near t = 1, which one
-    # rule over a first w t cycle of length ~1/|w| does not sample
+    # the image piece on [1, inf) is paired in its family chart [0, 1),
+    # where the w t phase becomes a c/u one: the s = k/u tail and the cuts
+    # at |c| 16^i resolve it, and no QAWF cycle of length ~1/|w| is taken
     val = ft_point(lift(critical_annihilator()), (xi1, 0.0))
     assert val == pytest.approx(critical_measure_ft(xi1 / 2.0), abs=1e-11)
 
@@ -256,14 +271,15 @@ class TestPairing:
     def test_off_axis_table_pairing_matches_per_bin_quad(self, w, c,
                                                          expanded15):
         # both phases live: a restricted binned piece, and a restricted
-        # binned_inverted piece (density -v(s/t) s/t^2, s = 1.5), each
-        # away from t = 0, against quad over each bin's part of the piece
+        # image of one (density -v(s/t) s/t^2, s = 1.5), each away from
+        # t = 0, against quad over each bin's part of the piece
         s = 1.5
         edges = expanded15.pieces[0].params["edges"]
         values = expanded15.pieces[0].params["values"]
         nu = Measure1D(pieces=restrict(expanded15, 0.2, 0.7).pieces
                        + restrict(expanded15, 2.1, 7.3).pieces)
-        assert [p.family for p in nu.pieces] == ["binned", "binned_inverted"]
+        assert [(p.family, p.image_s) for p in nu.pieces] == [
+            ("binned", None), ("binned", s)]
 
         def bins(lo, hi, vals, weight):
             total = 0.0 + 0.0j

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hyperlab.annihilators import periodization_sum1, piece_mass
+
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
                                Piece, compress_pi2,
                                piece_from_family, pushforward_inversion,
@@ -52,12 +54,12 @@ class TestRestrict:
         assert total_variation(left) == pytest.approx(np.log(1.5), abs=1e-10)
 
     def test_restrict_cuts_bin_tables(self):
-        # a binned table to [a, b), a binned_inverted one to [s/b, s/a)
+        # a binned table to [a, b), an image's (s = 2) to [s/b, s/a)
         edges, values = np.arange(9) / 8, np.arange(1.0, 9.0)
         mu = Measure1D(pieces=(
             piece_from_family(0.0, 1.0, "binned",
                               {"edges": edges, "values": values}, 1.0),
-            piece_from_family(2.0, np.inf, "binned_inverted",
+            piece_from_family(2.0, np.inf, "binned",
                               {"edges": edges, "values": values, "s": 2.0},
                               1.0)))
         left, right = restrict(mu, 0.3, 5.0).pieces
@@ -113,6 +115,58 @@ class TestCompressions:
         nu = pushforward_inversion(cauchy1p_measure(), 1.0)
         t = np.array([2.0, 3.0])
         assert np.allclose(nu.density_at(t), 1.0 / (t * (1.0 + t)))
+
+
+class TestImagePieces:
+    def test_pushforward_toggles_the_image(self):
+        # under t -> 2/t a family piece becomes its image and back; under
+        # another s the image is a dilation of the family density
+        p = cauchy1p_measure().pieces[0]
+        img = pushforward_inversion(Measure1D(pieces=(p,)), 2.0).pieces[0]
+        assert (img.family, img.image_s, img.a, img.b) == (
+            "cauchy1p", 2.0, 2.0, np.inf)
+        back = pushforward_inversion(Measure1D(pieces=(img,)), 2.0).pieces[0]
+        assert (back.family, back.image_s, back.a, back.b) == (
+            "cauchy1p", None, 0.0, 1.0)
+        dil = pushforward_inversion(Measure1D(pieces=(img,)), 3.0).pieces[0]
+        assert (dil.family, dil.a, dil.b) == (None, 0.0, 1.5)
+        x = np.array([0.0, 0.5, 1.2])
+        assert np.allclose(dil.density(x), (2.0 / 3.0) / (1.0 + 2.0 * x / 3.0))
+
+    def test_image_density_is_the_composition(self):
+        # w(s/x) s/x^2, read at the images s/e_k of the bin edges too
+        edges, values = np.arange(9) / 8, np.arange(1.0, 9.0)
+        img = piece_from_family(2.0, np.inf, "binned", {
+            "edges": edges, "values": values, "s": 2.0}, 1.0)
+        x = np.r_[2.0 / edges[1:], 2.5, 7.0, 40.0]
+        k = np.searchsorted(edges, 2.0 / x, side="right") - 1
+        # x = 2 reads u = 1, where the table [0, 1) ends
+        want = np.where(x > 2.0, values[np.minimum(k, 7)] * 2.0 / x**2, 0.0)
+        assert np.array_equal(Measure1D(pieces=(img,)).density_at(x), want)
+        # an image reaching x = 0, the image of t = inf, reads 0 there
+        # (0 * inf there read NaN)
+        img = piece_from_family(0.0, 2.0, "binned", {
+            "edges": [0.5, 1.0], "values": [1.0], "s": 1.0}, 1.0)
+        assert np.array_equal(Measure1D(pieces=(img,)).density_at(
+            [0.0, 0.5, 1.5]), [0.0, 0.0, 1.0 / 1.5**2])
+
+    def test_nonpositive_s_rejected(self):
+        with pytest.raises(MeasureError):
+            piece_from_family(1.0, 2.0, "cauchy1p", {"scale": 1.0, "s": -1.0},
+                              1.0)
+
+    def test_generic_piece_with_s_is_not_an_image(self):
+        # an s among a generic piece's params marks nothing: its infinite
+        # tail still needs a majorant, and it has no closed-form sums
+        p = Piece(1.0, np.inf, lambda t: np.asarray(t) ** -2.0, 1.0,
+                  params={"s": 2.0})
+        assert p.image_s is None
+        with pytest.raises(MeasureError):
+            p.check_integrable()
+        with pytest.raises(MeasureError):
+            periodization_sum1(Measure1D(pieces=(p,)), np.array([0.5]))
+        with pytest.raises(MeasureError):
+            piece_mass(p)
 
 
 class TestTailBounds:

@@ -254,7 +254,7 @@ class TestBinTableSum:
         (np.arange(17) / 16, 3000.0, 1000.5, np.inf),
     ])
     def test_matches_direct_sum(self, edges, s, lo, hi):
-        # the window lo <= t + j < hi is a binned_inverted piece on
+        # the window lo <= t + j < hi is the image of a binned piece on
         # [lo, hi), whose table is cut to [s/hi, s/lo): the image of the
         # x = t + j in (lo, hi], so the oracle's window moves up one ulp
         # (on floats, lo' <= x < hi' is lo < x <= hi)
@@ -262,7 +262,7 @@ class TestBinTableSum:
         values = (rng.uniform(0.5, 1.5, len(edges) - 1)
                   + 1j * rng.uniform(-1.0, 1.0, len(edges) - 1))
         t = np.r_[0.0, (np.arange(40) + 0.5) / 40, 1.0 - 1e-12]
-        cut = piece_from_family(lo, hi, "binned_inverted", {
+        cut = piece_from_family(lo, hi, "binned", {
             "edges": edges, "values": values, "s": s}, 1.0).params
         got = _bin_table_sum(cut["edges"], cut["values"], s, t)
         want = direct_sum(edges, values, s, t, np.nextafter(lo, np.inf),
