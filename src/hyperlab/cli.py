@@ -20,17 +20,11 @@ import sys
 
 import numpy as np
 
-from .annihilators import annihilator_report, critical_annihilator, \
-    expanded_annihilator, perturbed_equation_residual
-from .defect import CandidateBasis, distorted_cross_residual, sweep_gamma
-from .dynamics import GaussMap, coverage_fraction
-from .fourier import LatticeCross, QuadratureError, ft_on_cross, ft_point
-from .hardy import hardy_defect, hilbert_line, timelike_witness
-from .measures import HyperbolaMeasure, Measure1D, MeasureError, \
-    Piece, piece_from_family
-from .sici import nielsen_spiral
-from .transfer import WORK_BUDGET_BRANCHES, UlamError, invariance_residual, \
-    invariant_density
+# each runner imports the layer it calls, so that a command loads only the
+# scipy it needs
+from .measures import WORK_BUDGET_BRANCHES, HyperbolaMeasure, LatticeCross, \
+    Measure1D, MeasureError, Piece, QuadratureError, UlamError, \
+    piece_from_family
 
 SCHEMA_VERSION = 1
 
@@ -312,6 +306,8 @@ def emit_svg_polyline(points, title: str, path: str) -> None:
 # experiment dispatch
 
 def _named_measure(cfg) -> HyperbolaMeasure:
+    from .annihilators import critical_annihilator, expanded_annihilator
+    from .transfer import invariant_density
     if cfg["measure"] == "critical":
         nu = critical_annihilator()
     else:
@@ -321,6 +317,7 @@ def _named_measure(cfg) -> HyperbolaMeasure:
 
 
 def _run_ft_eval(cfg, out):
+    from .fourier import ft_point
     val = ft_point(_named_measure(cfg), (cfg["xi1"], cfg["xi2"]))
     _emit_json(out, "ft-eval", cfg,
                {"re": val.real, "im": val.imag,
@@ -328,6 +325,7 @@ def _run_ft_eval(cfg, out):
 
 
 def _run_ft_cross(cfg, out):
+    from .fourier import ft_on_cross
     cross = LatticeCross(cfg["alpha"], cfg["beta"], cfg["jmax"], cfg["kmax"])
     rows = [(cv.axis, cv.index, cv.xi1, cv.xi2, cv.value.real, cv.value.imag,
              cv.abs_err_estimate)
@@ -338,6 +336,7 @@ def _run_ft_cross(cfg, out):
 
 
 def _run_invariant_density(cfg, out):
+    from .transfer import invariance_residual, invariant_density
     dens = invariant_density(cfg["gamma"], cfg["bins"])
     cfg = dict(cfg, residual=invariance_residual(dens, 2000))
     rows = [(float(a), float(b), float(v)) for a, b, v in
@@ -347,6 +346,8 @@ def _run_invariant_density(cfg, out):
 
 
 def _run_annihilator_check(cfg, out):
+    from .annihilators import annihilator_report
+    from .transfer import invariant_density
     dens = None
     if cfg["gamma"] > 1.0:
         dens = invariant_density(cfg["gamma"], cfg["bins"])
@@ -361,6 +362,8 @@ def _run_annihilator_check(cfg, out):
 
 
 def _run_perturbed_residual(cfg, out):
+    from .annihilators import perturbed_equation_residual
+    from .transfer import invariant_density
     gamma = cfg["gamma"]
     dens = invariant_density(gamma, cfg["bins"])
     # omega1 = the invariant measure, omega2 = 0: the unperturbed solution
@@ -373,6 +376,7 @@ def _run_perturbed_residual(cfg, out):
 
 
 def _run_coverage(cfg, out):
+    from .dynamics import GaussMap, coverage_fraction
     fracs = coverage_fraction(GaussMap(cfg["gamma"]), cfg["iterates"],
                               cfg["gridn"])
     rows = [(2 * k, f) for k, f in enumerate(fracs)]
@@ -380,6 +384,7 @@ def _run_coverage(cfg, out):
 
 
 def _run_sici_spiral(cfg, out):
+    from .sici import nielsen_spiral
     grid = np.geomspace(cfg["xmin"], cfg["xmax"], cfg["n"])
     res = nielsen_spiral(grid)
     cfg = dict(cfg, minModulus=res.min_modulus)
@@ -402,6 +407,7 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
 
 
 def _run_hardy_defect(cfg, out):
+    from .hardy import hardy_defect
     f = _hardy_test_measure(bool(cfg["conjugate"]))
     d = hardy_defect(f, cfg["nmax"])
     _emit_json(out, "hardy-defect", cfg, {
@@ -411,6 +417,8 @@ def _run_hardy_defect(cfg, out):
 
 
 def _run_hilbert_check(cfg, out):
+    from .hardy import hilbert_line
+
     def cauchy(t):
         return 1.0 / (np.pi * (1.0 + t * t))
 
@@ -429,6 +437,7 @@ def _run_hilbert_check(cfg, out):
 
 
 def _run_timelike_witness(cfg, out):
+    from .hardy import timelike_witness
     rows = timelike_witness(complex(0.0, cfg["im"]), cfg["beta"],
                             cfg["jmax"], cfg["kmax"])
     table = [(r.kind, r.index, r.value.real, r.value.imag, abs(r.value),
@@ -438,6 +447,7 @@ def _run_timelike_witness(cfg, out):
 
 
 def _run_defect_sweep(cfg, out):
+    from .defect import CandidateBasis, sweep_gamma
     basis = CandidateBasis(cfg["tmin"], cfg["tmax"], cfg["bins"])
     gammas = [float(s) for s in cfg["gammas"].split(",")]
     rows = sweep_gamma(basis, gammas, cfg["jmax"], cfg["kmax"],
@@ -449,6 +459,7 @@ def _run_defect_sweep(cfg, out):
 
 
 def _run_distorted_cross(cfg, out):
+    from .defect import distorted_cross_residual
     est = distorted_cross_residual((cfg["xi1"], cfg["xi2"]),
                                    threshold=cfg["threshold"])
     sv = est.singular_values
@@ -484,7 +495,7 @@ def run_experiment(command, cfg, out) -> int:
         _RUNNERS[command](cfg, out)
         return 0
     except (MeasureError, UlamError, QuadratureError, ValueError,
-            MemoryError) as exc:
+            MemoryError, OverflowError) as exc:
         sys.stderr.write(_error_record(command, "", str(exc)))
         return 1
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fourier import LatticeCross
-from .measures import Measure1D, MeasureError, Piece
+from .measures import LatticeCross, Measure1D, MeasureError, Piece
 from .sici import _e2_e3, exp_integral_tail
 
 # largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite

@@ -22,54 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import HyperbolaMeasure, Measure1D, Piece, _image_piece
+# the cross and its budget, and the error type, live in the scipy-free
+# measures module; they are read from here too
+from .measures import (MAX_CROSS_POINTS, HyperbolaMeasure, LatticeCross,
+                       Measure1D, Piece, QuadratureError, _image_piece)
 from .sici import exp_integral_tail
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an oscillatory integral misses its tolerance budget."""
-
-    def __init__(self, message, error_estimate=np.nan):
-        super().__init__(message)
-        self.error_estimate = error_estimate
 
 
 # QUADPACK tolerances and subdivision limit of every pairing
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 LIMIT = 200
-# points a lattice-cross may list, each one transform or one pairing row:
-# a bound on the problem size, not on its accuracy
-MAX_CROSS_POINTS = 10 ** 5
-
-
-@dataclass(frozen=True)
-class LatticeCross:
-    """Lattice-cross (alpha Z x {0}) u ({0} x beta Z) truncated to |j| <=
-    j_max and |k| <= k_max: symmetric under xi -> -xi by construction."""
-
-    alpha: float
-    beta: float
-    j_max: int
-    k_max: int
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("spacings must be strictly positive")
-        if self.j_max < 0 or self.k_max < 0:
-            raise ValueError("index bounds must be nonnegative")
-        n = 2 * (self.j_max + self.k_max + 1)
-        if n > MAX_CROSS_POINTS:
-            raise ValueError(f"the cross has {n:.3g} points, over the "
-                             f"budget {MAX_CROSS_POINTS:.0e}")
-
-    def points(self):
-        """Cross points in deterministic order: axis 1 ascending j, then
-        axis 2 ascending k.  The origin appears once per axis."""
-        return ([(1, j, self.alpha * j, 0.0)
-                 for j in range(-self.j_max, self.j_max + 1)]
-                + [(2, k, 0.0, self.beta * k)
-                   for k in range(-self.k_max, self.k_max + 1)])
 
 
 # ---------------------------------------------------------------------------

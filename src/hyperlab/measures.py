@@ -10,19 +10,80 @@ on [s/b, s/a) under t -> s/t.
 Hyperbola measures are represented through their compression to the first
 coordinate axis; the branch map t -> (t, -m^2/(4 pi^2 t)) recovers the
 planar measure everywhere except at t = 0.
+
+This module loads no scipy, so it also holds the names the CLI builds,
+validates and catches before a command imports its layer: the
+lattice-cross and the error types and budgets of the layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+
+# points a lattice-cross may list, each one transform or one pairing row:
+# a bound on the problem size, not on its accuracy
+MAX_CROSS_POINTS = 10 ** 5
+# gamma * n_bins, the number of branches reaching the Ulam bins: a bound on
+# the problem size the assembly accepts, not on its accuracy
+WORK_BUDGET_BRANCHES = 10 ** 7
+
+
+def __getattr__(name):
+    # quad is scipy.integrate.quad, imported on first use (PEP 562)
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    globals()["quad"] = quad
+    return quad
 
 
 class MeasureError(ValueError):
     pass
+
+
+class QuadratureError(RuntimeError):
+    """Raised when an oscillatory integral misses its tolerance budget."""
+
+    def __init__(self, message, error_estimate=np.nan):
+        super().__init__(message)
+        self.error_estimate = error_estimate
+
+
+class UlamError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class LatticeCross:
+    """Lattice-cross (alpha Z x {0}) u ({0} x beta Z) truncated to |j| <=
+    j_max and |k| <= k_max: symmetric under xi -> -xi by construction."""
+
+    alpha: float
+    beta: float
+    j_max: int
+    k_max: int
+
+    def __post_init__(self):
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("spacings must be strictly positive")
+        if self.j_max < 0 or self.k_max < 0:
+            raise ValueError("index bounds must be nonnegative")
+        n = 2 * (self.j_max + self.k_max + 1)
+        if n > MAX_CROSS_POINTS:
+            raise ValueError(f"the cross has {n:.3g} points, over the "
+                             f"budget {MAX_CROSS_POINTS:.0e}")
+
+    def points(self):
+        """Cross points in deterministic order: axis 1 ascending j, then
+        axis 2 ascending k.  The origin appears once per axis."""
+        return ([(1, j, self.alpha * j, 0.0)
+                 for j in range(-self.j_max, self.j_max + 1)]
+                + [(2, k, 0.0, self.beta * k)
+                   for k in range(-self.k_max, self.k_max + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +219,6 @@ class Measure1D:
         return out
 
 
-ZERO = Measure1D()
-
 
 @dataclass(frozen=True)
 class HyperbolaMeasure:
@@ -247,6 +306,8 @@ def pushforward_inversion(nu: Measure1D, gamma: float) -> Measure1D:
 def total_variation(nu: Measure1D) -> float:
     """Sum of |atom weights| plus integrals of |density| over the pieces."""
     rel_tol = 1e-10
+    # through the module binding, which a profiler may patch
+    quad = sys.modules[__name__].quad
     tv = sum(abs(w) for _, w in nu.atoms)
     for p in nu.pieces:
         val, err = quad(lambda t: abs(p.density(t)), p.a, p.b, limit=400,
@@ -257,18 +318,3 @@ def total_variation(nu: Measure1D) -> float:
         tv += val
     return tv
 
-
-def restrict(nu: Measure1D, a: float, b: float) -> Measure1D:
-    """Restriction to [a, b); atoms at the right endpoint are dropped, and
-    family pieces are rebuilt, which cuts their bin tables."""
-    if not a < b:
-        return ZERO
-    atoms = tuple((x, w) for x, w in nu.atoms if a <= x < b)
-    pieces = []
-    for p in nu.pieces:
-        lo, hi = max(p.a, a), min(p.b, b)
-        if lo < hi:
-            pieces.append(replace(p, a=lo, b=hi) if p.family is None else
-                          piece_from_family(lo, hi, p.family, p.params,
-                                            p.tv_bound))
-    return Measure1D(atoms, tuple(pieces))

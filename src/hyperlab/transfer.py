@@ -29,15 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .measures import _binned
+from .measures import WORK_BUDGET_BRANCHES, UlamError, _binned
 
 MEMORY_BUDGET_BYTES = 2 << 30
 # power iteration stops at this l1 step between iterates, or fails here
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
-# gamma * n_bins, the number of branches reaching the bins: a bound on the
-# problem size the assembly accepts, not on its accuracy
-WORK_BUDGET_BRANCHES = 10 ** 7
 # elements per block of the bin-table sum and of the dense Ulam rows
 _BLOCK_ELEMS = 1 << 16
 # bytes assembly holds at its peak per entry of the dense rows (slot and
@@ -48,10 +45,6 @@ _BLOCK_ELEMS = 1 << 16
 _FAR_ENTRY_BYTES = 24
 _NEAR_ENTRY_BYTES = 48
 _STAGED_BYTES = 80
-
-
-class UlamError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

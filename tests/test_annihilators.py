@@ -8,8 +8,9 @@ from hyperlab.annihilators import (annihilator_report, critical_annihilator,
                                    perturbed_equation_residual, piece_mass,
                                    symmetry_residual, total_mass)
 from hyperlab.measures import Measure1D, MeasureError, Piece, \
-    piece_from_family, restrict
+    piece_from_family
 from hyperlab.transfer import invariant_density
+from measure_helpers import restrict
 
 LOG2 = np.log(2.0)
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import hyperlab
+from hyperlab import cli
 from hyperlab.cli import COMMANDS, emit_svg_polyline, main, parse_config
+from hyperlab.fourier import critical_measure_ft
 from hyperlab.measures import MeasureError
 
 
@@ -258,7 +260,7 @@ class TestRunExperiment:
                 if ln.startswith("1,")]
         assert len(rows) == 11
         for r in rows:
-            want = hyperlab.critical_measure_ft(float(r[2]) / 2.0)
+            want = critical_measure_ft(float(r[2]) / 2.0)
             assert abs(complex(float(r[4]), float(r[5])) - want) <= 1e-10
 
     def test_ft_cross_tiny_alpha_origin_rows(self, capsys):
@@ -299,6 +301,57 @@ class TestRunExperiment:
         record = json.loads(err)
         assert record["command"] == "distorted-cross"
         assert record["message"]
+
+    def test_overflow_runtime_record(self, capsys, monkeypatch):
+        # a complex power in a QUADPACK callback overflows past t ~ 1e154
+        def overflow(cfg, out):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setitem(cli._RUNNERS, "ft-eval", overflow)
+        code, out, err = run(["ft-eval"], capsys)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["command"] == "ft-eval"
+        assert "out of range" in record["message"]
+
+
+# imports hyperlab.cli, runs main on the argv given (if any) with stdout
+# discarded, and prints the exit code and the scipy modules then loaded
+_IMPORTS_CHILD = """
+import contextlib, io, json, sys
+from hyperlab.cli import main
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestImportHygiene:
+    """Each command loads only the scipy its layer calls."""
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        ([], ("scipy",)),
+        (["coverage"], ("scipy",)),
+        (["defect-sweep", "--gammas", "1.0", "--bins", "20", "--jmax", "40",
+          "--kmax", "40"], ("scipy.integrate", "scipy.sparse")),
+        (["distorted-cross"], ("scipy.integrate", "scipy.sparse")),
+        (["invariant-density", "--bins", "256"], ("scipy.integrate",))],
+        ids=["import", "coverage", "defect-sweep", "distorted-cross",
+             "invariant-density"])
+    def test_command_leaves_scipy_unloaded(self, argv, unloaded):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, *argv],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        code, loaded = json.loads(res.stdout)
+        assert code == 0
+        assert [m for m in loaded for p in unloaded
+                if m == p or m.startswith(p + ".")] == []
 
 
 class TestSvgPolyline:

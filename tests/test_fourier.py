@@ -15,9 +15,10 @@ from hyperlab.fourier import (ABS_TOL, MAX_CROSS_POINTS, REL_TOL,
                               critical_measure_ft, error_budget,
                               ft_on_cross, ft_point, pairing)
 from hyperlab.hardy import inversion_j
-from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece, restrict
+from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece
 from hyperlab.sici import exp_integral_tail
 from hyperlab.transfer import invariant_density
+from measure_helpers import restrict
 
 M = 2.0 * np.pi
 

@@ -6,7 +6,8 @@ from hyperlab.annihilators import periodization_sum1, piece_mass
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
                                Piece, compress_pi2,
                                piece_from_family, pushforward_inversion,
-                               restrict, total_variation)
+                               total_variation)
+from measure_helpers import restrict
 
 
 def cauchy1p_measure():
