@@ -2,18 +2,22 @@
 assemble exponential-pairing constraint systems for lattice-crosses, and
 count near-null singular directions.
 
-Candidate measures are spanned by unit-mass elements with density 1/t per
-geometric bin (so coefficients sample t * rho(t) along the grid), plus
-two-term asymptotic end elements: {1, t} shapes below t_min and
-{1/t^2, 1/t^3} shapes beyond t_max.  These ends match the asymptotics of
-every annihilator in the family, so truncation does not pollute the
-singular spectrum.  The band [t_min, t_max] is chosen so each bin is
-resolved by at least one row family: axis-1 rows e^{i pi alpha j t} see
-scales up to ~1/(2 lr), axis-2 rows e^{-i c k / t} see scales down to
-~2 gamma lr; outside the joint window the system aliases and the defect
-count becomes meaningless.  Grid edges may be anchored at density-jump
-locations (t = gamma for the expanded annihilators); the sweep does this
-automatically.
+Candidate measures live on the positive branch at m = 2 pi, where the
+cross point (xi1, xi2) pairs e^{i(pi xi1 t - pi xi2 / t)}.  They are
+spanned by unit-mass elements with density 1/t per geometric bin (so
+coefficients sample t * rho(t) along the grid), plus two-term asymptotic
+end elements: {1, t} shapes below t_min and {1/t^2, 1/t^3} shapes beyond
+t_max.  These ends match the asymptotics of every annihilator in the
+family, so truncation does not pollute the singular spectrum.  Under
+u = 1/t the basis maps onto the basis on the reciprocal edges, each end
+onto the other, so one axis-1 kernel also writes the axis-2 rows, and one
+near-end rule also gives the far-end coefficients.  The band [t_min,
+t_max] is chosen so each bin is resolved by at least one row family:
+axis-1 rows e^{i pi alpha j t} see scales up to ~1/(2 lr), axis-2 rows
+e^{-i c k / t} see scales down to ~2 gamma lr; outside the joint window
+the system aliases and the defect count becomes meaningless.  Grid edges
+may be anchored at density-jump locations (t = gamma for the expanded
+annihilators); the sweep does this automatically.
 """
 
 from __future__ import annotations
@@ -22,11 +26,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import LatticeCross, Measure1D, MeasureError, Piece
+from .measures import LatticeCross, Measure1D, MeasureError
 from .sici import _e2_e3, exp_integral_tail
 
 # largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite
 MAX_BAND_SCALE = float(np.sqrt(np.finfo(float).max / 2.0))
+
+# midpoints of 16 equal cells of [0, 1]: the sample points of ``project``
+_MID = (np.arange(16) + 0.5) / 16
 
 
 @dataclass(frozen=True)
@@ -38,8 +45,6 @@ class CandidateBasis:
     t_min: float
     t_max: float
     n_bins: int
-    m: float = 2.0 * np.pi
-    two_branch: bool = False
     anchors: tuple = ()
 
     def __post_init__(self):
@@ -78,43 +83,36 @@ class CandidateBasis:
 
     @property
     def n_elements(self) -> int:
-        per_branch = self.n_interior + 4
-        return 2 * per_branch if self.two_branch else per_branch
+        return self.n_interior + 4
 
     def project(self, nu: Measure1D) -> np.ndarray:
         """Coefficients approximating nu: per-bin masses, and end
         coefficients matched by mass and first moment, from 16 midpoint
-        samples per bin."""
+        samples per bin.  The far-end ones are the near-end ones of the
+        reciprocal density rho(1/u)/u^2 below 1/t_max."""
         edges = self.edges
-        u = (np.arange(16) + 0.5) / 16
         nb = self.n_interior
         coeffs = np.empty(self.n_elements, dtype=complex)
         a, b = edges[:-1, None], edges[1:, None]
-        t = a * (b / a) ** u
+        t = a * (b / a) ** _MID
         coeffs[:nb] = np.mean(nu.density_at(t) * t, axis=1) \
             * np.diff(np.log(edges))
-        # near end: match mass and first moment of {1, t} shapes
-        t = self.t_min * u
-        m0 = np.mean(nu.density_at(t)) * self.t_min
-        m1 = np.mean(nu.density_at(t) * t) * self.t_min
-        # shapes (unit mass): const has moment t_min/2, linear 2 t_min/3
-        a_mat = np.array([[1.0, 1.0],
-                          [self.t_min / 2.0, 2.0 * self.t_min / 3.0]])
-        coeffs[nb], coeffs[nb + 1] = np.linalg.solve(a_mat, [m0, m1])
-        # far end: match mass and 1/t moment of {1/t^2, 1/t^3} shapes
-        t = self.t_max / u
-        m0 = np.mean(nu.density_at(t) * t**2) / self.t_max
-        m1 = np.mean(nu.density_at(t) * t) / self.t_max
-        a_mat = np.array([[1.0, 1.0],
-                          [1.0 / (2.0 * self.t_max),
-                           2.0 / (3.0 * self.t_max)]])
-        coeffs[nb + 2], coeffs[nb + 3] = np.linalg.solve(a_mat, [m0, m1])
-        if self.two_branch:
-            refl = Measure1D(pieces=tuple(
-                Piece(-p.b, -p.a, lambda s, r=p.density: r(-np.asarray(s)),
-                      p.tv_bound) for p in nu.pieces))
-            coeffs[nb + 4:] = replace(self, two_branch=False).project(refl)
+        coeffs[nb:nb + 2] = _near_end(nu.density_at, self.t_min)
+        coeffs[nb + 2:] = _near_end(
+            lambda u: nu.density_at(1.0 / u) / u**2, 1.0 / self.t_max)
         return coeffs
+
+
+def _near_end(density, t0: float) -> np.ndarray:
+    """Coefficients of the unit-mass {1, t} shapes on [0, t0] that match
+    the mass and first moment of ``density`` there: the shapes' moments
+    are t0/2 and 2 t0/3."""
+    t = t0 * _MID
+    rho = density(t)
+    m0 = np.mean(rho) * t0
+    m1 = np.mean(rho * t) * t0
+    return np.linalg.solve([[1.0, 1.0], [t0 / 2.0, 2.0 * t0 / 3.0]],
+                           [m0, m1])
 
 
 @dataclass(frozen=True)
@@ -135,49 +133,35 @@ def _small_y(y: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> None:
 
 def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
                   c: np.ndarray) -> None:
-    """Write the pairings of e^{i(w t - c/t)} with the positive-branch
-    elements into ``out``, one row per entry of w and c.  The rows lie on
-    one axis: all c = 0, or else all w = 0.  Rows at the origin pair to the
-    element masses, 1.  The end elements on the row's fast side (beyond
-    t_max for w, below t_min for c) are E_2 and 2 E_3 (``sici._e2_e3``);
-    those on its slow side are elementary, or ``_small_y`` near 0."""
-    edges = basis.edges
-    log_w = np.diff(np.log(edges))
-    nb = basis.n_interior
-    t0, t1 = basis.t_min, basis.t_max
-    bins = out[:, :nb]
-    if not np.any(c):
-        origin = w == 0.0
-        w = np.where(origin, 1.0, w)
-        vals = exp_integral_tail(w[:, None] * edges)
-        np.subtract(vals[:, :-1], vals[:, 1:], out=bins)
-        bins /= log_w
-        iw0 = 1j * w * t0
-        ew0 = np.exp(iw0)
-        out[:, nb] = (ew0 - 1.0) / iw0
-        # (2/t0^2) int_0^t0 t e^{iwt} dt, elementary
-        out[:, nb + 1] = 2.0 * (ew0 * (iw0 - 1.0) + 1.0) / iw0**2
-        _small_y(w * t0, out[:, nb], out[:, nb + 1])
-        # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
-        e2, e3 = _e2_e3(w * t1)
-        out[:, nb + 2], out[:, nb + 3] = e2, 2.0 * e3
-    else:
-        origin = c == 0.0
-        c = np.where(origin, 1.0, c)
-        # int e^{-i c/t} dt/t over a bin, through u = 1/t
-        vals = exp_integral_tail(-c[:, None] / edges)
-        np.subtract(vals[:, 1:], vals[:, :-1], out=bins)
-        bins /= log_w
-        # (1/t0) int_0^t0 e^{-ic/t} dt and (2/t0^2) int_0^t0 t e^{-ic/t} dt,
-        # through u = t0/t
-        e2, e3 = _e2_e3(-c / t0)
-        out[:, nb], out[:, nb + 1] = e2, 2.0 * e3
-        z = np.exp(-1j * c / t1)
-        out[:, nb + 2] = (1.0 - z) * t1 / (1j * c)
-        # 2 t1^2 int_0^{1/t1} u e^{-icu} du, elementary
-        out[:, nb + 3] = 2.0 * t1**2 * (
-            1.0 - z * (1.0 + 1j * c / t1)) / (1j * c) ** 2
-        _small_y(-c / t1, out[:, nb + 2], out[:, nb + 3])
+    """Write the pairings of e^{i(w t - c/t)} with the basis elements into
+    ``out``, one row per entry of w and c.  The rows lie on one axis: all
+    c = 0, or else all w = 0.  Rows at the origin pair to the element
+    masses, 1.  An axis-1 row pairs the bins through E (``sici``), the
+    near-end {1, t} shapes in elementary form, or ``_small_y`` near 0, and
+    the far-end shapes as E_2 and 2 E_3 (``sici._e2_e3``).  An axis-2 row
+    is the axis-1 row at w = -c of the reciprocal basis (u = 1/t): its
+    edges are 1/edges reversed, its bins are the basis's bins reversed, and
+    its near-end and far-end shapes are the basis's far-end and near-end
+    ones."""
+    edges, nb = basis.edges, basis.n_interior
+    bins, near, far = out[:, :nb], (nb, nb + 1), (nb + 2, nb + 3)
+    if np.any(c):
+        edges, w = 1.0 / edges[::-1], -c
+        bins, near, far = out[:, nb - 1::-1], far, near
+    origin = w == 0.0
+    w = np.where(origin, 1.0, w)
+    vals = exp_integral_tail(w[:, None] * edges)
+    np.subtract(vals[:, :-1], vals[:, 1:], out=bins)
+    bins /= np.diff(np.log(edges))
+    # (1/t0) int_0^t0 e^{iwt} dt and (2/t0^2) int_0^t0 t e^{iwt} dt
+    iy = 1j * w * edges[0]
+    ey = np.exp(iy)
+    out[:, near[0]] = (ey - 1.0) / iy
+    out[:, near[1]] = 2.0 * (ey * (iy - 1.0) + 1.0) / iy**2
+    _small_y(w * edges[0], out[:, near[0]], out[:, near[1]])
+    # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
+    e2, e3 = _e2_e3(w * edges[-1])
+    out[:, far[0]], out[:, far[1]] = e2, 2.0 * e3
     out[origin] = 1.0
 
 
@@ -194,17 +178,11 @@ def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
     sigma(A), and the right singular vectors of S are real."""
     pts = [p for p in cross.points() if p[1] >= 0]
     half = np.empty((len(pts), basis.n_elements), dtype=complex)
-    per = basis.n_interior + 4
-    xi = np.array([(x1, x2) for _, _, x1, x2 in pts], dtype=float)
-    w = np.pi * xi[:, 0]
-    c = basis.m**2 * xi[:, 1] / (4.0 * np.pi)
+    xi = np.pi * np.array([(x1, x2) for _, _, x1, x2 in pts], dtype=float)
     # the cross lists its axis-1 points first, then its axis-2 points
     n1 = cross.j_max + 1
     for blk in (slice(0, n1), slice(n1, len(pts))):
-        _branch_block(half[blk, :per], basis, w[blk], c[blk])
-        if basis.two_branch:
-            # reflected branch: t -> -t flips both frequency signs
-            _branch_block(half[blk, per:], basis, -w[blk], -c[blk])
+        _branch_block(half[blk], basis, xi[blk, 0], xi[blk, 1])
     zero = np.array([idx == 0 for _, idx, _, _ in pts])
     scale = np.where(zero, 1.0, np.sqrt(2.0))[:, None]
     entries = np.concatenate([scale * half.real,

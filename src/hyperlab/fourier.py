@@ -67,12 +67,21 @@ def _osc(g, a, b, w):
     val = np.empty(w.shape, dtype=complex)
     err = np.empty(w.shape)
     for (mag,), idx in _groups(np.abs(w)):
-        # QAWF runs up to LIMIT cycles of length (2 floor|w| + 1) pi / |w|
-        # from a, and crashes the interpreter on one that ends at inf
-        if b == np.inf and a + LIMIT * (2 * (mag // 1) + 1) * np.pi / mag \
-                == np.inf:
-            raise QuadratureError(f"QAWF's cycles at |w|={mag:.3g} from "
-                                  f"{a:.3g} pass the largest float")
+        if b == np.inf:
+            # QAWF runs up to LIMIT cycles of length (2 floor|w| + 1) pi /
+            # |w| from a, and crashes the interpreter on one that ends at
+            # inf, or on a non-finite sample: g is probed at a and at the
+            # first cycle's lower Clenshaw-Curtis node, 0 for a tiny a
+            cycle = (2 * (mag // 1) + 1) * np.pi / mag
+            if a + LIMIT * cycle == np.inf:
+                raise QuadratureError(f"QAWF's cycles at |w|={mag:.3g} "
+                                      f"from {a:.3g} pass the largest float")
+            b1 = a + cycle
+            for x in (a, 0.5 * (a + b1) - 0.5 * (b1 - a)):
+                if not np.isfinite(gx := g(x)):
+                    raise QuadratureError(f"the integrand reads {gx} at "
+                                          f"t={x:.3g}, where QAWF samples "
+                                          f"it at |w|={mag:.3g}")
         kw = {"wvar": mag, "complex_func": True, "limit": LIMIT,
               "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
         cos, e_cos = quad(g, a, b, weight="cos", **kw)
@@ -147,10 +156,12 @@ def _piece_ft_positive(rho, a, b, w, c):
                 cut *= 16.0
             return zip(cuts, cuts[1:] + [b])
         spin, still = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
-        if spin.size:
-            slow = np.min(np.abs(w[spin])) if b == np.inf else np.inf
-            for t0, t1 in ladder(slow):
-                add(spin, *_osc(integrand, t0, t1, w[spin]))
+        for (mag,), sub in _groups(np.abs(w[spin])):
+            # each |w| climbs its own ladder: far past 1/|w|, QAWO on the
+            # cuts of a smaller |w|'s ladder reads NaN (from t ~ 3e85 at
+            # |w| = pi 1e-9)
+            for t0, t1 in ladder(mag if b == np.inf else np.inf):
+                add(spin[sub], *_osc(integrand, t0, t1, w[spin[sub]]))
         if still.size:  # the w = 0 entries take the c ladder alone
             for t0, t1 in ladder(np.inf):
                 add(still, *_cquad(integrand, t0, t1))

@@ -213,6 +213,13 @@ class TestRunExperiment:
             assert int(r[1]) == defect
             assert np.max(np.abs(np.array(r[2:], dtype=float) - tail)) \
                 <= 1e-12
+        # past the band's resolved window (gamma >~ 1.6) the counts are
+        # not evidence, but they are pinned: 4, 7 and 8
+        code, out, _ = run(["defect-sweep", "--gammas", "2,3,5"], capsys)
+        assert code == 0
+        assert [(float(r[0]), int(r[1])) for r in (
+            ln.split(",") for ln in out.splitlines() if ln[:1].isdigit())] \
+            == [(2.0, 4), (3.0, 7), (5.0, 8)]
 
     def test_ft_eval_tiny_xi1_is_quiet(self):
         # in a child process with warnings shown, so that a raw

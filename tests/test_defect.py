@@ -46,6 +46,11 @@ def row_oracle(basis, w, c):
     return np.array(out)
 
 
+# the basis spans the positive branch alone: these tests run without a
+# reflected branch, under the id [False]
+ONE_BRANCH = pytest.mark.parametrize("reflected", [False])
+
+
 class TestCandidateBasis:
     def test_bad_band_rejected(self):
         with pytest.raises(MeasureError):
@@ -72,18 +77,15 @@ class TestCandidateBasis:
         assert b.anchors == ()
 
     def test_element_count(self):
-        b = CandidateBasis(0.1, 10.0, 64)
-        assert b.n_elements == 64 + 4
-        b2 = CandidateBasis(0.1, 10.0, 64, two_branch=True)
-        assert b2.n_elements == 2 * (64 + 4)
+        # the bins and two end elements per side, on the positive branch
+        assert CandidateBasis(0.1, 10.0, 64).n_elements == 64 + 4
 
-    @pytest.mark.parametrize("two_branch", [False, True])
-    def test_project_matches_per_bin_loop(self, two_branch):
+    @ONE_BRANCH
+    def test_project_matches_per_bin_loop(self, reflected):
         # one density_at call over all bins: the same arithmetic as a loop
         # over the bins, so the bin coefficients are equal, not just close
         nu = critical_annihilator()
-        basis = CandidateBasis(0.08, 12.5, 202,
-                               two_branch=two_branch).with_anchor(1.0)
+        basis = CandidateBasis(0.08, 12.5, 202).with_anchor(1.0)
         edges = basis.edges
         u = (np.arange(16) + 0.5) / 16
         want = []
@@ -94,21 +96,21 @@ class TestCandidateBasis:
         assert np.array_equal(got, want)
 
 
-def small_system(w, c, two_branch=True, reach=1):
+def small_system(w, c, reach=1):
     """Anchored basis and its matrix on the symmetric cross whose rows pair
     at frequencies (+-n w, 0), (0, +-n c) for n <= reach and twice (0, 0)."""
-    basis = CandidateBasis(0.1, 10.0, 16, two_branch=two_branch) \
-        .with_anchor(1.0).with_anchor(0.8)
+    basis = CandidateBasis(0.1, 10.0, 16).with_anchor(1.0).with_anchor(0.8)
     alpha = abs(w) / np.pi if w else 1.0
-    beta = 4.0 * np.pi * abs(c) / basis.m**2 if c else 1.0
+    beta = abs(c) / np.pi if c else 1.0
     cross = LatticeCross(alpha, beta, reach, reach)
     return basis, cross, build_constraint_matrix(basis, cross)
 
 
-def frequencies(basis, rows):
-    """(w, c) of each cross-point descriptor: the row pairs e^{i(wt - c/t)}."""
+def frequencies(rows):
+    """(w, c) of each cross-point descriptor: the row pairs e^{i(wt - c/t)},
+    w = pi xi1 and c = pi xi2 at m = 2 pi."""
     xi = np.array([(x1, x2) for _, _, x1, x2 in rows], dtype=float)
-    return np.pi * xi[:, 0], basis.m**2 * xi[:, 1] / (4.0 * np.pi)
+    return np.pi * xi[:, 0], np.pi * xi[:, 1]
 
 
 def complex_rows(mat):
@@ -126,23 +128,12 @@ def full_system(basis, cross):
     """The full complex system: every cross point, both index signs, each
     axis assembled by ``_branch_block`` at its own frequencies."""
     pts = cross.points()
-    w, c = frequencies(basis, pts)
+    w, c = frequencies(pts)
     a = np.empty((len(pts), basis.n_elements), dtype=complex)
-    per = basis.n_interior + 4
     n1 = sum(axis == 1 for axis, *_ in pts)
     for blk in (slice(0, n1), slice(n1, len(pts))):
-        _branch_block(a[blk, :per], basis, w[blk], c[blk])
-        if basis.two_branch:
-            _branch_block(a[blk, per:], basis, -w[blk], -c[blk])
+        _branch_block(a[blk], basis, w[blk], c[blk])
     return a
-
-
-def branch_oracle(basis, w, c):
-    """row_oracle of every branch: the reflected one pairs at (-w, -c)."""
-    if not basis.two_branch:
-        return row_oracle(basis, w, c)
-    return np.concatenate([row_oracle(basis, w, c),
-                           row_oracle(basis, -w, -c)])
 
 
 # E_2(y) and 2 E_3(y), the four fast-side end columns of _branch_block, on
@@ -207,16 +198,15 @@ class TestBranchRow:
     @pytest.mark.parametrize("w,c", [(0.0, 0.0), (3.0, 0.0), (-2.0, 0.0),
                                      (0.0, 4.0), (0.0, -1.5)])
     def test_against_quadrature_oracle(self, w, c):
-        # one and two branches; the index -n row, which is not assembled,
-        # is the conjugate of the index +n row
-        for two_branch in (False, True):
-            basis, _, mat = small_system(w, c, two_branch)
-            rw, rc = frequencies(basis, mat.rows)
-            for row, fw, fc in zip(complex_rows(mat), rw, rc):
-                oracle = branch_oracle(basis, fw, fc)
-                assert np.max(np.abs(row - oracle)) <= 1e-4
-                oracle = branch_oracle(basis, -fw, -fc)
-                assert np.max(np.abs(np.conj(row) - oracle)) <= 1e-4
+        # the index -n row, which is not assembled, is the conjugate of the
+        # index +n row
+        basis, _, mat = small_system(w, c)
+        rw, rc = frequencies(mat.rows)
+        for row, fw, fc in zip(complex_rows(mat), rw, rc):
+            oracle = row_oracle(basis, fw, fc)
+            assert np.max(np.abs(row - oracle)) <= 1e-4
+            oracle = row_oracle(basis, -fw, -fc)
+            assert np.max(np.abs(np.conj(row) - oracle)) <= 1e-4
 
     def test_zero_row_is_masses(self):
         _, _, mat = small_system(3.0, 4.0)
@@ -231,7 +221,7 @@ class TestBranchRow:
         nb = basis.n_interior
         pts = [p for p in cross_for_gamma(1.5, 640, 640).points()
                if (p[0], abs(p[1])) in END_COLUMNS]
-        w, c = frequencies(basis, pts)
+        w, c = frequencies(pts)
         for axis, cols in ((1, [nb + 2, nb + 3]), (2, [nb, nb + 1])):
             sel = [i for i, p in enumerate(pts) if p[0] == axis]
             out = np.empty((len(sel), nb + 4), dtype=complex)
@@ -248,7 +238,7 @@ class TestBranchRow:
         basis = CandidateBasis(1e-6, 1e4, 16)
         nb = basis.n_interior
         pts = [p for p in cross_for_gamma(0.6, 1, 1).points() if p[1] == 1]
-        w, c = frequencies(basis, pts)
+        w, c = frequencies(pts)
         for i, (axis, cols) in enumerate(((1, [nb, nb + 1]),
                                           (2, [nb + 2, nb + 3]))):
             out = np.empty((1, nb + 4), dtype=complex)
@@ -257,9 +247,9 @@ class TestBranchRow:
             assert np.all(np.abs(out[0, cols] - pin) <= 1e-10 * np.abs(pin))
 
 class TestRealSystem:
-    @pytest.mark.parametrize("two_branch", [False, True])
-    def test_spectrum_of_the_full_system(self, two_branch):
-        basis, cross, mat = small_system(3.0, 4.0, two_branch, reach=12)
+    @ONE_BRANCH
+    def test_spectrum_of_the_full_system(self, reflected):
+        basis, cross, mat = small_system(3.0, 4.0, reach=12)
         a = full_system(basis, cross)
         assert mat.entries.shape == a.shape
         assert mat.entries.dtype == np.float64
@@ -267,9 +257,9 @@ class TestRealSystem:
         est = defect_estimate(mat, 0.05)
         assert np.max(np.abs(est.singular_values - sv)) <= 1e-13 * sv[0]
 
-    @pytest.mark.parametrize("two_branch", [False, True])
-    def test_real_null_vectors(self, two_branch):
-        basis, cross, mat = small_system(3.0, 4.0, two_branch, reach=12)
+    @ONE_BRANCH
+    def test_real_null_vectors(self, reflected):
+        basis, cross, mat = small_system(3.0, 4.0, reach=12)
         vh = np.linalg.svd(full_system(basis, cross))[2]
         est = defect_estimate(mat, 0.05)
         assert est.numerical_defect >= 1

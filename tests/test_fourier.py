@@ -301,6 +301,55 @@ class TestPairing:
         # each bin reports the estimate its QUADPACK integrals achieved
         assert 0.0 < err <= 1e-9
 
+    def test_nonfinite_sample_at_qawf_node_raises_cleanly(self):
+        # QAWF crashes the interpreter on a non-finite sample.  A piece
+        # from t = 0 starts QAWF at 1e-300, where the first cycle's lower
+        # Clenshaw-Curtis node rounds to 0.0: the image of a tail_p <= 2
+        # density (here the hardy-defect test measure's) reads NaN there,
+        # and e^{-t}/sqrt(t) reads inf.  In a child
+        # process, so that a crash fails this test alone
+        script = """
+import numpy as np
+from hyperlab.cli import _hardy_test_measure
+from hyperlab.fourier import QuadratureError, pairing
+from hyperlab.hardy import inversion_j
+from hyperlab.measures import Measure1D, Piece
+
+root = Measure1D(pieces=(Piece(
+    0.0, np.inf, lambda t: np.exp(-t) / np.sqrt(t), 2.0,
+    params={"tail_c": 1.0, "tail_p": 3.0}),))
+calls = [lambda: pairing(inversion_j(_hardy_test_measure(False), 1.5),
+                         np.pi * np.array([1.0, 2.0]), 0.0),
+         lambda: pairing(root, np.pi, 0.0)]
+for call in calls:
+    try:
+        with np.errstate(all="ignore"):
+            call()
+        print("returned")
+    except QuadratureError:
+        print("QuadratureError")
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["QuadratureError"] * 2
+
+    def test_mixed_magnitudes_match_single_frequency_calls(self):
+        # each |w| takes its own cut ladder: one ladder up to 1/min|w| =
+        # 3e299 read NaN at |w| = pi 1e-9
+        nu = Measure1D(pieces=(Piece(1.0, np.inf,
+                                     lambda u: 1.0 / (u * (u + 1.0)), 1.0,
+                                     params={"tail_c": 1.0,
+                                             "tail_p": 2.0}),))
+        w = np.pi * np.array([1e-300, 1e-9, -1e-9, 2.0])
+        val, err = pairing(nu, w, 0.0)
+        single = [pairing(nu, x, 0.0) for x in w]
+        assert np.array_equal(val, [v for v, _ in single])
+        assert np.array_equal(err, [e for _, e in single])
+        assert np.all(np.abs(val[:3] - np.log(2.0)) <= 1e-7)
+
 
 class TestLatticeCross:
     def test_deterministic_ordering(self):
