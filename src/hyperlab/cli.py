@@ -222,13 +222,15 @@ def _config_lines(command, cfg):
         yield f"# {key} = {_fmt(cfg[key])}"
 
 
-def _emit_csv(out, command, cfg, header, rows):
+def _emit_csv(out, command, cfg, header, cols):
+    """CSV of the columns ``cols``, one per header entry: a float ndarray
+    is formatted at once, as _fmt would (repr of its floats), any other
+    column value by value through _fmt."""
     lines = list(_config_lines(command, cfg))
     lines.append(",".join(header))
-    # a float column is formatted at once, as _fmt would: repr of its floats
-    cols = [map(repr, np.asarray(col, dtype=float).tolist())
-            if all(isinstance(v, float) for v in col) else map(_fmt, col)
-            for col in zip(*rows)]
+    cols = [map(repr, col.tolist())
+            if isinstance(col, np.ndarray) and col.dtype == float
+            else map(_fmt, col) for col in cols]
     lines += map(",".join, zip(*cols))
     _write_text(out, "\n".join(lines) + "\n")
 
@@ -327,22 +329,21 @@ def _run_ft_eval(cfg, out):
 def _run_ft_cross(cfg, out):
     from .fourier import ft_on_cross
     cross = LatticeCross(cfg["alpha"], cfg["beta"], cfg["jmax"], cfg["kmax"])
-    rows = [(cv.axis, cv.index, cv.xi1, cv.xi2, cv.value.real, cv.value.imag,
-             cv.abs_err_estimate)
-            for cv in ft_on_cross(_named_measure(cfg), cross)]
+    cvs = ft_on_cross(_named_measure(cfg), cross)
+    table = np.array([(cv.xi1, cv.xi2, cv.value.real, cv.value.imag,
+                       cv.abs_err_estimate) for cv in cvs])
     _emit_csv(out, "ft-cross", cfg,
               ("axis", "index", "xi1", "xi2", "re", "im", "absErrEstimate"),
-              rows)
+              ([cv.axis for cv in cvs], [cv.index for cv in cvs], *table.T))
 
 
 def _run_invariant_density(cfg, out):
     from .transfer import invariance_residual, invariant_density
     dens = invariant_density(cfg["gamma"], cfg["bins"])
     cfg = dict(cfg, residual=invariance_residual(dens, 2000))
-    rows = [(float(a), float(b), float(v)) for a, b, v in
-            zip(dens.edges[:-1], dens.edges[1:], dens.values)]
     _emit_csv(out, "invariant-density", cfg,
-              ("binLeft", "binRight", "density"), rows)
+              ("binLeft", "binRight", "density"),
+              (dens.edges[:-1], dens.edges[1:], dens.values))
 
 
 def _run_annihilator_check(cfg, out):
@@ -379,8 +380,8 @@ def _run_coverage(cfg, out):
     from .dynamics import GaussMap, coverage_fraction
     fracs = coverage_fraction(GaussMap(cfg["gamma"]), cfg["iterates"],
                               cfg["gridn"])
-    rows = [(2 * k, f) for k, f in enumerate(fracs)]
-    _emit_csv(out, "coverage", cfg, ("evenTime", "fraction"), rows)
+    _emit_csv(out, "coverage", cfg, ("evenTime", "fraction"),
+              (range(0, 2 * len(fracs), 2), fracs))
 
 
 def _run_sici_spiral(cfg, out):
@@ -388,10 +389,10 @@ def _run_sici_spiral(cfg, out):
     grid = np.geomspace(cfg["xmin"], cfg["xmax"], cfg["n"])
     res = nielsen_spiral(grid)
     cfg = dict(cfg, minModulus=res.min_modulus)
-    rows = [(p.x, p.ci, p.si, p.modulus) for p in res.points]
-    _emit_csv(out, "sici-spiral", cfg, ("x", "ci", "si", "modulus"), rows)
+    _emit_csv(out, "sici-spiral", cfg, ("x", "ci", "si", "modulus"),
+              (res.x, res.ci, res.si, res.modulus))
     if cfg["svg"]:
-        emit_svg_polyline([(p.ci, p.si) for p in res.points],
+        emit_svg_polyline(zip(res.ci.tolist(), res.si.tolist()),
                           "Nielsen spiral (ci, si)", cfg["svg"])
 
 
@@ -399,7 +400,10 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
     sign = -1.0 if conjugate else 1.0
 
     def rho(t):
-        return 1.0 / (t + sign * 1j) ** 2
+        # a complex power raises OverflowError past |t| ~ 1e154; the
+        # product reads 0j there, and is bit-identical below it
+        z = t + sign * 1j
+        return 1.0 / (z * z)
 
     return Measure1D(pieces=(
         Piece(-np.inf, 0.0, rho, 2.0, params={"tail_c": 1.0, "tail_p": 2.0}),
@@ -430,20 +434,21 @@ def _run_hilbert_check(cfg, out):
     grid = np.linspace(-cfg["xmax"], cfg["xmax"], cfg["n"])
     res = hilbert_line(f, grid)
     exact = grid / (np.pi * (1.0 + grid**2))
-    rows = [(float(x), float(v.real), float(v.imag), float(e))
-            for x, v, e in zip(grid, res.values, np.abs(res.values - exact))]
-    cfg = dict(cfg, maxError=float(np.max(np.abs(res.values - exact))))
-    _emit_csv(out, "hilbert-check", cfg, ("x", "re", "im", "absError"), rows)
+    err = np.abs(res.values - exact)
+    cfg = dict(cfg, maxError=float(np.max(err)))
+    _emit_csv(out, "hilbert-check", cfg, ("x", "re", "im", "absError"),
+              (grid, res.values.real, res.values.imag, err))
 
 
 def _run_timelike_witness(cfg, out):
     from .hardy import timelike_witness
     rows = timelike_witness(complex(0.0, cfg["im"]), cfg["beta"],
                             cfg["jmax"], cfg["kmax"])
-    table = [(r.kind, r.index, r.value.real, r.value.imag, abs(r.value),
-              r.err_estimate) for r in rows]
+    table = np.array([(r.value.real, r.value.imag, abs(r.value),
+                       r.err_estimate) for r in rows])
     _emit_csv(out, "timelike-witness", cfg,
-              ("kind", "index", "re", "im", "abs", "errEstimate"), table)
+              ("kind", "index", "re", "im", "abs", "errEstimate"),
+              ([r.kind for r in rows], [r.index for r in rows], *table.T))
 
 
 def _run_defect_sweep(cfg, out):
@@ -452,10 +457,10 @@ def _run_defect_sweep(cfg, out):
     gammas = [float(s) for s in cfg["gammas"].split(",")]
     rows = sweep_gamma(basis, gammas, cfg["jmax"], cfg["kmax"],
                        cfg["threshold"])
-    table = [(r.gamma, r.defect) + r.singular_tail for r in rows]
+    tail = np.array([r.singular_tail for r in rows])
     _emit_csv(out, "defect-sweep", cfg,
               ("gamma", "defect", "s1", "s2", "s3", "s4", "s5", "s6"),
-              table)
+              ([r.gamma for r in rows], [r.defect for r in rows], *tail.T))
 
 
 def _run_distorted_cross(cfg, out):

@@ -10,9 +10,10 @@ ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Every
 ``pairing`` of a measure with e^{i(w t - c/t)}, over arrays of
 frequencies, sends its oscillatory integrals through one primitive,
 ``_osc`` (QUADPACK's Fourier weights: QAWO on finite intervals, QAWF on
-infinite tails), which shares one cos/sin pair between w and -w;
-piecewise constant (Ulam) densities are paired in closed form where one
-phase vanishes, and bin by bin through the same charts elsewhere.
+infinite tails), which shares one cos/sin pair between w and -w and
+samples its integrand once per node; piecewise constant (Ulam) densities
+are paired in closed form where one phase vanishes, and bin by bin
+through the same charts elsewhere.
 """
 
 from __future__ import annotations
@@ -47,9 +48,23 @@ def _groups(*keys):
     return [(key, np.array(idx)) for key, idx in out.items()]
 
 
+def _memo(g):
+    """g, sampled once per node: QUADPACK integrates a complex integrand's
+    real and imaginary parts in two runs over the same nodes, so within
+    one integral each node's value is kept for the later reads."""
+    seen = {}
+
+    def once(t):
+        v = seen.get(t)
+        if v is None:
+            v = seen[t] = g(t)
+        return v
+    return once
+
+
 def _cquad(f, a, b):
-    v, e = quad(f, a, b, complex_func=True, limit=LIMIT, epsabs=ABS_TOL,
-                epsrel=REL_TOL)
+    v, e = quad(_memo(f), a, b, complex_func=True, limit=LIMIT,
+                epsabs=ABS_TOL, epsrel=REL_TOL)
     return complex(v), e.real + e.imag
 
 
@@ -64,6 +79,9 @@ def _osc(g, a, b, w):
         raise QuadratureError(f"oscillatory quadrature needs finite "
                               f"frequencies and limits, got w={w} on "
                               f"[{a}, {b})")
+    # one memo serves every |w| of the call: the cos and sin runs, their
+    # real and imaginary parts, and QAWF's guard probes
+    g = _memo(g)
     val = np.empty(w.shape, dtype=complex)
     err = np.empty(w.shape)
     for (mag,), idx in _groups(np.abs(w)):

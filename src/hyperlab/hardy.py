@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad, \
-    _within_budget, pairing
+    _memo, _within_budget, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        _pushforward_reciprocal, compress_pi2)
 
@@ -90,6 +90,16 @@ class SampledFunction:
     err_estimates: np.ndarray
 
 
+def _total_density(f: Measure1D):
+    """The total density of f at one float t, by ``density_at``'s rule
+    (the sum over the pieces with a <= t < b) without its arrays and
+    masks."""
+    def rho(t):
+        return sum((pc.density(t) for pc in f.pieces if pc.a <= t < pc.b),
+                   0j)
+    return rho
+
+
 def _pv_point(f: Measure1D, x: float, window: float = 50.0):
     """pv int f(t)/(x - t) dt with error estimate.
 
@@ -105,7 +115,7 @@ def _pv_point(f: Measure1D, x: float, window: float = 50.0):
     err = 0.0
     if any(pc.a < hi and pc.b > lo for pc in f.pieces):
         # QUADPACK's Cauchy-weight rule computes pv int rho/(t - x)
-        v, e = quad(lambda t: complex(f.density_at(t)), lo, hi,
+        v, e = quad(_memo(_total_density(f)), lo, hi,
                     weight="cauchy", wvar=x, complex_func=True,
                     limit=LIMIT, epsabs=ABS_TOL, epsrel=REL_TOL)
         total -= v

@@ -128,7 +128,11 @@ def density_from_family(family: str, params: dict) -> Callable:
 
 @dataclass(frozen=True)
 class Piece:
-    """Density piece on the half-open interval [a, b); b may be +inf."""
+    """Density piece on the half-open interval [a, b); b may be +inf.
+
+    A QUADPACK integral samples ``density`` once per node, and the value
+    serves the real and imaginary parts and the cos and sin runs alike: so
+    a density must be a pure function of t."""
 
     a: float
     b: float

@@ -55,29 +55,22 @@ def _e2_e3(y):
 
 
 @dataclass(frozen=True)
-class SpiralPoint:
-    x: float
-    ci: float
-    si: float
-    modulus: float  # hypot(ci, si)
-
-
-@dataclass(frozen=True)
 class SpiralResult:
-    points: tuple
+    x: np.ndarray
+    ci: np.ndarray
+    si: np.ndarray
+    modulus: np.ndarray  # hypot(ci, si)
     min_modulus: float
 
 
 def nielsen_spiral(x_grid) -> SpiralResult:
-    """Evaluate (ci(x), si(x)) along a positive grid."""
+    """Evaluate (ci(x), si(x)) along a positive grid, as arrays."""
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
-        return SpiralResult((), np.inf)
+        return SpiralResult(x_grid, x_grid, x_grid, x_grid, np.inf)
     if np.any(x_grid <= 0) or not np.all(np.isfinite(x_grid)):
         raise ValueError("grid must be positive and finite")
     e = exp_integral_tail(x_grid)
     ci, si = -e.real, e.imag
     modulus = np.hypot(ci, si)
-    pts = tuple(map(SpiralPoint, x_grid.tolist(), ci.tolist(), si.tolist(),
-                    modulus.tolist()))
-    return SpiralResult(pts, float(np.min(modulus)))
+    return SpiralResult(x_grid, ci, si, modulus, float(np.min(modulus)))

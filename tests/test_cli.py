@@ -465,3 +465,23 @@ def test_huge_integer_refused_with_record(case, huge_int_results):
     assert out == ""
     assert json.loads(err.splitlines()[-1])["command"] == \
         HUGE_INT_CASES[case][0]
+
+
+class TestHardyTestMeasure:
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_density_reads_zero_far_out(self, conjugate):
+        # 1/(t +- i)^2 as a complex power raised OverflowError past |t| ~
+        # 1e154; as a product it reads 0 there
+        f = cli._hardy_test_measure(conjugate)
+        for t in (1e200, -1e200, 1e300, -1e300):
+            assert f.pieces[int(t > 0)].density(t) == 0.0
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_density_is_the_power_below_overflow(self, conjugate):
+        sign = -1.0 if conjugate else 1.0
+        f = cli._hardy_test_measure(conjugate)
+        for t in np.geomspace(1e-300, 1e153, 61).tolist():
+            for x in (t, -t):
+                got = f.pieces[int(x > 0)].density(x)
+                want = 1.0 / (x + sign * 1j) ** 2
+                assert (got.real, got.imag) == (want.real, want.imag)

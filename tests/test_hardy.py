@@ -105,6 +105,81 @@ class TestVectorPairing:
         assert len(calls) <= 258
 
 
+@pytest.fixture
+def integrals(monkeypatch):
+    """(found, counted): found[1:] holds, per memoized integral, the nodes
+    its integrand was asked for and the calls that densities wrapped by
+    ``counted`` received meanwhile; found[0] holds density calls made
+    outside every integral."""
+    found, current = [([], [])], []
+    memo = fourier._memo
+
+    def scoped(g):
+        nodes, calls = [], []
+        found.append((nodes, calls))
+
+        def asked(t):
+            nodes.append(t)
+            current.append(calls)
+            try:
+                return g(t)
+            finally:
+                current.pop()
+        return memo(asked)
+    monkeypatch.setattr(fourier, "_memo", scoped)
+    monkeypatch.setattr(hardy, "_memo", scoped)
+
+    def counted(rho):
+        def density(t):
+            (current[-1] if current else found[0][1]).append(t)
+            return rho(t)
+        return density
+    return found, counted
+
+
+class TestSampledOncePerNode:
+    """QUADPACK reads each node of a complex integrand in a real and an
+    imaginary run, and a cos/sin pair reads the same nodes twice more;
+    within one integral the density is evaluated once per node."""
+
+    @pytest.mark.parametrize("case", ["q2", "witness", "hilbert"])
+    def test_density_evaluated_once_per_node(self, case, integrals,
+                                             monkeypatch):
+        found, counted = integrals
+
+        def recounted(nu):
+            return Measure1D(pieces=tuple(
+                Piece(p.a, p.b, counted(p.density), p.tv_bound,
+                      params=p.params) for p in nu.pieces))
+        if case == "q2":
+            q2_coefficients(recounted(hardy_plus()), 64)
+        elif case == "witness":
+            witness_f = hardy._witness_f
+            monkeypatch.setattr(hardy, "_witness_f",
+                                lambda z0: counted(witness_f(z0)))
+            timelike_witness(1j, 1.0, 10, 10)
+        else:
+            hilbert_line(recounted(cauchy_pair()), np.linspace(-3, 3, 7))
+        (_, outside), *scopes = found
+        assert outside == []
+        assert sum(len(calls) for _, calls in scopes) > 1000
+        for nodes, calls in scopes:
+            assert len(set(nodes)) == len(nodes) == len(calls)
+
+    def test_window_density_is_density_at(self):
+        gap = Measure1D(pieces=(
+            Piece(-2.0, -1.0, lambda t: 3.0 + 0.0 * np.asarray(t), 3.0),
+            Piece(1.0, 3.0, lambda t: 1.0 / np.asarray(t), 2.0)))
+        for f in (hardy_plus(), hardy_plus(conjugate=True), cauchy_pair(),
+                  gap):
+            rho = hardy._total_density(f)
+            # the piece junction t = 0 (from both sides), the ends of the
+            # gap's pieces, and interior points
+            for t in (0.0, -0.0, -2.0, -1.0, 1.0, 3.0, -1.5, -0.3, 0.7,
+                      2.5, 40.0):
+                assert complex(rho(t)) == complex(f.density_at(t)), (f, t)
+
+
 class TestHardyDefect:
     def test_hardy_function_has_tiny_defect(self):
         d = hardy_defect(hardy_plus(), 32)
