@@ -34,6 +34,8 @@ from .sici import exp_integral_tail
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 LIMIT = 200
+# the t chart starts at t = FLOOR where a piece reaches 0
+FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -111,79 +113,69 @@ def _osc(g, a, b, w):
     return val, err
 
 
-def _piece_ft_positive(rho, a, b, w, c):
-    """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf], and
-    its error estimate, at each entry of the 1-d arrays w and c.
-
-    Where c != 0, the part of [a, b) below the crossover t* = sqrt|c/w|,
-    where the c/t phase turns faster than the w t one, runs in an s
-    chart with the c phase linear: s = k/t from t = 0, s = 1/t on a piece
-    away from 0 (only where w != 0, as t* is infinite at w = 0).  The t
-    chart takes the rest.  A sub-integral whose integrand does not depend
-    on its frequency's sign runs once per magnitude: the s = k/t tail at
-    w = 0 and the t chart at c = 0."""
+def _t_chart(rho, lo, hi, w, c):
+    """integral_lo^hi rho(t) e^{i(w t - c/t)} dt, and its error estimate,
+    at each entry of the 1-d arrays lo, hi, w and c (0 where lo >= hi),
+    from t = FLOOR up: the w t phase under QUADPACK's Fourier weights, one
+    cos/sin pair per |w| of a (c, lo, hi), and a mass (w = c = 0) by quad."""
     val = np.zeros(w.shape, dtype=complex)
     err = np.zeros(w.shape)
-    lo = np.full(w.shape, float(a))
-
-    def add(idx, v, e):
-        val[idx] += v
-        err[idx] += e
-
-    live = np.flatnonzero(c != 0.0)
-    for (wv, cm), sub in _groups(w[live], np.abs(c[live])):
-        idx = live[sub]
-        t_star = np.sqrt(cm) / np.sqrt(abs(wv)) if wv != 0.0 else np.inf
-        if a == 0.0:
-            # k = min(|c|, 1) keeps the tail's frequency c/k at least 1 in
-            # size, and with it QAWF's cycles short, however small c is
-            k = min(cm, 1.0)
-            d = min(b, k, t_star)
-
-            def g(s, wv=wv, k=k):
-                return rho(k / s) * np.exp(1j * wv * k / s) * k / s**2
-            add(idx, *_osc(g, k / d, np.inf, -c[idx] / k))
-            lo[idx] = d
-        elif wv != 0.0 and 1.0 / min(t_star, b) < 1.0 / a:
-            hi = min(t_star, b)
-
-            def g(s, wv=wv):
-                t = 1.0 / s
-                return rho(t) * np.exp(1j * wv * t) * t * t
-            add(idx, *_osc(g, 1.0 / hi, 1.0 / a, -c[idx]))
-            lo[idx] = hi
-
-    for (cv, a_t), idx in _groups(c, lo):
-        if a_t >= b:
+    for (cv, a, b), idx in _groups(c, lo, hi):
+        if a >= b:
             continue
-
-        def integrand(t, cv=cv):
-            return rho(t) * np.exp(-1j * cv / t) if cv != 0.0 else rho(t)
-        a_t = max(a_t, 1e-300)
-
-        def ladder(slow):
+        a = max(a, FLOOR)
+        integrand = rho if cv == 0.0 else (
+            lambda t, cv=cv: rho(t) * np.exp(-1j * cv / t))
+        spin, mass = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
+        if mass.size:
+            val[mass], err[mass] = _cquad(rho, a, b)
+        for (mag,), sub in _groups(np.abs(w[spin])):
             # one rule samples neither the scale t ~ |c| < 1 where the c/t
-            # phase turns by a radian, nor, on an infinite piece, the mass
-            # near t = 1 below a first w t cycle of length 1/slow > 1: cut
-            # at 16^i steps from |c| (or 1) up to 1 (or 1/slow)
-            cuts = [a_t]
+            # phase turns by a radian, nor the mass near t = 1 below a
+            # first w t cycle of length 1/|w| > 1: cut at 16^i steps from
+            # |c| (or 1) up to 1 (or 1/|w|, below b).  Each |w| climbs its
+            # own ladder: QAWO on a smaller |w|'s cuts, far past 1/|w|,
+            # reads NaN (from t ~ 3e85 at |w| = pi 1e-9)
+            cuts = [a]
             cut = abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
-            while cut < min(b, 1.0) or cut * slow < 1.0:
-                if cut > a_t:
+            while cut < b and (cut < 1.0 or cut * mag < 1.0):
+                if cut > a:
                     cuts.append(cut)
                 cut *= 16.0
-            return zip(cuts, cuts[1:] + [b])
-        spin, still = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
-        for (mag,), sub in _groups(np.abs(w[spin])):
-            # each |w| climbs its own ladder: far past 1/|w|, QAWO on the
-            # cuts of a smaller |w|'s ladder reads NaN (from t ~ 3e85 at
-            # |w| = pi 1e-9)
-            for t0, t1 in ladder(mag if b == np.inf else np.inf):
-                add(spin[sub], *_osc(integrand, t0, t1, w[spin[sub]]))
-        if still.size:  # the w = 0 entries take the c ladder alone
-            for t0, t1 in ladder(np.inf):
-                add(still, *_cquad(integrand, t0, t1))
+            for t0, t1 in zip(cuts, cuts[1:] + [b]):
+                v, e = _osc(integrand, t0, t1, w[spin[sub]])
+                val[spin[sub]] += v
+                err[spin[sub]] += e
     return val, err
+
+
+def _piece_ft_positive(rho, a, b, w, c):
+    """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf], and
+    its error estimate, at each entry of the 1-d arrays w and c.  Where
+    c != 0, the part [a, t*) below the crossover t* = sqrt|c/w| (all of
+    [a, b) at w = 0), where the c/t phase turns faster than the w t one,
+    pairs as its image under t -> 1/t: rho(1/u)/u^2 on (1/t*, 1/a] at
+    w' = -c, c' = -w, above its own crossover 1/t*.  The t chart takes
+    that image and the rest of [a, b)."""
+    with np.errstate(all="ignore"):
+        mid = np.where(c != 0.0, np.clip(np.sqrt(np.abs(c))
+                                         / np.sqrt(np.abs(w)), a, b), a)
+        u_lo = np.where(c != 0.0, 1.0 / mid, np.inf)
+        # from t = 0 the image reaches u = inf under QAWF, unless QAWF's
+        # cycles pass the largest float (|c| < FLOOR): then it stops at
+        # 1/FLOOR, the mirror of the t chart's floor
+        u_hi = np.where(np.abs(c) < FLOOR, 1.0 / max(a, FLOOR),
+                        1.0 / a if a > 0.0 else np.inf)
+        # cut at u = 1/|c|, where the w' u phase turns by a radian: below it
+        # QAWO keeps to its Gauss-Kronrod rule, which never reads u = 0
+        u_cut = np.clip(1.0 / np.abs(c), u_lo, u_hi)
+
+    def image(u):  # u = 0 is t = inf, where rho(t) t^2 has no known limit
+        return rho(1.0 / u) / u / u if u else np.nan
+    parts = (_t_chart(image, u_lo, u_cut, -c, -w),
+             _t_chart(image, u_cut, u_hi, -c, -w),
+             _t_chart(rho, mid, np.full(w.shape, float(b)), w, c))
+    return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
 def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):

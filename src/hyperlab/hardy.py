@@ -17,9 +17,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad, \
-    _memo, _within_budget, pairing
+    _memo, _within_budget, error_budget, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        _pushforward_reciprocal, compress_pi2)
+
+# half-width of the principal-value window around each point
+PV_WINDOW = 50.0
 
 
 def q2_coefficients(f: Measure1D, n_max: int):
@@ -100,14 +103,14 @@ def _total_density(f: Measure1D):
     return rho
 
 
-def _pv_point(f: Measure1D, x: float, window: float = 50.0):
+def _pv_point(f: Measure1D, x: float):
     """pv int f(t)/(x - t) dt with error estimate.
 
-    The principal-value window (x - w, x + w) integrates the *total*
+    The principal-value window x +- PV_WINDOW integrates the *total*
     density with QUADPACK's Cauchy-weight rule, so internal piece
     boundaries (where the total density is continuous) cause no trouble;
     the remaining support is integrated plainly per piece."""
-    lo, hi = x - window, x + window
+    lo, hi = x - PV_WINDOW, x + PV_WINDOW
     if not lo < x < hi:
         raise QuadratureError(f"principal-value window around x={x} is "
                               f"below float resolution")
@@ -209,8 +212,8 @@ def _witness_f(z0: complex):
 def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
     """Pairings <f_z0, e^{i pi j t}> (j = 0..j_max) and
     <f_z0, e^{i pi beta k / t}> (k = 0..k_max); all vanish by residues.
-    A pairing whose achieved error estimate exceeds its budget raises
-    ``QuadratureError``."""
+    A pairing whose achieved error estimate exceeds its budget, or whose
+    |value| exceeds the budget of the exact 0, raises ``QuadratureError``."""
     z0 = complex(z0)
     if z0.imag <= 0:
         raise MeasureError("the witness requires Im z0 > 0")
@@ -222,9 +225,13 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
                            Piece(0.0, np.inf, f, np.inf)))
     j, k = np.arange(j_max + 1), np.arange(k_max + 1)
     rows = [("j", int(i)) for i in j] + [("k", int(i)) for i in k]
+    labels = [f"witness pairing {kind} = {idx}" for kind, idx in rows]
     vals, errs = _within_budget(*pairing(
         nu, np.r_[np.pi * j, np.zeros(k.size)],
-        np.r_[np.zeros(j.size), -np.pi * beta * k]),
-        [f"witness pairing {kind} = {idx}" for kind, idx in rows])
+        np.r_[np.zeros(j.size), -np.pi * beta * k]), labels)
+    for label, v, e in zip(labels, vals, errs):
+        if abs(v) > error_budget(0.0):
+            raise QuadratureError(f"{label} reads |value| {abs(v):.3g}, where "
+                                  f"the residue identity gives 0", e)
     return [PairingRow(kind, idx, complex(v), float(e))
             for (kind, idx), v, e in zip(rows, vals, errs)]

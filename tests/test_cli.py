@@ -28,7 +28,9 @@ NONFINITE_CASES = key_cases(COMMANDS, float, ("nan", "inf", "-inf"))
 
 # huge and tiny finite values of every float key
 EXTREME_CASES = key_cases(COMMANDS, float,
-                          ("1e300", "-1e300", "1e-300", "-1e-300"))
+                          ("1e300", "-1e300", "1e-300", "-1e-300")) + [
+    # QAWF's guard node rounds onto u = 0 of the witness's image chart
+    ["timelike-witness", "--beta=1e15"]]
 
 # 10**14 of every count: each once ended in a raw MemoryError traceback or
 # ran on for minutes
@@ -183,6 +185,33 @@ class TestRunExperiment:
         assert record["command"] == "timelike-witness"
         assert "above tolerance" in record["message"]
 
+    @pytest.mark.parametrize("beta", ["100", "1000"])
+    def test_witness_k_rows_vanish_at_large_beta(self, beta, capsys):
+        # each k row's piece pairs as its image under t -> 1/t, which QAWF
+        # takes at w' = pi beta k: beta = 100 once missed its budget at
+        # k = 3 (estimate 4.2e-8), and beta = 1000 at k = 1 (0.19)
+        code, out, _ = run(["timelike-witness", "--beta", beta], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
+                if ln.startswith("k,")]
+        assert len(rows) == 11
+        assert max(float(r[4]) for r in rows) <= 1e-11
+
+    def test_witness_nonzero_row_runtime_record(self):
+        # at Im z0 = 1e-5 every estimate is within its budget, but rows
+        # read |value| up to about pi where the residue identity gives 0:
+        # a fresh process exits 1 with a JSON record, not an artifact
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-m", "hyperlab.cli",
+                              "timelike-witness", "--im", "1e-5"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        record = json.loads(res.stderr.splitlines()[-1])
+        assert record["command"] == "timelike-witness"
+        assert "residue identity gives 0" in record["message"]
+
     def test_defect_sweep_defaults_pinned(self, capsys):
         # the sweep with its four fast-side end columns (E_2 and 2 E_3 at
         # w t_max and -c / t_min) evaluated in arbitrary precision and
@@ -271,8 +300,8 @@ class TestRunExperiment:
             assert abs(complex(float(r[4]), float(r[5])) - want) <= 1e-10
 
     def test_ft_cross_tiny_alpha_origin_rows(self, capsys):
-        # the origin rows pair to the total mass 0: the w = 0 entries take
-        # the c ladder alone, not the 16^i cuts up to 1/|w| of axis 1
+        # the origin rows pair to the total mass 0: the mass entries take
+        # one plain quad, not the 16^i cuts up to 1/|w| of axis 1
         code, out, _ = run(["ft-cross", "--alpha", "1e-300"], capsys)
         assert code == 0
         rows = [ln.split(",") for ln in out.splitlines()

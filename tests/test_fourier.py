@@ -73,8 +73,8 @@ class TestFtPoint:
     @pytest.mark.parametrize("xi", [(1000.0, 0.5), (1e4, 0.2), (1e4, 0.3),
                                     (1e4, 2.0), (3.0, 0.7)])
     def test_off_axis_matches_swapped_phases(self, xi):
-        # with both phases large, the s chart below t* = sqrt|c/w| and the
-        # t chart above it stay within budget; J_1 (t -> -1/t) swaps the
+        # with both phases large, the image chart below t* = sqrt|c/w| and
+        # the t chart above it stay within budget; J_1 (t -> -1/t) swaps the
         # two phases, so its pairing at (c, w) is the same integral,
         # computed with the charts the other way round
         nu = critical_annihilator()
@@ -192,7 +192,8 @@ def test_tiny_xi2_meets_oracle_or_raises(case, tiny_xi2_results):
 
 @pytest.mark.parametrize("xi2", [1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.3])
 def test_small_xi2_matches_closed_form(xi2):
-    # the s = 1/t tail and the cuts at |c| 16^i resolve the t ~ |c| scale
+    # the [0, 1) piece pairs as its image on [1, inf) under t -> 1/t, where
+    # the c/t phase is a linear one: cut at 16^i up to 1/|c|, then QAWF
     val = ft_point(lift(critical_annihilator()), (0.0, xi2))
     assert val == pytest.approx(-critical_measure_ft(-xi2 / 2.0), abs=1e-11)
 
@@ -209,8 +210,9 @@ def test_large_xi2_matches_closed_form(xi2):
 @pytest.mark.parametrize("xi1", [5e-324, 1e-308, 1e-300, 1e-9, 1e-7, 1e-6])
 def test_tiny_xi1_matches_closed_form(xi1):
     # the image piece on [1, inf) is paired in its family chart [0, 1),
-    # where the w t phase becomes a c/u one: the s = k/u tail and the cuts
-    # at |c| 16^i resolve it, and no QAWF cycle of length ~1/|w| is taken
+    # where the w t phase becomes a c/u one, and that piece as its image
+    # under u -> 1/u: cut at 16^i up to 1/|w|, then QAWF, or below
+    # |w| = 1e-300, whose QAWF cycles pass the largest float, up to 1e300
     val = ft_point(lift(critical_annihilator()), (xi1, 0.0))
     assert val == pytest.approx(critical_measure_ft(xi1 / 2.0), abs=1e-11)
 
