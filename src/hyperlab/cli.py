@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -131,11 +132,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# a negative number in exponent notation, which argparse takes for an
+# option unless it is joined to its flag, as in --xi2=-1e8
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
 def parse_config(argv):
     """Resolved (command, config dict): defaults < file < flags."""
     parser = _build_parser()
+    args = []
+    for arg in argv:
+        if (args and args[-1].startswith("--") and "=" not in args[-1]
+                and _NEGATIVE_EXPONENT.fullmatch(arg)):
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(args)
     except SystemExit as exc:
         if exc.code not in (0, None):
             raise UsageError("", "unrecognized or malformed arguments") \

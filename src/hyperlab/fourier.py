@@ -14,6 +14,12 @@ infinite tails), which shares one cos/sin pair between w and -w and
 samples its integrand once per node; piecewise constant (Ulam) densities
 are paired in closed form where one phase vanishes, and bin by bin
 through the same charts elsewhere.
+
+Generic pieces (family None) pair by their densities: one that straddles
+t = 0 as its two sides, and two on [a, b) and [-b, -a) as one integral on
+[a, b), of rho(t) at (w, c) plus its mirror rho(-t) at (-w, -c), whose
+cos/sin pair per |w| covers both half-lines and both signs of w.  A piece
+without a mirror pairs alone.
 """
 
 from __future__ import annotations
@@ -70,42 +76,61 @@ def _cquad(f, a, b):
     return complex(v), e.real + e.imag
 
 
-def _osc(g, a, b, w):
+def _osc(gs, a, b, w):
     """(integral_a^b g(t) e^{i w t} dt, error estimate) at each entry of a
     1-d array w of nonzero frequencies, with QUADPACK's Fourier weights:
-    QAWO on finite [a, b], QAWF for b = inf.  g does not depend on w, so
-    one cos/sin pair per distinct |w| serves both signs, and its error
-    estimate counts toward each."""
+    QAWO on finite [a, b], QAWF for b = inf.  gs is (g,), or (g, h) with
+    the mirror integrand h at -w, which adds integral_a^b h(t) e^{-i w t}
+    dt: the value is C[g + h] + i sgn(w) S[g - h].  The integrands do not
+    depend on w, so one cos/sin pair per distinct |w| serves both signs,
+    and its error estimate counts toward each."""
     w = np.asarray(w, dtype=float)
     if not (np.all(np.isfinite(w)) and np.isfinite(a) and a < b):
         raise QuadratureError(f"oscillatory quadrature needs finite "
                               f"frequencies and limits, got w={w} on "
                               f"[{a}, {b})")
     # one memo serves every |w| of the call: the cos and sin runs, their
-    # real and imaginary parts, and QAWF's guard probes
-    g = _memo(g)
+    # real and imaginary parts, and QAWF's guard probes; a mirror pair is
+    # sampled as one
+    if len(gs) == 1:
+        even = odd = _memo(gs[0])
+    else:
+        g, h = gs
+
+        def sum_diff(t):
+            gt, ht = g(t), h(t)
+            return gt + ht, gt - ht
+        both = _memo(sum_diff)
+
+        def even(t):
+            return both(t)[0]
+
+        def odd(t):
+            return both(t)[1]
     val = np.empty(w.shape, dtype=complex)
     err = np.empty(w.shape)
     for (mag,), idx in _groups(np.abs(w)):
         if b == np.inf:
             # QAWF runs up to LIMIT cycles of length (2 floor|w| + 1) pi /
             # |w| from a, and crashes the interpreter on one that ends at
-            # inf, or on a non-finite sample: g is probed at a and at the
-            # first cycle's lower Clenshaw-Curtis node, 0 for a tiny a
+            # inf, or on a non-finite sample: the integrands are probed at
+            # a and at the first cycle's lower Clenshaw-Curtis node, 0 for
+            # a tiny a
             cycle = (2 * (mag // 1) + 1) * np.pi / mag
             if a + LIMIT * cycle == np.inf:
                 raise QuadratureError(f"QAWF's cycles at |w|={mag:.3g} "
                                       f"from {a:.3g} pass the largest float")
             b1 = a + cycle
             for x in (a, 0.5 * (a + b1) - 0.5 * (b1 - a)):
-                if not np.isfinite(gx := g(x)):
-                    raise QuadratureError(f"the integrand reads {gx} at "
-                                          f"t={x:.3g}, where QAWF samples "
-                                          f"it at |w|={mag:.3g}")
+                for gx in (even(x), odd(x)):
+                    if not np.isfinite(gx):
+                        raise QuadratureError(
+                            f"the integrand reads {gx} at t={x:.3g}, where "
+                            f"QAWF samples it at |w|={mag:.3g}")
         kw = {"wvar": mag, "complex_func": True, "limit": LIMIT,
               "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
-        cos, e_cos = quad(g, a, b, weight="cos", **kw)
-        sin, e_sin = quad(g, a, b, weight="sin", **kw)
+        cos, e_cos = quad(even, a, b, weight="cos", **kw)
+        sin, e_sin = quad(odd, a, b, weight="sin", **kw)
         e = e_cos + e_sin
         for i in idx:
             val[i] = cos + 1j * np.sign(w[i]) * sin
@@ -113,22 +138,27 @@ def _osc(g, a, b, w):
     return val, err
 
 
-def _t_chart(rho, lo, hi, w, c):
+def _t_chart(rhos, lo, hi, w, c):
     """integral_lo^hi rho(t) e^{i(w t - c/t)} dt, and its error estimate,
     at each entry of the 1-d arrays lo, hi, w and c (0 where lo >= hi),
     from t = FLOOR up: the w t phase under QUADPACK's Fourier weights, one
-    cos/sin pair per |w| of a (c, lo, hi), and a mass (w = c = 0) by quad."""
+    cos/sin pair per |w| of a (c, lo, hi), and a mass (w = c = 0) by quad.
+    rhos is (rho,), or (rho, mirror) with a mirror density paired at
+    (-w, -c) and added, in the same integrals."""
     val = np.zeros(w.shape, dtype=complex)
     err = np.zeros(w.shape)
     for (cv, a, b), idx in _groups(c, lo, hi):
         if a >= b:
             continue
         a = max(a, FLOOR)
-        integrand = rho if cv == 0.0 else (
-            lambda t, cv=cv: rho(t) * np.exp(-1j * cv / t))
+        # the mirror turns the c/t phase the other way
+        gs = rhos if cv == 0.0 else tuple(
+            lambda t, rho=rho, cs=cs: rho(t) * np.exp(-1j * cs / t)
+            for rho, cs in zip(rhos, (cv, -cv)))
         spin, mass = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
         if mass.size:
-            val[mass], err[mass] = _cquad(rho, a, b)
+            val[mass], err[mass] = _cquad(rhos[0] if len(rhos) == 1 else (
+                lambda t: rhos[0](t) + rhos[1](t)), a, b)
         for (mag,), sub in _groups(np.abs(w[spin])):
             # one rule samples neither the scale t ~ |c| < 1 where the c/t
             # phase turns by a radian, nor the mass near t = 1 below a
@@ -143,20 +173,22 @@ def _t_chart(rho, lo, hi, w, c):
                     cuts.append(cut)
                 cut *= 16.0
             for t0, t1 in zip(cuts, cuts[1:] + [b]):
-                v, e = _osc(integrand, t0, t1, w[spin[sub]])
+                v, e = _osc(gs, t0, t1, w[spin[sub]])
                 val[spin[sub]] += v
                 err[spin[sub]] += e
     return val, err
 
 
-def _piece_ft_positive(rho, a, b, w, c):
-    """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in (0, inf], and
-    its error estimate, at each entry of the 1-d arrays w and c.  Where
-    c != 0, the part [a, t*) below the crossover t* = sqrt|c/w| (all of
-    [a, b) at w = 0), where the c/t phase turns faster than the w t one,
-    pairs as its image under t -> 1/t: rho(1/u)/u^2 on (1/t*, 1/a] at
-    w' = -c, c' = -w, above its own crossover 1/t*.  The t chart takes
-    that image and the rest of [a, b)."""
+def _piece_ft_positive(rhos, a, b, w, c):
+    """integral_a^b rho(t) e^{i(w t - c/t)} dt over [a,b) in [0, inf], and
+    its error estimate, at each entry of the 1-d arrays w and c; rhos is
+    (rho,), or (rho, mirror) with the mirror density paired at (-w, -c)
+    and added.  Where c != 0, the part [a, t*) below the crossover t* =
+    sqrt|c/w| (all of [a, b) at w = 0), where the c/t phase turns faster
+    than the w t one, pairs as its image under t -> 1/t: rho(1/u)/u^2 on
+    (1/t*, 1/a] at w' = -c, c' = -w, above its own crossover 1/t*.  The t
+    chart takes that image and the rest of [a, b).  t* and the image map
+    commute with (w, c) -> (-w, -c), so a mirror takes the same steps."""
     with np.errstate(all="ignore"):
         mid = np.where(c != 0.0, np.clip(np.sqrt(np.abs(c))
                                          / np.sqrt(np.abs(w)), a, b), a)
@@ -170,11 +202,12 @@ def _piece_ft_positive(rho, a, b, w, c):
         # QAWO keeps to its Gauss-Kronrod rule, which never reads u = 0
         u_cut = np.clip(1.0 / np.abs(c), u_lo, u_hi)
 
-    def image(u):  # u = 0 is t = inf, where rho(t) t^2 has no known limit
-        return rho(1.0 / u) / u / u if u else np.nan
-    parts = (_t_chart(image, u_lo, u_cut, -c, -w),
-             _t_chart(image, u_cut, u_hi, -c, -w),
-             _t_chart(rho, mid, np.full(w.shape, float(b)), w, c))
+    def image(rho):  # u = 0 is t = inf, where rho(t) t^2 has no known limit
+        return lambda u: rho(1.0 / u) / u / u if u else np.nan
+    images = tuple(image(rho) for rho in rhos)
+    parts = (_t_chart(images, u_lo, u_cut, -c, -w),
+             _t_chart(images, u_cut, u_hi, -c, -w),
+             _t_chart(rhos, mid, np.full(w.shape, float(b)), w, c))
     return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
@@ -209,7 +242,7 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
     off = np.flatnonzero((w != 0.0) & (c != 0.0))
     for a, b, v in zip(edges[:-1], edges[1:], values):
         if off.size and v != 0.0:
-            v_off, e_off = _piece_ft_positive(lambda t, v=v: v, a, b,
+            v_off, e_off = _piece_ft_positive((lambda t, v=v: v,), a, b,
                                               w[off], c[off])
             val[off] += v_off
             err[off] += e_off
@@ -217,24 +250,50 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
 
 
 def _piece_ft(p: Piece, w, c):
+    """(values, error estimates) of one family piece."""
     s = p.image_s
     if s is not None:
         # u = s/t: the family piece on [s/b, s/a) at w' = -c/s, c' = -w s
         return _piece_ft(_image_piece(p, s), -c / s, -w * s)
     if p.family == "binned":
         return _binned_pairing(p.params["edges"], p.params["values"], w, c)
-    if p.b <= 0.0:
-        # reflect to positive support: t -> -t flips both frequencies
+    return _density_ft([p], w, c)
+
+
+def _density_ft(pieces, w, c):
+    """(values, error estimates) of pieces read by their densities alone.
+    Each is split at t = 0 if it straddles it, and a part on [-b, -a)
+    reflects to [a, b) in [0, inf] under t -> -t, which flips both
+    frequencies; parts with mirrored supports then pair as one, the
+    density on [a, b) at (w, c) and its mirror at (-w, -c), in the same
+    integrals."""
+    halves = {}
+    for p in pieces:
         rho = p.density
-        return _piece_ft_positive(lambda u: rho(-u), -p.b, -p.a, -w, -c)
-    return _piece_ft_positive(p.density, p.a, p.b, w, c)
+        if p.a < 0.0:
+            halves.setdefault((-min(p.b, 0.0), -p.a), [None, None])[1] = (
+                lambda u, rho=rho: rho(-u))
+        if p.b > 0.0:
+            halves.setdefault((max(p.a, 0.0), p.b), [None, None])[0] = rho
+    val = np.zeros(w.shape, dtype=complex)
+    err = np.zeros(w.shape)
+    for (a, b), (plus, minus) in halves.items():
+        # a part alone on t < 0 pairs reflected, at (-w, -c)
+        sign = -1.0 if plus is None else 1.0
+        rhos = tuple(r for r in (plus, minus) if r is not None)
+        v, e = _piece_ft_positive(rhos, a, b, sign * w, sign * c)
+        val += v
+        err += e
+    return val, err
 
 
 def pairing(nu: Measure1D, w, c):
     """(values, error estimates): the integral of e^{i(w t - c/t)} d nu(t)
     at each entry of the arrays w and c, broadcast together (a scalar pair
     gives 0-d arrays), with the error estimate each value's integrals
-    achieved; an integral that several values share counts toward each."""
+    achieved; an integral that several values share counts toward each.
+    Generic pieces (family None) with mirrored supports [a, b) and
+    [-b, -a) pair as one, and one that straddles t = 0 as its two sides."""
     w, c = np.broadcast_arrays(np.asarray(w, dtype=float),
                                np.asarray(c, dtype=float))
     bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(c)))
@@ -248,8 +307,10 @@ def pairing(nu: Measure1D, w, c):
     for x, wt in nu.atoms:
         c_x = np.divide(c, x, out=np.zeros(c.shape), where=c != 0.0)
         total += wt * np.exp(1j * (w * x - c_x))
-    for p in nu.pieces:
-        v, e = _piece_ft(p, w, c)
+    parts = [_piece_ft(p, w, c) for p in nu.pieces if p.family is not None]
+    parts.append(_density_ft([p for p in nu.pieces if p.family is None],
+                             w, c))
+    for v, e in parts:
         total += v
         err += e
     return total.reshape(shape), err.reshape(shape)

@@ -129,6 +129,14 @@ class TestParseConfig:
         assert code == 2
         assert json.loads(err)["key"] == "nonsense"
 
+    @pytest.mark.parametrize("flag,value", [("--xi2", "-1e8"),
+                                            ("--xi1", "-2.5e-3")])
+    def test_negative_exponent_value(self, flag, value, capsys):
+        # argparse takes -1e8 for an option: --xi2 -1e8 once exited 2
+        code, out, err = run(["ft-eval", flag, value], capsys)
+        assert (code, err) == (0, "")
+        assert run(["ft-eval", f"{flag}={value}"], capsys) == (0, out, "")
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(["coverage", "--bogus", "1"], capsys)
         assert code == 2
@@ -175,8 +183,8 @@ class TestRunExperiment:
         assert 0.0 < json.loads(out)["errEstimate"] <= 1e-6
 
     def test_witness_over_budget_runtime_record(self, capsys):
-        # at Im z0 = 1e-8 the j pairings miss their budgets: j = 0 first,
-        # by 11 times, and j = 7 reads |value| 6.06, where the exact value
+        # at Im z0 = 1e-8 the j pairings miss their budgets: j = 1 first,
+        # by 18 times, and j = 7 reads |value| 5.77, where the exact value
         # is 0, with an estimate about 2e6 times its budget
         code, out, err = run(["timelike-witness", "--im", "1e-8"], capsys)
         assert code == 1
@@ -198,9 +206,10 @@ class TestRunExperiment:
         assert max(float(r[4]) for r in rows) <= 1e-11
 
     def test_witness_nonzero_row_runtime_record(self):
-        # at Im z0 = 1e-5 every estimate is within its budget, but rows
-        # read |value| up to about pi where the residue identity gives 0:
-        # a fresh process exits 1 with a JSON record, not an artifact
+        # at Im z0 = 1e-5 the mass row j = 0 misses its budget (estimate
+        # 2.93e-8); before the half-lines folded, every estimate was
+        # within budget and rows read |value| up to about pi.  A fresh
+        # process exits 1 with a JSON record, not an artifact
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(hyperlab.__file__)))
         res = subprocess.run([sys.executable, "-m", "hyperlab.cli",
@@ -210,7 +219,7 @@ class TestRunExperiment:
         assert res.stdout == ""
         record = json.loads(res.stderr.splitlines()[-1])
         assert record["command"] == "timelike-witness"
-        assert "residue identity gives 0" in record["message"]
+        assert record["message"].startswith("witness pairing j = 0 ")
 
     def test_defect_sweep_defaults_pinned(self, capsys):
         # the sweep with its four fast-side end columns (E_2 and 2 E_3 at

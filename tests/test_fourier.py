@@ -338,6 +338,21 @@ for call in calls:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["QuadratureError"] * 2
 
+    @pytest.mark.parametrize("lo", [-1.0, -0.5])
+    def test_piece_straddling_zero_pairs_both_sides(self, lo):
+        # a generic piece on [lo, 1) pairs as its two sides of t = 0; the
+        # t chart's start at 1e-300 once dropped the side below 0, so
+        # [-1, 1) read mass 1 and 0.047+0.663i at w = 3
+        nu = Measure1D(pieces=(Piece(lo, 1.0, lambda t: np.ones_like(
+            np.asarray(t, dtype=float)), 1.0 - lo),))
+        w = np.array([0.0, 3.0, -3.0, 40.0])
+        val, err = pairing(nu, w, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(w == 0.0, 1.0 - lo, (np.exp(1j * w)
+                            - np.exp(1j * w * lo)) / (1j * w))
+        assert np.max(np.abs(val - want)) <= 1e-12
+        assert np.all(err <= 1e-9)
+
     def test_mixed_magnitudes_match_single_frequency_calls(self):
         # each |w| takes its own cut ladder: one ladder up to 1/min|w| =
         # 3e299 read NaN at |w| = pi 1e-9
