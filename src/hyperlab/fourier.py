@@ -9,11 +9,15 @@ so that the pairing exp(i 2 pi j t) used in the one-branch experiments is
 ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Every
 ``pairing`` of a measure with e^{i(w t - c/t)}, over arrays of
 frequencies, sends its oscillatory integrals through one primitive,
-``_osc`` (QUADPACK's Fourier weights: QAWO on finite intervals, QAWF on
-infinite tails), which shares one cos/sin pair between w and -w and
-samples its integrand once per node; piecewise constant (Ulam) densities
-are paired in closed form where one phase vanishes, and bin by bin
-through the same charts elsewhere.
+``_osc``: QAWO on finite cuts, Ooura-Mori on tails, QAWF only as a
+measured fallback.  It shares one cos/sin pair between w and -w and
+samples its integrand once per node: a tail samples every |w| of a call
+at the Ooura-Mori nodes as one array, and falls back to QAWF for a |w|
+whose achieved estimate is not within the QUADPACK tolerance.  Piecewise
+constant (Ulam) densities are paired in closed form where one phase
+vanishes, and bin by bin through the same charts elsewhere.  QUADPACK's
+IntegrationWarnings are kept as diagnostics, which a ``QuadratureError``
+carries in its message.
 
 Generic pieces (family None) pair by their densities: one that straddles
 t = 0 as its two sides, and two on [a, b) and [-b, -a) as one integral on
@@ -24,10 +28,13 @@ without a mirror pairs alone.
 
 from __future__ import annotations
 
+import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 # the cross and its budget, and the error type, live in the scipy-free
 # measures module; they are read from here too
@@ -36,16 +43,72 @@ from .measures import (MAX_CROSS_POINTS, HyperbolaMeasure, LatticeCross,
 from .sici import exp_integral_tail
 
 
-# QUADPACK tolerances and subdivision limit of every pairing
+# QUADPACK tolerances and subdivision limit of every pairing; a tail under
+# the Ooura-Mori rule is accepted at the same tolerances
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 LIMIT = 200
 # the t chart starts at t = FLOOR where a piece reaches 0
 FLOOR = 1e-300
+# the Ooura-Mori rule's mesh is h = pi/M at its coarse level and pi/(2M) at
+# its value's; beta of its map, and the weights below which nodes are cut
+OM_M = 48
+OM_BETA = 0.25
+OM_TRIM = 1e-30
+# entries of a table of primitives evaluated at once, and of an Ooura-Mori
+# node array (a few rows, whose temporaries stay in cache)
+BLOCK = 1 << 16
+OM_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
 # generic oscillatory quadrature
+
+# the IntegrationWarnings of the QUADPACK calls under way in a _diagnosed
+# block, kept for the message of a QuadratureError
+_NOTES = ContextVar("hyperlab_quadpack_notes", default=None)
+
+
+@contextmanager
+def _diagnosed():
+    """Keep the IntegrationWarnings of the QUADPACK calls inside for the
+    message of a QuadratureError raised inside (``_refusal``)."""
+    token = _NOTES.set([])
+    try:
+        yield
+    finally:
+        _NOTES.reset(token)
+
+
+@contextmanager
+def _caught():
+    """Keep the IntegrationWarnings raised inside (their first sentence)
+    as diagnostics of the _diagnosed block under way, never printed raw;
+    any other warning is shown as before."""
+    notes = _NOTES.get()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", IntegrationWarning)
+        try:
+            yield
+        finally:
+            for w in seen:
+                if not issubclass(w.category, IntegrationWarning):
+                    warnings.showwarning(w.message, w.category, w.filename,
+                                         w.lineno)
+                elif notes is not None:
+                    notes.append(" ".join(
+                        str(w.message).split()).partition(".")[0] + ".")
+
+
+def _refusal(message, error_estimate=np.nan):
+    """A QuadratureError whose message ends with the distinct QUADPACK
+    warnings kept so far in the _diagnosed block, each with its count."""
+    notes = _NOTES.get()
+    if notes:
+        message += "; QUADPACK warned: " + "; ".join(
+            f"{w} (x{notes.count(w)})" for w in dict.fromkeys(notes))
+    return QuadratureError(message, error_estimate)
+
 
 def _groups(*keys):
     """[(key, indices)] of the entries on which the 1-d arrays ``keys``
@@ -71,80 +134,213 @@ def _memo(g):
 
 
 def _cquad(f, a, b):
-    v, e = quad(_memo(f), a, b, complex_func=True, limit=LIMIT,
-                epsabs=ABS_TOL, epsrel=REL_TOL)
+    with _caught():
+        v, e = quad(_memo(f), a, b, complex_func=True, limit=LIMIT,
+                    epsabs=ABS_TOL, epsrel=REL_TOL)
     return complex(v), e.real + e.imag
+
+
+def _om_rule(m):
+    """(x, weight) of the Ooura-Mori rule at mesh h = pi/m (Ooura and Mori,
+    J. Comput. Appl. Math. 112 (1999) 229-241): under x = m phi(t) / w,
+
+        phi(t) = t / (1 - exp(-2t - alpha (1 - e^-t) - beta (e^t - 1))),
+
+    integral_0^inf f(x) sin(w x) dx is sum_n f(x_n / w) weight_n / w over
+    the sine nodes t = n h, and the cosine integral the same sum over the
+    nodes t = (n - 1/2) h, where m phi nears the zeros n pi and (n - 1/2) pi
+    of the sine and the cosine double exponentially.  Returns the sine
+    nodes, then the cosine nodes, with the weights above OM_TRIM.  The
+    weights carry the phase m phi of the exact nodes: they are computed in
+    long double, since a phase of up to m / 2 radians read off a rounded
+    node would cost its term m / 2 ulp."""
+    one_ld = np.longdouble(1.0)
+    pi = 4.0 * np.arctan(one_ld)
+    h = pi / m
+    alpha = OM_BETA / np.sqrt(one_ld + m * np.log1p(one_ld * m) / (4.0 * pi))
+    parts = []
+    for shift in (0.0, 0.5):
+        n = np.arange(-int(9.0 * m / np.pi), int(9.0 * m / np.pi) + 1)
+        t = (n - one_ld * shift) * h
+        with np.errstate(all="ignore"):
+            u = 2.0 * t - alpha * np.expm1(-t) + OM_BETA * np.expm1(t)
+            one = -np.expm1(-u)
+            phi = t / one
+            dphi = (one - t * np.exp(-u) * (2.0 + alpha * np.exp(-t)
+                                            + OM_BETA * np.exp(t))) / one**2
+            # past t > 0 the phase m phi is n pi plus m (phi - t), which
+            # is computed apart so that the weights vanish with it
+            trig = np.where(t > 0.0, np.where(n % 2, -1.0, 1.0)
+                            * np.sin(m * t / np.expm1(u)),
+                            np.sin(m * phi) if shift == 0.0
+                            else np.cos(m * phi))
+        # the sine node t = 0 takes phi's limits there
+        at0 = t == 0.0
+        phi[at0] = 1.0 / (2.0 + alpha + OM_BETA)
+        dphi[at0] = 0.5 + (alpha - OM_BETA) / (2.0 * (2.0 + alpha
+                                                       + OM_BETA) ** 2)
+        trig[at0] = np.sin(m * phi[at0])
+        weight = (pi * dphi * trig).astype(float)
+        keep = np.flatnonzero(np.abs(weight) > OM_TRIM)
+        keep = slice(keep[0], keep[-1] + 1)
+        parts.append(((m * phi[keep]).astype(float), weight[keep]))
+    return parts
+
+
+# the rule at OM_M and at 2 OM_M as one node array: the sine and the cosine
+# nodes of the coarse level, then of the fine one, at _OM_PARTS
+_OM_X, _OM_W, _OM_PARTS = [], [], []
+for _x, _wt in (p for m in (OM_M, 2 * OM_M) for p in _om_rule(m)):
+    _start = sum(x.size for x in _OM_X)
+    _OM_PARTS.append(slice(_start, _start + _x.size))
+    _OM_X.append(_x)
+    _OM_W.append(_wt)
+_OM_X, _OM_W = np.concatenate(_OM_X), np.concatenate(_OM_W)
+# the roundoff floor per unit of sum |terms|: 4 ulp, and the phase error
+# of the weights, up to 2 OM_M / 2 radians in long double (which may be
+# double)
+_OM_ULPS = 4.0 * np.finfo(float).eps + OM_M * float(
+    np.finfo(np.longdouble).eps)
+
+
+def _om_tail(gs, a, mags):
+    """C[g + h] and S[g - h] on [a, inf) at each entry of the 1-d array
+    mags of frequencies |w| > 0 (gs is (g,) or (g, h), with h = 0 in the
+    first case), by the Ooura-Mori rule on x = t - a:
+
+        C[f] = cos(|w| a) Cx[f] - sin(|w| a) Sx[f]
+        S[f] = sin(|w| a) Cx[f] + cos(|w| a) Sx[f]
+
+    with Cx, Sx the cosine and sine integrals of f(a + x) over [0, inf).
+    Returns (cos, sin, est, ok): the values at the fine level, the
+    achieved estimate (their distance from the coarse level's plus a
+    roundoff floor of a few ulp of the sum of |terms|), and whether the
+    estimate is within ABS_TOL + REL_TOL (|cos| + |sin|).  Each |w| is
+    sampled once at all nodes of both levels, in blocks of OM_BLOCK entries;
+    a row whose nodes pass the largest float, or whose terms are not
+    finite, is not ok."""
+    n = mags.size
+    sums = np.zeros((2, 4, n), dtype=complex)
+    size = np.zeros(n)
+    rows = np.flatnonzero(np.isfinite(a + _OM_X.max() / mags))
+    step = max(1, OM_BLOCK // _OM_X.size)
+    for i in range(0, rows.size, step):
+        r = rows[i:i + step]
+        om = mags[r, None]
+        t = a + _OM_X / om
+        with np.errstate(all="ignore"):
+            gt = [np.broadcast_to(g(t), t.shape) for g in gs]
+            for k, f in enumerate([gt[0] + gt[1], gt[0] - gt[1]]
+                                  if len(gt) == 2 else gt):
+                terms = f * _OM_W / om
+                for j, part in enumerate(_OM_PARTS):
+                    sums[k, j, r] = np.sum(terms[:, part], axis=1)
+                size[r] += np.sum(np.abs(terms[:, _OM_PARTS[2].start:]),
+                                  axis=1)
+    if len(gs) == 1:
+        sums[1] = sums[0]
+    cs, sn = np.cos(mags * a), np.sin(mags * a)
+    # [even, odd] x [sin, cos] x [coarse, fine]
+    (es_c, ec_c, es_f, ec_f), (os_c, oc_c, os_f, oc_f) = sums
+    cos_c, cos_f = cs * ec_c - sn * es_c, cs * ec_f - sn * es_f
+    sin_c, sin_f = sn * oc_c + cs * os_c, sn * oc_f + cs * os_f
+    with np.errstate(invalid="ignore"):
+        est = np.abs(cos_c - cos_f) + np.abs(sin_c - sin_f) + _OM_ULPS * size
+    ok = np.zeros(n, dtype=bool)
+    ok[rows] = (np.isfinite(est[rows]) & (est[rows] <= ABS_TOL + REL_TOL * (
+        np.abs(cos_f[rows]) + np.abs(sin_f[rows]))))
+    return cos_f, sin_f, est, ok
+
+
+def _qawf_guard(even, odd, a, mag):
+    """QuadratureError unless QAWF can run from a at |w| = mag: QAWF runs
+    up to LIMIT cycles of length (2 floor|w| + 1) pi / |w| from a, and
+    crashes the interpreter on one that ends at inf, or on a non-finite
+    sample: the integrands are probed at a and at the first cycle's lower
+    Clenshaw-Curtis node, 0 for a tiny a."""
+    cycle = (2 * (mag // 1) + 1) * np.pi / mag
+    if a + LIMIT * cycle == np.inf:
+        raise _refusal(f"QAWF's cycles at |w|={mag:.3g} from {a:.3g} pass "
+                       f"the largest float")
+    b1 = a + cycle
+    for x in (a, 0.5 * (a + b1) - 0.5 * (b1 - a)):
+        try:
+            with np.errstate(all="ignore"):
+                gxs = (even(x), odd(x))
+        except ZeroDivisionError:  # an image density at u = 0
+            gxs = (np.nan,)
+        for gx in gxs:
+            if not np.isfinite(gx):
+                raise _refusal(f"the integrand reads {gx} at t={x:.3g}, "
+                               f"where QAWF samples it at |w|={mag:.3g}")
 
 
 def _osc(gs, a, b, w):
     """(integral_a^b g(t) e^{i w t} dt, error estimate) at each entry of a
-    1-d array w of nonzero frequencies, with QUADPACK's Fourier weights:
-    QAWO on finite [a, b], QAWF for b = inf.  gs is (g,), or (g, h) with
-    the mirror integrand h at -w, which adds integral_a^b h(t) e^{-i w t}
-    dt: the value is C[g + h] + i sgn(w) S[g - h].  The integrands do not
-    depend on w, so one cos/sin pair per distinct |w| serves both signs,
-    and its error estimate counts toward each."""
+    1-d array w of nonzero frequencies: QAWO on finite [a, b], Ooura-Mori
+    on tails (b = inf), and QAWF only as a measured fallback, for a |w|
+    whose Ooura-Mori estimate is not within the tolerance.  gs is (g,), or
+    (g, h) with the mirror integrand h at -w, which adds integral_a^b h(t)
+    e^{-i w t} dt: the value is C[g + h] + i sgn(w) S[g - h].  The
+    integrands do not depend on w, so one cos/sin pair per distinct |w|
+    serves both signs, and its error estimate counts toward each."""
     w = np.asarray(w, dtype=float)
     if not (np.all(np.isfinite(w)) and np.isfinite(a) and a < b):
         raise QuadratureError(f"oscillatory quadrature needs finite "
                               f"frequencies and limits, got w={w} on "
                               f"[{a}, {b})")
-    # one memo serves every |w| of the call: the cos and sin runs, their
-    # real and imaginary parts, and QAWF's guard probes; a mirror pair is
-    # sampled as one
-    if len(gs) == 1:
-        even = odd = _memo(gs[0])
+    groups = _groups(np.abs(w))
+    mags = np.array([mag for (mag,), _ in groups])
+    if b == np.inf:
+        cos, sin, est, ok = _om_tail(gs, a, mags)
     else:
-        g, h = gs
-
-        def sum_diff(t):
-            gt, ht = g(t), h(t)
-            return gt + ht, gt - ht
-        both = _memo(sum_diff)
-
-        def even(t):
-            return both(t)[0]
-
-        def odd(t):
-            return both(t)[1]
+        cos, sin = np.empty(mags.size, complex), np.empty(mags.size, complex)
+        est, ok = np.empty(mags.size), np.zeros(mags.size, dtype=bool)
+    even = None
+    for k in np.flatnonzero(~ok):
+        if even is None:
+            even, odd = _sum_diff(gs)
+        if b == np.inf:
+            _qawf_guard(even, odd, a, mags[k])
+        kw = {"wvar": mags[k], "complex_func": True, "limit": LIMIT,
+              "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
+        with _caught():
+            cos[k], e_cos = quad(even, a, b, weight="cos", **kw)
+            sin[k], e_sin = quad(odd, a, b, weight="sin", **kw)
+        e = e_cos + e_sin
+        est[k] = e.real + e.imag
     val = np.empty(w.shape, dtype=complex)
     err = np.empty(w.shape)
-    for (mag,), idx in _groups(np.abs(w)):
-        if b == np.inf:
-            # QAWF runs up to LIMIT cycles of length (2 floor|w| + 1) pi /
-            # |w| from a, and crashes the interpreter on one that ends at
-            # inf, or on a non-finite sample: the integrands are probed at
-            # a and at the first cycle's lower Clenshaw-Curtis node, 0 for
-            # a tiny a
-            cycle = (2 * (mag // 1) + 1) * np.pi / mag
-            if a + LIMIT * cycle == np.inf:
-                raise QuadratureError(f"QAWF's cycles at |w|={mag:.3g} "
-                                      f"from {a:.3g} pass the largest float")
-            b1 = a + cycle
-            for x in (a, 0.5 * (a + b1) - 0.5 * (b1 - a)):
-                for gx in (even(x), odd(x)):
-                    if not np.isfinite(gx):
-                        raise QuadratureError(
-                            f"the integrand reads {gx} at t={x:.3g}, where "
-                            f"QAWF samples it at |w|={mag:.3g}")
-        kw = {"wvar": mag, "complex_func": True, "limit": LIMIT,
-              "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
-        cos, e_cos = quad(even, a, b, weight="cos", **kw)
-        sin, e_sin = quad(odd, a, b, weight="sin", **kw)
-        e = e_cos + e_sin
+    for k, (_, idx) in enumerate(groups):
         for i in idx:
-            val[i] = cos + 1j * np.sign(w[i]) * sin
-        err[idx] = e.real + e.imag
+            val[i] = cos[k] + 1j * np.sign(w[i]) * sin[k]
+        err[idx] = est[k]
     return val, err
+
+
+def _sum_diff(gs):
+    """(even, odd): g + h and g - h under one memo, which serves every |w|
+    of a QUADPACK call: the cos and sin runs, their real and imaginary
+    parts, and QAWF's guard probes; for gs = (g,) both are g."""
+    if len(gs) == 1:
+        even = _memo(gs[0])
+        return even, even
+    g, h = gs
+
+    def sum_diff(t):
+        gt, ht = g(t), h(t)
+        return gt + ht, gt - ht
+    both = _memo(sum_diff)
+    return (lambda t: both(t)[0]), (lambda t: both(t)[1])
 
 
 def _t_chart(rhos, lo, hi, w, c):
     """integral_lo^hi rho(t) e^{i(w t - c/t)} dt, and its error estimate,
     at each entry of the 1-d arrays lo, hi, w and c (0 where lo >= hi),
-    from t = FLOOR up: the w t phase under QUADPACK's Fourier weights, one
-    cos/sin pair per |w| of a (c, lo, hi), and a mass (w = c = 0) by quad.
-    rhos is (rho,), or (rho, mirror) with a mirror density paired at
-    (-w, -c) and added, in the same integrals."""
+    from t = FLOOR up: the w t phase through ``_osc``, one cos/sin pair per
+    |w| of a (c, lo, hi), and a mass (w = c = 0) by quad.  rhos is (rho,),
+    or (rho, mirror) with a mirror density paired at (-w, -c) and added,
+    in the same integrals."""
     val = np.zeros(w.shape, dtype=complex)
     err = np.zeros(w.shape)
     for (cv, a, b), idx in _groups(c, lo, hi):
@@ -159,23 +355,28 @@ def _t_chart(rhos, lo, hi, w, c):
         if mass.size:
             val[mass], err[mass] = _cquad(rhos[0] if len(rhos) == 1 else (
                 lambda t: rhos[0](t) + rhos[1](t)), a, b)
+        segments = {}
         for (mag,), sub in _groups(np.abs(w[spin])):
             # one rule samples neither the scale t ~ |c| < 1 where the c/t
             # phase turns by a radian, nor the mass near t = 1 below a
             # first w t cycle of length 1/|w| > 1: cut at 16^i steps from
             # |c| (or 1) up to 1 (or 1/|w|, below b).  Each |w| climbs its
             # own ladder: QAWO on a smaller |w|'s cuts, far past 1/|w|,
-            # reads NaN (from t ~ 3e85 at |w| = pi 1e-9)
+            # reads NaN (from t ~ 3e85 at |w| = pi 1e-9).  The ladders
+            # share their steps, so the |w| of one step take one call
             cuts = [a]
             cut = abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
             while cut < b and (cut < 1.0 or cut * mag < 1.0):
                 if cut > a:
                     cuts.append(cut)
                 cut *= 16.0
-            for t0, t1 in zip(cuts, cuts[1:] + [b]):
-                v, e = _osc(gs, t0, t1, w[spin[sub]])
-                val[spin[sub]] += v
-                err[spin[sub]] += e
+            for step in zip(cuts, cuts[1:] + [b]):
+                segments.setdefault(step, []).append(spin[sub])
+        for (t0, t1), rows in segments.items():
+            rows = np.concatenate(rows)
+            v, e = _osc(gs, t0, t1, w[rows])
+            val[rows] += v
+            err[rows] += e
     return val, err
 
 
@@ -193,18 +394,19 @@ def _piece_ft_positive(rhos, a, b, w, c):
         mid = np.where(c != 0.0, np.clip(np.sqrt(np.abs(c))
                                          / np.sqrt(np.abs(w)), a, b), a)
         u_lo = np.where(c != 0.0, 1.0 / mid, np.inf)
-        # from t = 0 the image reaches u = inf under QAWF, unless QAWF's
-        # cycles pass the largest float (|c| < FLOOR): then it stops at
-        # 1/FLOOR, the mirror of the t chart's floor
+        # from t = 0 the image reaches u = inf, unless |c| < FLOOR, where
+        # the tail's nodes (and QAWF's cycles) would pass the largest
+        # float: then it stops at 1/FLOOR, the mirror of the t chart's
+        # floor
         u_hi = np.where(np.abs(c) < FLOOR, 1.0 / max(a, FLOOR),
                         1.0 / a if a > 0.0 else np.inf)
         # cut at u = 1/|c|, where the w' u phase turns by a radian: below it
         # QAWO keeps to its Gauss-Kronrod rule, which never reads u = 0
         u_cut = np.clip(1.0 / np.abs(c), u_lo, u_hi)
 
-    def image(rho):  # u = 0 is t = inf, where rho(t) t^2 has no known limit
-        return lambda u: rho(1.0 / u) / u / u if u else np.nan
-    images = tuple(image(rho) for rho in rhos)
+    # u = 0 is t = inf, where rho(t) t^2 has no known limit: the image is
+    # not sampled there (only QAWF's guard probe may reach it, and refuses)
+    images = tuple(lambda u, rho=rho: rho(1.0 / u) / u / u for rho in rhos)
     parts = (_t_chart(images, u_lo, u_cut, -c, -w),
              _t_chart(images, u_cut, u_hi, -c, -w),
              _t_chart(rhos, mid, np.full(w.shape, float(b)), w, c))
@@ -221,8 +423,8 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
     val[(w == 0.0) & (c == 0.0)] = np.sum(values * np.diff(edges))
 
     def closed(rows, prim):
-        # rows of primitives at the edges, in blocks of 2^16 entries
-        step = max(1, (1 << 16) // edges.size)
+        # rows of primitives at the edges, in blocks of BLOCK entries
+        step = max(1, BLOCK // edges.size)
         for i in range(0, rows.size, step):
             blk = rows[i:i + step]
             val[blk] = np.sum(values * np.diff(prim(blk[:, None]), axis=1),
@@ -332,10 +534,10 @@ def _within_budget(values, errs, labels):
     if bad.size:
         i = bad[0]
         if not np.isfinite(vals[i]):
-            raise QuadratureError(f"{labels[i]} reads the non-finite value "
-                                  f"{vals[i]}", ests[i])
-        raise QuadratureError(f"{labels[i]} achieved error estimate "
-                              f"{ests[i]:.3g} above tolerance", ests[i])
+            raise _refusal(f"{labels[i]} reads the non-finite value "
+                           f"{vals[i]}", ests[i])
+        raise _refusal(f"{labels[i]} achieved error estimate {ests[i]:.3g} "
+                       f"above tolerance", ests[i])
     return values, errs
 
 
@@ -345,7 +547,8 @@ def _checked_ft(mu: HyperbolaMeasure, xi1, xi2, labels):
     naming the first point over it by labels[i]."""
     w = np.pi * np.asarray(xi1, dtype=float)
     c = mu.m**2 * np.asarray(xi2, dtype=float) / (4.0 * np.pi)
-    return _within_budget(*pairing(mu.pi1, w, c), labels)
+    with _diagnosed():
+        return _within_budget(*pairing(mu.pi1, w, c), labels)
 
 
 def ft_point(mu: HyperbolaMeasure, xi) -> complex:

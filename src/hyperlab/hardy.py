@@ -16,13 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _cquad, \
-    _memo, _within_budget, error_budget, pairing
+from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _caught, \
+    _cquad, _diagnosed, _memo, _refusal, _within_budget, error_budget, \
+    pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        _pushforward_reciprocal, compress_pi2)
 
 # half-width of the principal-value window around each point
 PV_WINDOW = 50.0
+# the smallest Im z0 of the witness: a scan of its pairings against their
+# exact 0 (beta from 0.1 to 1000, j, k <= 20, Im z0 down to 1e-9) found
+# every row within its budget of 0, or over its own budget, down to 1e-4,
+# and rows reading wrong values with in-budget estimates from 3.2e-5 down
+# (the mass row, |value| = 2 Im z0, from about 5e-6 down)
+WITNESS_MIN_IM = 1e-4
 
 
 def q2_coefficients(f: Measure1D, n_max: int):
@@ -61,10 +68,11 @@ def hardy_defect(f: Measure1D, n_max: int) -> HardyDefect:
     # raise MeasureError unless a majorant certifies the tail
     for p in f.pieces:
         p.check_integrable()
-    coeffs, err = q2_coefficients(f, n_max)
-    mags = np.abs(coeffs)
-    total = float(np.sum(mags))
-    _within_budget(total, err, ["Q2 coefficients"])
+    with _diagnosed():
+        coeffs, err = q2_coefficients(f, n_max)
+        mags = np.abs(coeffs)
+        total = float(np.sum(mags))
+        _within_budget(total, err, ["Q2 coefficients"])
     if total == 0.0:
         raise MeasureError("zero periodization has no defect ratio")
     neg = float(np.sum(mags[:n_max]))
@@ -118,9 +126,10 @@ def _pv_point(f: Measure1D, x: float):
     err = 0.0
     if any(pc.a < hi and pc.b > lo for pc in f.pieces):
         # QUADPACK's Cauchy-weight rule computes pv int rho/(t - x)
-        v, e = quad(_memo(_total_density(f)), lo, hi,
-                    weight="cauchy", wvar=x, complex_func=True,
-                    limit=LIMIT, epsabs=ABS_TOL, epsrel=REL_TOL)
+        with _caught():
+            v, e = quad(_memo(_total_density(f)), lo, hi,
+                        weight="cauchy", wvar=x, complex_func=True,
+                        limit=LIMIT, epsabs=ABS_TOL, epsrel=REL_TOL)
         total -= v
         err += e.real + e.imag
     for pc in f.pieces:
@@ -149,12 +158,13 @@ def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
     x_grid = np.asarray(x_grid, dtype=float)
     vals = np.zeros(x_grid.shape, dtype=complex)
     errs = np.zeros(x_grid.shape)
-    for i, x in enumerate(x_grid):
-        v, e = _pv_point(f, float(x))
-        vals[i] = v / np.pi
-        errs[i] = e / np.pi
-    _within_budget(vals, errs, [f"Hilbert transform at x={x}"
-                                for x in x_grid.tolist()])
+    with _diagnosed():
+        for i, x in enumerate(x_grid):
+            v, e = _pv_point(f, float(x))
+            vals[i] = v / np.pi
+            errs[i] = e / np.pi
+        _within_budget(vals, errs, [f"Hilbert transform at x={x}"
+                                    for x in x_grid.tolist()])
     return SampledFunction(x_grid, vals, errs)
 
 
@@ -213,25 +223,42 @@ def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
     """Pairings <f_z0, e^{i pi j t}> (j = 0..j_max) and
     <f_z0, e^{i pi beta k / t}> (k = 0..k_max); all vanish by residues.
     A pairing whose achieved error estimate exceeds its budget, or whose
-    |value| exceeds the budget of the exact 0, raises ``QuadratureError``."""
+    |value| exceeds the budget of the exact 0, raises ``QuadratureError``,
+    as does Im z0 below WITNESS_MIN_IM."""
     z0 = complex(z0)
     if z0.imag <= 0:
         raise MeasureError("the witness requires Im z0 > 0")
     if beta <= 0:
         raise MeasureError("beta must be positive")
+    j, k = np.arange(j_max + 1), np.arange(k_max + 1)
+    rows = [("j", int(i)) for i in j] + [("k", int(i)) for i in k]
+    vals, errs = _witness_pairings(
+        z0, np.r_[np.pi * j, np.zeros(k.size)],
+        np.r_[np.zeros(j.size), -np.pi * beta * k],
+        [f"witness pairing {kind} = {idx}" for kind, idx in rows])
+    return [PairingRow(kind, idx, complex(v), float(e))
+            for (kind, idx), v, e in zip(rows, vals, errs)]
+
+
+def _witness_pairings(z0: complex, w, c, labels):
+    """(values, errs) of the pairings of f_z0 with e^{i(w t - c/t)} at the
+    1-d arrays w and c, or ``QuadratureError`` naming by labels[i] the
+    first whose estimate is over its budget, or whose |value| is over the
+    budget of the exact 0; and then for any Im z0 < WITNESS_MIN_IM, where
+    the poles z0 and z0 + 2 lie so near the axis that a row may read a
+    wrong value with an in-budget estimate."""
     f = _witness_f(z0)
     # the total-variation bound is not needed by the pairings
     nu = Measure1D(pieces=(Piece(-np.inf, 0.0, f, np.inf),
                            Piece(0.0, np.inf, f, np.inf)))
-    j, k = np.arange(j_max + 1), np.arange(k_max + 1)
-    rows = [("j", int(i)) for i in j] + [("k", int(i)) for i in k]
-    labels = [f"witness pairing {kind} = {idx}" for kind, idx in rows]
-    vals, errs = _within_budget(*pairing(
-        nu, np.r_[np.pi * j, np.zeros(k.size)],
-        np.r_[np.zeros(j.size), -np.pi * beta * k]), labels)
-    for label, v, e in zip(labels, vals, errs):
-        if abs(v) > error_budget(0.0):
-            raise QuadratureError(f"{label} reads |value| {abs(v):.3g}, where "
-                                  f"the residue identity gives 0", e)
-    return [PairingRow(kind, idx, complex(v), float(e))
-            for (kind, idx), v, e in zip(rows, vals, errs)]
+    with _diagnosed():
+        vals, errs = _within_budget(*pairing(nu, w, c), labels)
+        for label, v, e in zip(labels, vals, errs):
+            if abs(v) > error_budget(0.0):
+                raise _refusal(f"{label} reads |value| {abs(v):.3g}, where "
+                               f"the residue identity gives 0", e)
+        if z0.imag < WITNESS_MIN_IM:
+            raise _refusal(f"witness pairings at Im z0 = {z0.imag:.3g} are "
+                           f"refused: below Im z0 = {WITNESS_MIN_IM:g} "
+                           f"their error estimates are not reliable")
+    return vals, errs

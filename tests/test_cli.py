@@ -29,7 +29,9 @@ NONFINITE_CASES = key_cases(COMMANDS, float, ("nan", "inf", "-inf"))
 # huge and tiny finite values of every float key
 EXTREME_CASES = key_cases(COMMANDS, float,
                           ("1e300", "-1e300", "1e-300", "-1e-300")) + [
-    # QAWF's guard node rounds onto u = 0 of the witness's image chart
+    # the k rows' image tails at w' = pi beta k: QAWF's guard node once
+    # rounded onto u = 0 there; the Ooura-Mori rule pairs them
+    # (test_witness_k_rows_vanish_at_huge_beta)
     ["timelike-witness", "--beta=1e15"]]
 
 # 10**14 of every count: each once ended in a raw MemoryError traceback or
@@ -204,6 +206,35 @@ class TestRunExperiment:
                 if ln.startswith("k,")]
         assert len(rows) == 11
         assert max(float(r[4]) for r in rows) <= 1e-11
+
+    def test_witness_k_rows_vanish_at_huge_beta(self, capsys):
+        # at beta = 1e15 each k row's image tail starts at u = 1/(pi beta
+        # k), where QAWF's first node rounded onto u = 0 and the run ended
+        # in a record ("reads nan"); the Ooura-Mori rule samples u > 0 only
+        code, out, _ = run(["timelike-witness", "--beta", "1e15"], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
+                if ln.startswith("k,")]
+        assert len(rows) == 11
+        assert max(float(r[4]) for r in rows) <= 1e-11
+
+    @pytest.mark.parametrize("im", ["1e-5", "1e-8"])
+    def test_witness_small_im_writes_only_the_record(self, im):
+        # a fresh process with warnings shown: the QUADPACK warnings of the
+        # failing pairings are carried in the record's message, and
+        # nothing else reaches stderr
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "hyperlab.cli", "timelike-witness", "--im", im],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        record = json.loads(res.stderr)
+        assert record["command"] == "timelike-witness"
+        assert "QUADPACK warned: " in record["message"]
 
     def test_witness_nonzero_row_runtime_record(self):
         # at Im z0 = 1e-5 the mass row j = 0 misses its budget (estimate

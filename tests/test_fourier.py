@@ -109,8 +109,9 @@ class TestFtPoint:
     def test_nonfinite_frequency_raises_cleanly(self):
         # QUADPACK's QAWF crashes the interpreter on a NaN or infinite
         # frequency, or one so small that its cycles pi / |w| pass the
-        # largest float (here on a generic density on [0, inf), whose t
-        # chart reaches QAWF), so the guard is exercised in a child process
+        # largest float (here on a generic density on [0, inf), whose tail
+        # nodes pass it too, so that the tail falls back to QAWF), so the
+        # guards are exercised in a child process
         script = """
 import numpy as np
 from hyperlab.annihilators import critical_annihilator
@@ -193,7 +194,8 @@ def test_tiny_xi2_meets_oracle_or_raises(case, tiny_xi2_results):
 @pytest.mark.parametrize("xi2", [1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.3])
 def test_small_xi2_matches_closed_form(xi2):
     # the [0, 1) piece pairs as its image on [1, inf) under t -> 1/t, where
-    # the c/t phase is a linear one: cut at 16^i up to 1/|c|, then QAWF
+    # the c/t phase is a linear one: cut at 16^i up to 1/|c|, then the
+    # Ooura-Mori tail
     val = ft_point(lift(critical_annihilator()), (0.0, xi2))
     assert val == pytest.approx(-critical_measure_ft(-xi2 / 2.0), abs=1e-11)
 
@@ -211,8 +213,9 @@ def test_large_xi2_matches_closed_form(xi2):
 def test_tiny_xi1_matches_closed_form(xi1):
     # the image piece on [1, inf) is paired in its family chart [0, 1),
     # where the w t phase becomes a c/u one, and that piece as its image
-    # under u -> 1/u: cut at 16^i up to 1/|w|, then QAWF, or below
-    # |w| = 1e-300, whose QAWF cycles pass the largest float, up to 1e300
+    # under u -> 1/u: cut at 16^i up to 1/|w|, then the Ooura-Mori tail,
+    # or below |w| = 1e-300, whose tail nodes (and QAWF cycles) pass the
+    # largest float, up to 1e300
     val = ft_point(lift(critical_annihilator()), (xi1, 0.0))
     assert val == pytest.approx(critical_measure_ft(xi1 / 2.0), abs=1e-11)
 
@@ -305,13 +308,18 @@ class TestPairing:
 
     def test_nonfinite_sample_at_qawf_node_raises_cleanly(self):
         # QAWF crashes the interpreter on a non-finite sample.  A piece
-        # from t = 0 starts QAWF at 1e-300, where the first cycle's lower
-        # Clenshaw-Curtis node rounds to 0.0: the image of a tail_p <= 2
-        # density (here the hardy-defect test measure's) reads NaN there,
-        # and e^{-t}/sqrt(t) reads inf.  In a child
-        # process, so that a crash fails this test alone
+        # from t = 0 starts its tail at 1e-300, where QAWF's first cycle's
+        # lower Clenshaw-Curtis node rounds to 0.0: the image of a tail_p
+        # <= 2 density (here the hardy-defect test measure's) cannot be
+        # read there, and e^{-t}/sqrt(t) reads inf.  The Ooura-Mori rule
+        # never samples t = 0: both pairings meet their closed forms (0,
+        # as J_1.5 of 1/(t + i)^2 is -1.5/(t + 1.5i)^2, and sqrt(pi / (1 -
+        # i pi))) within their estimates.  With every tail sent to the QAWF
+        # fallback, both raise.  In a child process, so that a crash fails
+        # this test alone
         script = """
 import numpy as np
+from hyperlab import fourier
 from hyperlab.cli import _hardy_test_measure
 from hyperlab.fourier import QuadratureError, pairing
 from hyperlab.hardy import inversion_j
@@ -320,23 +328,32 @@ from hyperlab.measures import Measure1D, Piece
 root = Measure1D(pieces=(Piece(
     0.0, np.inf, lambda t: np.exp(-t) / np.sqrt(t), 2.0,
     params={"tail_c": 1.0, "tail_p": 3.0}),))
-calls = [lambda: pairing(inversion_j(_hardy_test_measure(False), 1.5),
-                         np.pi * np.array([1.0, 2.0]), 0.0),
-         lambda: pairing(root, np.pi, 0.0)]
-for call in calls:
-    try:
-        with np.errstate(all="ignore"):
-            call()
-        print("returned")
-    except QuadratureError:
-        print("QuadratureError")
+calls = [(lambda: pairing(inversion_j(_hardy_test_measure(False), 1.5),
+                          np.pi * np.array([1.0, 2.0]), 0.0), 0.0),
+         (lambda: pairing(root, np.pi, 0.0),
+          np.sqrt(np.pi / (1 - 1j * np.pi)))]
+om_tail = fourier._om_tail
+
+def rejected(gs, a, mags):
+    cos, sin, est, ok = om_tail(gs, a, mags)
+    return cos, sin, est, np.zeros_like(ok)
+for forced in (False, True):
+    if forced:
+        fourier._om_tail = rejected
+    for call, want in calls:
+        try:
+            with np.errstate(all="ignore"):
+                val, err = call()
+            print("met" if np.all(np.abs(val - want) <= err) else "missed")
+        except QuadratureError:
+            print("QuadratureError")
 """
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(hyperlab.__file__)))
         res = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["QuadratureError"] * 2
+        assert res.stdout.split() == ["met"] * 2 + ["QuadratureError"] * 2
 
     @pytest.mark.parametrize("lo", [-1.0, -0.5])
     def test_piece_straddling_zero_pairs_both_sides(self, lo):

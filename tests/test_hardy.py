@@ -56,6 +56,18 @@ class TestPeriodizeQ2:
                          0.0)
         assert np.max(np.abs(c - exact)) <= 1e-10
 
+    def test_coefficients_oracle_with_honest_estimate(self):
+        # the closed form at n_max = 64, past the periodization's default:
+        # within 1e-13 (QAWF read 2.3e-13), and the summed estimate the
+        # pairings report covers the true error
+        c, err = q2_coefficients(hardy_plus(), 64)
+        n = np.arange(-64, 65)
+        exact = np.where(n > 0, -np.pi**2 * n * np.exp(-np.pi * np.abs(n)),
+                         0.0)
+        true = np.max(np.abs(c - exact))
+        assert true <= 1e-13
+        assert err >= true
+
     def test_pointwise_against_closed_form(self):
         # sum_j 1/(x + 2j + i)^2 = (pi^2/4) / sin^2(pi (x + i)/2), summed
         # from the coefficients, which decay like e^{-pi n}
@@ -94,43 +106,70 @@ class TestVectorPairing:
             assert e.tobytes() == errs[i:i + 1].tobytes(), i
 
     def test_one_cos_sin_pair_per_magnitude(self, monkeypatch):
-        # c_n and c_-n share one QAWF pair, and the mirrored half-lines
-        # pair as one integral: 64 pairs and one plain integral, where one
-        # pair per n made 514 and one pair per half-line 258
-        calls = []
+        # c_n and c_-n share one cos/sin pair, and the mirrored half-lines
+        # pair as one integral: each density reads each |w| = pi n once, as
+        # a row of one Ooura-Mori node array, where one QUADPACK pair per n
+        # made 514 calls and one pair per half-line 258.  The mass row c_0
+        # is the one QUADPACK call, at scalar nodes
+        calls, shapes = [], []
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs.get("weight"))
             return quad(*args, **kwargs)
         monkeypatch.setattr(fourier, "quad", counting)
-        hardy.q2_coefficients(hardy_plus(), 64)
-        assert len(calls) <= 129
+
+        def counted(rho):
+            def density(t):
+                shapes.append(np.shape(t))
+                return rho(t)
+            return density
+        f = Measure1D(pieces=tuple(
+            Piece(p.a, p.b, counted(p.density), p.tv_bound, params=p.params)
+            for p in hardy_plus().pieces))
+        hardy.q2_coefficients(f, 64)
+        rows = [s for s in shapes if len(s) == 2]
+        assert sum(r[0] for r in rows) == 2 * 64
+        assert {r[1] for r in rows} == {fourier._OM_X.size}
+        assert calls == [None]
+        assert all(s == () for s in shapes if len(s) != 2)
 
 
 @pytest.fixture
 def integrals(monkeypatch):
-    """(found, counted): found[1:] holds, per memoized integral, the nodes
-    its integrand was asked for, each with the (density, t) reads that
-    densities wrapped by ``counted`` received meanwhile; found[0] holds
-    the reads made outside every integral."""
+    """(found, counted): found[1:] holds, per integral, the nodes its
+    integrand was asked for, each with the (density, t) reads that
+    densities wrapped by ``counted`` received meanwhile.  A node is one t
+    of a memoized QUADPACK integral, or one node array of an Ooura-Mori
+    tail (a row per |w|), at which the tail's integrands are all asked.
+    found[0] holds the reads made outside every integral."""
     found, current = [[]], []
-    memo = fourier._memo
+    memo, om_tail = fourier._memo, fourier._om_tail
 
-    def scoped(g):
+    def scope():
         nodes = []
         found.append(nodes)
 
-        def asked(t):
-            reads = []
-            nodes.append((t, reads))
-            current.append(reads)
-            try:
-                return g(t)
-            finally:
-                current.pop()
-        return memo(asked)
+        def asked(g):
+            def at(t):
+                if not (nodes and nodes[-1][0] is t):
+                    nodes.append((t, []))
+                current.append(nodes[-1][1])
+                try:
+                    return g(t)
+                finally:
+                    current.pop()
+            return at
+        return asked
+
+    def scoped(g):
+        return memo(scope()(g))
+
+    def scoped_tail(gs, a, mags):
+        asked = scope()
+        return om_tail(tuple(asked(g) for g in gs), a, mags)
     monkeypatch.setattr(fourier, "_memo", scoped)
     monkeypatch.setattr(hardy, "_memo", scoped)
+    monkeypatch.setattr(fourier, "_om_tail", scoped_tail)
 
     def counted(rho):
         def density(t):
@@ -142,10 +181,11 @@ def integrals(monkeypatch):
 
 class TestSampledOncePerNode:
     """QUADPACK reads each node of a complex integrand in a real and an
-    imaginary run, and a cos/sin pair reads the same nodes twice more;
-    within one integral each density is evaluated once per node.  An
-    integral that folds two mirrored pieces reads one density at t and
-    the other at -t."""
+    imaginary run, and a cos/sin pair reads the same nodes twice more; an
+    Ooura-Mori tail reads each |w| at all its nodes as one array.  Within
+    one integral each density is evaluated once per node.  An integral
+    that folds two mirrored pieces reads one density at t and the other at
+    -t."""
 
     @pytest.mark.parametrize("case", ["q2", "witness", "hilbert"])
     def test_density_evaluated_once_per_node(self, case, integrals,
@@ -167,25 +207,35 @@ class TestSampledOncePerNode:
             hilbert_line(recounted(cauchy_pair()), np.linspace(-3, 3, 7))
         outside, *scopes = found
         assert outside == []
-        reads = [r for nodes in scopes for _, rs in nodes for r in rs]
-        assert len(reads) > 1000
-        folded = 0
+        reads = [x for nodes in scopes for _, rs in nodes for _, x in rs]
+        assert sum(np.size(x) for x in reads) > 1000
+
+        def key(t):
+            return t.tobytes() if np.ndim(t) else t
+        folded = tails = 0
         for nodes in scopes:
-            ts = [t for t, _ in nodes]
+            ts = [key(t) for t, _ in nodes]
             assert len(set(ts)) == len(ts)
             # each node reads each density of the integral once, keyed by
             # the density, the side of t = 0 it reads and the node
-            keys = [(d, np.copysign(1.0, x), t) for t, rs in nodes
-                    for d, x in rs]
+            keys = [(d, np.copysign(1.0, np.ravel(x)[0]), key(t))
+                    for t, rs in nodes for d, x in rs]
             assert len(set(keys)) == len(keys)
             assert len({len(rs) for _, rs in nodes}) == 1
-            for _, rs in nodes:
+            for t, rs in nodes:
                 assert len(rs) in (1, 2)
+                # a tail reads whole node arrays, a row of nodes per |w|
+                if np.ndim(t):
+                    assert np.shape(t)[1] == fourier._OM_X.size
+                    assert all(np.shape(x) == np.shape(t) for _, x in rs)
                 if len(rs) == 2:
-                    assert rs[0][1] == -rs[1][1]
+                    assert np.array_equal(rs[0][1], -rs[1][1])
             folded += len(nodes[0][1]) == 2
-        # the q2 and witness pieces mirror each other across t = 0
+            tails += np.ndim(nodes[0][0]) == 2
+        # the q2 and witness pieces mirror each other across t = 0, and
+        # their tails run under the Ooura-Mori rule
         assert (folded > 0) == (case != "hilbert")
+        assert (tails > 0) == (case != "hilbert")
 
     def test_window_density_is_density_at(self):
         gap = Measure1D(pieces=(
@@ -383,6 +433,32 @@ class TestTimelikeWitness:
         rows = timelike_witness(complex(0.0, im), 1.0, 10, 10)
         assert len(rows) == 22
         assert max(abs(r.value) for r in rows) <= error_budget(0.0)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0])
+    @pytest.mark.parametrize("im", [1e-8, 1e-6, 3e-5, 1e-4, 1e-3])
+    def test_k_rows_within_budget_of_zero_or_refused(self, im, beta):
+        # the k rows, w = 0 and c = pi beta k: each is within its budget of
+        # the exact 0, or a QuadratureError.  The pairings alone read wrong
+        # values with in-budget estimates from Im z0 = 3.2e-5 down: there
+        # |value| 2.4e-5 at k = 1 (beta = 0.3, estimate 6.9e-9), and at 1e-8
+        # |value| 2e-8 at k = 0 (estimate 1.7e-13)
+        k = np.arange(11)
+        try:
+            vals, errs = hardy._witness_pairings(
+                complex(0.0, im), np.zeros(k.size), -np.pi * beta * k,
+                [f"k = {i}" for i in k])
+        except QuadratureError:
+            return
+        assert im >= hardy.WITNESS_MIN_IM
+        assert np.all(np.abs(vals) <= error_budget(0.0))
+        assert np.all(errs <= error_budget(vals))
+
+    def test_refused_below_smallest_im(self):
+        # rows within budget at Im z0 = 5.6e-5 (beta = 1) are refused too:
+        # below 1e-4 their estimates are not reliable
+        with pytest.raises(QuadratureError, match="not reliable"):
+            timelike_witness(complex(0.0, 5.6e-5), 1.0, 10, 10)
+        assert len(timelike_witness(complex(0.0, 1e-4), 1.0, 10, 10)) == 22
 
     def test_nonzero_row_raises(self, monkeypatch):
         # a row inside its error budget whose value is not the exact 0
