@@ -344,9 +344,10 @@ def _t_chart(rhos, lo, hi, w, c):
     val = np.zeros(w.shape, dtype=complex)
     err = np.zeros(w.shape)
     for (cv, a, b), idx in _groups(c, lo, hi):
+        # a part below FLOOR is empty
+        a = max(a, FLOOR)
         if a >= b:
             continue
-        a = max(a, FLOOR)
         # the mirror turns the c/t phase the other way
         gs = rhos if cv == 0.0 else tuple(
             lambda t, rho=rho, cs=cs: rho(t) * np.exp(-1j * cs / t)

@@ -207,11 +207,14 @@ class TestRunExperiment:
         assert len(rows) == 11
         assert max(float(r[4]) for r in rows) <= 1e-11
 
-    def test_witness_k_rows_vanish_at_huge_beta(self, capsys):
-        # at beta = 1e15 each k row's image tail starts at u = 1/(pi beta
-        # k), where QAWF's first node rounded onto u = 0 and the run ended
-        # in a record ("reads nan"); the Ooura-Mori rule samples u > 0 only
-        code, out, _ = run(["timelike-witness", "--beta", "1e15"], capsys)
+    @pytest.mark.parametrize("beta", ["1e15", "1e300"])
+    def test_witness_k_rows_vanish_at_huge_beta(self, beta, capsys):
+        # each k row's image tail starts at u = 1/(pi beta k): at beta =
+        # 1e15 QAWF's first node rounded onto u = 0 and the run ended in a
+        # record ("reads nan"), where the Ooura-Mori rule samples u > 0
+        # only; at 1e300 the part below that start, all under the t
+        # chart's floor 1e-300, was refused as a reversed interval
+        code, out, _ = run(["timelike-witness", "--beta", beta], capsys)
         assert code == 0
         rows = [ln.split(",") for ln in out.splitlines()
                 if ln.startswith("k,")]
