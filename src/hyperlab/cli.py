@@ -3,20 +3,20 @@ CSV/JSON/SVG emission.
 
 Conventions shared by every command:
   * config = defaults, overridden by an optional flat key=value file
-    (--config), overridden by explicit flags; unknown keys are rejected;
+    (--config), overridden by explicit flags, all read through one table
+    of keys, types and defaults (_TABLE) that --help prints; keys match
+    exactly, and after --key the next token is always its value;
   * every CSV/JSON artifact embeds the fully resolved config for
     provenance;
   * floats are formatted with ``repr`` (shortest round-trip), so
     identical configs yield byte-identical artifacts;
-  * failures exit nonzero after writing a JSON error record
+  * failures exit nonzero after writing one JSON error record
     {schemaVersion, command, key, message} to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 
 import numpy as np
@@ -29,16 +29,17 @@ from .measures import WORK_BUDGET_BRANCHES, HyperbolaMeasure, LatticeCross, \
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("ft-eval", "ft-cross", "invariant-density", "annihilator-check",
-            "perturbed-residual", "coverage", "sici-spiral", "hardy-defect",
-            "hilbert-check", "timelike-witness", "defect-sweep",
-            "distorted-cross")
-
 
 class UsageError(Exception):
+    command = ""  # the record's command: "" until the command is known
+
     def __init__(self, key: str, message: str):
         super().__init__(message)
         self.key = key
+
+
+class HelpRequested(Exception):
+    """--help: main writes the message to stdout and returns 0."""
 
 
 def _fmt(x) -> str:
@@ -53,143 +54,95 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="hyperlab",
-        description="numerical laboratory for Fourier uniqueness on the "
-                    "hyperbola x1 x2 = -m^2/(4 pi^2)")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_, **keys):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key=value config file; flags override")
-        p.add_argument("--out", type=str, default=None,
-                       help="artifact path (default: stdout)")
-        for key, (typ, default, help_k) in keys.items():
-            p.add_argument("--" + key, type=typ, default=None,
-                           help=f"{help_k} (default {default})")
-        p.set_defaults(_defaults={k: v[1] for k, v in keys.items()})
-        return p
-
-    cmd("ft-eval", "Fourier transform of a named measure at one point",
-        measure=(str, "critical", "measure name: critical or expanded"),
-        gamma=(float, 1.0, "gamma for the expanded measure"),
-        bins=(int, 512, "Ulam bins behind the expanded density"),
-        xi1=(float, 0.0, "first coordinate of xi"),
-        xi2=(float, 0.0, "second coordinate of xi"))
-    cmd("ft-cross", "Fourier transform on a lattice-cross",
-        measure=(str, "critical", "measure name: critical or expanded"),
-        gamma=(float, 1.0, "gamma for the expanded measure"),
-        bins=(int, 512, "Ulam bins behind the expanded density"),
-        alpha=(float, 2.0, "axis-1 spacing"),
-        beta=(float, 2.0, "axis-2 spacing"),
-        jmax=(int, 5, "axis-1 index range -jmax..jmax"),
-        kmax=(int, 5, "axis-2 index range -kmax..kmax"))
-    cmd("invariant-density", "Ulam invariant density of U_gamma",
-        gamma=(float, 1.0, "map parameter"),
-        bins=(int, 4096, "Ulam bins"))
-    cmd("annihilator-check", "annihilating-measure residual report",
-        gamma=(float, 1.0, "gamma (1 = critical, >1 = expanded)"),
-        bins=(int, 4096, "Ulam bins for gamma > 1"),
-        gridn=(int, 10000, "residual grid size"))
-    cmd("perturbed-residual", "perturbed invariance-equation residual",
-        gamma=(float, 1.5, "gamma in (1, 2]"),
-        bins=(int, 1024, "Ulam bins"),
-        gridn=(int, 2000, "residual grid size"))
-    cmd("coverage", "Gauss-map even-time coverage of [gamma, 1]",
-        gamma=(float, 0.5, "map parameter"),
-        iterates=(int, 20, "maximum even iterate"),
-        gridn=(int, 100000, "midpoint grid size"))
-    cmd("sici-spiral", "Nielsen spiral (ci(x), si(x))",
-        xmin=(float, 0.01, "grid start"),
-        xmax=(float, 100.0, "grid end"),
-        n=(int, 10000, "grid size"),
-        svg=(str, "", "optional SVG path for the spiral polyline"))
-    cmd("hardy-defect", "Hardy-space defect of a 2-periodization",
-        conjugate=(int, 0, "1 to test the conjugate family"),
-        nmax=(int, 64, "coefficient cutoff"))
-    cmd("hilbert-check", "Hilbert transform of the Cauchy density",
-        xmax=(float, 3.0, "check grid endpoint"),
-        n=(int, 7, "check grid size"))
-    cmd("timelike-witness", "residue-identity pairings of f_{z0}",
-        im=(float, 1.0, "imaginary part of z0"),
-        beta=(float, 1.0, "axis-2 spacing"),
-        jmax=(int, 10, "largest j"),
-        kmax=(int, 10, "largest k"))
-    cmd("defect-sweep", "singular-value defect sweep over gamma",
-        gammas=(str, "0.6,0.8,1.0,1.2,1.5", "comma-separated gamma grid"),
-        tmin=(float, 0.08, "basis band start"),
-        tmax=(float, 12.5, "basis band end"),
-        bins=(int, 202, "basis bins"),
-        jmax=(int, 640, "axis-1 truncation"),
-        kmax=(int, 640, "axis-2 truncation"),
-        threshold=(float, 1e-2, "relative singular-value threshold"))
-    cmd("distorted-cross", "spectral-window test for a shifted half-cross",
-        xi1=(float, 0.0, "axis-1 shift of the distorted cross"),
-        xi2=(float, 0.0, "axis-2 shift (must be 0)"),
-        threshold=(float, 1e-3, "relative singular-value threshold"))
-    return top
+_TABLE = {}  # command -> (runner, help, {key: (type, default, help)})
 
 
-# a negative number in exponent notation, which argparse takes for an
-# option unless it is joined to its flag, as in --xi2=-1e8
-_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+def _command(name, help_, **keys):
+    def register(run):
+        _TABLE[name] = (run, help_, keys)
+        return run
+    return register
+
+
+def _help(command=None) -> str:
+    """Usage text read off _TABLE: the commands, or one command's keys."""
+    if command is None:
+        command, help_ = "<command>", "commands (each takes --help):"
+        rows = [(name, h) for name, (_, h, _) in _TABLE.items()]
+    else:
+        _, help_, keys = _TABLE[command]
+        rows = [(f"--{key} {typ.__name__.upper()}", f"{h} (default {d!r})")
+                for key, (typ, d, h) in keys.items()]
+        rows += [("--config PATH", "flat key=value file; flags override"),
+                 ("--out PATH", "artifact path (default: stdout)")]
+    lines = [f"usage: hyperlab {command} [--key value ...]", "", help_, ""]
+    return "\n".join(lines + [f"  {a:<20} {b}" for a, b in rows]) + "\n"
 
 
 def parse_config(argv):
-    """Resolved (command, config dict): defaults < file < flags."""
-    parser = _build_parser()
-    args = []
-    for arg in argv:
-        if (args and args[-1].startswith("--") and "=" not in args[-1]
-                and _NEGATIVE_EXPONENT.fullmatch(arg)):
-            args[-1] += "=" + arg
-        else:
-            args.append(arg)
+    """Resolved (command, config dict, out path): defaults < file < flags.
+    Raises a keyed UsageError on a bad token, HelpRequested on --help."""
+    command, *args = argv or [""]
+    if command == "--help":
+        raise HelpRequested(_help())
+    if command not in _TABLE:
+        raise UsageError("command", f"unknown command {command!r}; see --help")
     try:
-        ns = parser.parse_args(args)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            raise UsageError("", "unrecognized or malformed arguments") \
-                from exc
+        pairs, tokens = [], iter(args)
+        for tok in tokens:
+            if tok == "--help":
+                raise HelpRequested(_help(command))
+            key, eq, raw = tok[2:].partition("=")
+            if not tok.startswith("--") or not key:
+                raise UsageError(tok, f"unexpected argument {tok!r}")
+            raw = raw if eq else next(tokens, None)
+            if raw is None:
+                raise UsageError(key, f"--{key} needs a value")
+            pairs.append((key, raw))
+        flags = _read(command, pairs, ("config", "out"))
+        cfg = {key: spec[1] for key, spec in _TABLE[command][2].items()}
+        if "config" in flags:
+            cfg.update(_read(command, _file_pairs(flags.pop("config")),
+                             ("out",)))
+        cfg.update(flags)
+        out = cfg.pop("out", None)
+        _validate(command, cfg)
+    except UsageError as exc:
+        exc.command = command
         raise
-    defaults = ns._defaults
-    cfg = dict(defaults)
-    if ns.config is not None:
-        for lineno, line in enumerate(_read_lines(ns.config), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"line {lineno}",
-                                 f"config line is not key=value: {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key == "out":
-                ns.out = ns.out if ns.out is not None else raw
-                continue
-            if key not in defaults:
-                raise UsageError(key, f"unknown config key for "
-                                      f"{ns.command}: {key!r}")
-            try:
-                cfg[key] = type(defaults[key])(raw)
-            except ValueError as exc:
-                raise UsageError(key, f"unparsable value {raw!r}") from exc
-    for key in defaults:
-        flag_val = getattr(ns, key)
-        if flag_val is not None:
-            cfg[key] = flag_val
-    _validate(ns.command, cfg)
-    return ns.command, cfg, ns.out
+    return command, cfg, out
 
 
-def _read_lines(path):
+def _file_pairs(path):
+    """(key, raw value) of each key=value line of a config file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except OSError as exc:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("config", str(exc)) from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, eq, raw = line.partition("=")
+            if not eq:
+                raise UsageError(f"line {lineno}",
+                                 f"config line is not key=value: {line!r}")
+            yield key.strip(), raw.strip()
+
+
+def _read(command, pairs, paths):
+    """{key: value} of flag or file pairs: typed by the table, or a path."""
+    keys, vals = _TABLE[command][2], {}
+    for key, raw in pairs:
+        if key not in keys and key not in paths:
+            raise UsageError(key, f"unknown key for {command}: {key!r}")
+        typ = keys[key][0] if key in keys else str
+        try:
+            vals[key] = typ(raw)
+        except ValueError as exc:
+            raise UsageError(key, f"{key} must be {typ.__name__}, got "
+                                  f"{raw!r}") from exc
+    return vals
 
 
 def _validate(command, cfg):
@@ -331,6 +284,12 @@ def _named_measure(cfg) -> HyperbolaMeasure:
     return HyperbolaMeasure(2.0 * np.pi, nu)
 
 
+@_command("ft-eval", "Fourier transform of a named measure at one point",
+          measure=(str, "critical", "measure name: critical or expanded"),
+          gamma=(float, 1.0, "gamma for the expanded measure"),
+          bins=(int, 512, "Ulam bins behind the expanded density"),
+          xi1=(float, 0.0, "first coordinate of xi"),
+          xi2=(float, 0.0, "second coordinate of xi"))
 def _run_ft_eval(cfg, out):
     from .fourier import ft_point
     val = ft_point(_named_measure(cfg), (cfg["xi1"], cfg["xi2"]))
@@ -339,6 +298,14 @@ def _run_ft_eval(cfg, out):
                 "convention": "exp(i pi (xi1 t + xi2 x2(t)))"})
 
 
+@_command("ft-cross", "Fourier transform on a lattice-cross",
+          measure=(str, "critical", "measure name: critical or expanded"),
+          gamma=(float, 1.0, "gamma for the expanded measure"),
+          bins=(int, 512, "Ulam bins behind the expanded density"),
+          alpha=(float, 2.0, "axis-1 spacing"),
+          beta=(float, 2.0, "axis-2 spacing"),
+          jmax=(int, 5, "axis-1 index range -jmax..jmax"),
+          kmax=(int, 5, "axis-2 index range -kmax..kmax"))
 def _run_ft_cross(cfg, out):
     from .fourier import ft_on_cross
     cross = LatticeCross(cfg["alpha"], cfg["beta"], cfg["jmax"], cfg["kmax"])
@@ -350,6 +317,9 @@ def _run_ft_cross(cfg, out):
               ([cv.axis for cv in cvs], [cv.index for cv in cvs], *table.T))
 
 
+@_command("invariant-density", "Ulam invariant density of U_gamma",
+          gamma=(float, 1.0, "map parameter"),
+          bins=(int, 4096, "Ulam bins"))
 def _run_invariant_density(cfg, out):
     from .transfer import invariance_residual, invariant_density
     dens = invariant_density(cfg["gamma"], cfg["bins"])
@@ -359,6 +329,10 @@ def _run_invariant_density(cfg, out):
               (dens.edges[:-1], dens.edges[1:], dens.values))
 
 
+@_command("annihilator-check", "annihilating-measure residual report",
+          gamma=(float, 1.0, "gamma (1 = critical, >1 = expanded)"),
+          bins=(int, 4096, "Ulam bins for gamma > 1"),
+          gridn=(int, 10000, "residual grid size"))
 def _run_annihilator_check(cfg, out):
     from .annihilators import annihilator_report
     from .transfer import invariant_density
@@ -375,6 +349,10 @@ def _run_annihilator_check(cfg, out):
         "gridN": rep.grid_n})
 
 
+@_command("perturbed-residual", "perturbed invariance-equation residual",
+          gamma=(float, 1.5, "gamma in (1, 2]"),
+          bins=(int, 1024, "Ulam bins"),
+          gridn=(int, 2000, "residual grid size"))
 def _run_perturbed_residual(cfg, out):
     from .annihilators import perturbed_equation_residual
     from .transfer import invariant_density
@@ -389,6 +367,10 @@ def _run_perturbed_residual(cfg, out):
     _emit_json(out, "perturbed-residual", cfg, {"maxResidual": res})
 
 
+@_command("coverage", "Gauss-map even-time coverage of [gamma, 1]",
+          gamma=(float, 0.5, "map parameter"),
+          iterates=(int, 20, "maximum even iterate"),
+          gridn=(int, 100000, "midpoint grid size"))
 def _run_coverage(cfg, out):
     from .dynamics import GaussMap, coverage_fraction
     fracs = coverage_fraction(GaussMap(cfg["gamma"]), cfg["iterates"],
@@ -397,6 +379,11 @@ def _run_coverage(cfg, out):
               (range(0, 2 * len(fracs), 2), fracs))
 
 
+@_command("sici-spiral", "Nielsen spiral (ci(x), si(x))",
+          xmin=(float, 0.01, "grid start"),
+          xmax=(float, 100.0, "grid end"),
+          n=(int, 10000, "grid size"),
+          svg=(str, "", "optional SVG path for the spiral polyline"))
 def _run_sici_spiral(cfg, out):
     from .sici import nielsen_spiral
     grid = np.geomspace(cfg["xmin"], cfg["xmax"], cfg["n"])
@@ -423,6 +410,9 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
         Piece(0.0, np.inf, rho, 2.0, params={"tail_c": 1.0, "tail_p": 2.0})))
 
 
+@_command("hardy-defect", "Hardy-space defect of a 2-periodization",
+          conjugate=(int, 0, "1 to test the conjugate family"),
+          nmax=(int, 64, "coefficient cutoff"))
 def _run_hardy_defect(cfg, out):
     from .hardy import hardy_defect
     f = _hardy_test_measure(bool(cfg["conjugate"]))
@@ -433,6 +423,9 @@ def _run_hardy_defect(cfg, out):
         "nonposRatio": d.nonpos_ratio, "errEstimate": d.err_estimate})
 
 
+@_command("hilbert-check", "Hilbert transform of the Cauchy density",
+          xmax=(float, 3.0, "check grid endpoint"),
+          n=(int, 7, "check grid size"))
 def _run_hilbert_check(cfg, out):
     from .hardy import hilbert_line
 
@@ -453,6 +446,11 @@ def _run_hilbert_check(cfg, out):
               (grid, res.values.real, res.values.imag, err))
 
 
+@_command("timelike-witness", "residue-identity pairings of f_{z0}",
+          im=(float, 1.0, "imaginary part of z0"),
+          beta=(float, 1.0, "axis-2 spacing"),
+          jmax=(int, 10, "largest j"),
+          kmax=(int, 10, "largest k"))
 def _run_timelike_witness(cfg, out):
     from .hardy import timelike_witness
     rows = timelike_witness(complex(0.0, cfg["im"]), cfg["beta"],
@@ -464,6 +462,14 @@ def _run_timelike_witness(cfg, out):
               ([r.kind for r in rows], [r.index for r in rows], *table.T))
 
 
+@_command("defect-sweep", "singular-value defect sweep over gamma",
+          gammas=(str, "0.6,0.8,1.0,1.2,1.5", "comma-separated gamma grid"),
+          tmin=(float, 0.08, "basis band start"),
+          tmax=(float, 12.5, "basis band end"),
+          bins=(int, 202, "basis bins"),
+          jmax=(int, 640, "axis-1 truncation"),
+          kmax=(int, 640, "axis-2 truncation"),
+          threshold=(float, 1e-2, "relative singular-value threshold"))
 def _run_defect_sweep(cfg, out):
     from .defect import CandidateBasis, sweep_gamma
     basis = CandidateBasis(cfg["tmin"], cfg["tmax"], cfg["bins"])
@@ -476,6 +482,10 @@ def _run_defect_sweep(cfg, out):
               ([r.gamma for r in rows], [r.defect for r in rows], *tail.T))
 
 
+@_command("distorted-cross", "spectral-window test for a shifted half-cross",
+          xi1=(float, 0.0, "axis-1 shift of the distorted cross"),
+          xi2=(float, 0.0, "axis-2 shift (must be 0)"),
+          threshold=(float, 1e-3, "relative singular-value threshold"))
 def _run_distorted_cross(cfg, out):
     from .defect import distorted_cross_residual
     est = distorted_cross_residual((cfg["xi1"], cfg["xi2"]),
@@ -487,20 +497,7 @@ def _run_distorted_cross(cfg, out):
         "singularTail": [float(s) for s in np.sort(sv)[:6]]})
 
 
-_RUNNERS = {
-    "ft-eval": _run_ft_eval,
-    "ft-cross": _run_ft_cross,
-    "invariant-density": _run_invariant_density,
-    "annihilator-check": _run_annihilator_check,
-    "perturbed-residual": _run_perturbed_residual,
-    "coverage": _run_coverage,
-    "sici-spiral": _run_sici_spiral,
-    "hardy-defect": _run_hardy_defect,
-    "hilbert-check": _run_hilbert_check,
-    "timelike-witness": _run_timelike_witness,
-    "defect-sweep": _run_defect_sweep,
-    "distorted-cross": _run_distorted_cross,
-}
+COMMANDS = tuple(_TABLE)
 
 
 def _error_record(command, key, message):
@@ -510,7 +507,7 @@ def _error_record(command, key, message):
 
 def run_experiment(command, cfg, out) -> int:
     try:
-        _RUNNERS[command](cfg, out)
+        _TABLE[command][0](cfg, out)
         return 0
     except (MeasureError, UlamError, QuadratureError, ValueError,
             MemoryError, OverflowError) as exc:
@@ -520,11 +517,13 @@ def run_experiment(command, cfg, out) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and not argv[0].startswith("-") else ""
     try:
         command, cfg, out = parse_config(argv)
+    except HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except UsageError as exc:
-        sys.stderr.write(_error_record(command, exc.key, str(exc)))
+        sys.stderr.write(_error_record(exc.command, exc.key, str(exc)))
         return 2
     return run_experiment(command, cfg, out)
 

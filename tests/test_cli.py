@@ -15,13 +15,15 @@ from hyperlab.measures import MeasureError
 
 
 def key_cases(commands, kind, values):
-    """[command, --key=value] for every key of the commands whose default
-    is of type ``kind``."""
-    return [[cmd, f"--{key}={val}"]
+    """[command, --key=value] and [command, --key, value] for every key of
+    the commands whose default is of type ``kind``."""
+    return [case
             for cmd in commands
             for key, default in parse_config([cmd])[1].items()
             if isinstance(default, kind)
-            for val in values]
+            for val in values
+            for case in ([cmd, f"--{key}={val}"],
+                         [cmd, f"--{key}", str(val)])]
 
 
 NONFINITE_CASES = key_cases(COMMANDS, float, ("nan", "inf", "-inf"))
@@ -96,7 +98,7 @@ class TestParseConfig:
         # hardy-defect has no periodization grid, so gridn is an unknown key
         code, _, err = run(["hardy-defect"] + flags, capsys)
         assert code == 2
-        assert json.loads(err.splitlines()[-1])["command"] == "hardy-defect"
+        assert json.loads(err)["command"] == "hardy-defect"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["7", "-1", "2"])
@@ -134,14 +136,72 @@ class TestParseConfig:
     @pytest.mark.parametrize("flag,value", [("--xi2", "-1e8"),
                                             ("--xi1", "-2.5e-3")])
     def test_negative_exponent_value(self, flag, value, capsys):
-        # argparse takes -1e8 for an option: --xi2 -1e8 once exited 2
+        # argparse took -1e8 for an option: --xi2 -1e8 once exited 2
         code, out, err = run(["ft-eval", flag, value], capsys)
         assert (code, err) == (0, "")
         assert run(["ft-eval", f"{flag}={value}"], capsys) == (0, out, "")
 
     def test_unknown_flag_rejected(self, capsys):
-        code, _, _ = run(["coverage", "--bogus", "1"], capsys)
+        code, _, err = run(["coverage", "--bogus", "1"], capsys)
         assert code == 2
+        assert json.loads(err)["key"] == "bogus"
+
+    def test_flag_and_file_line_fail_alike(self, tmp_path, capsys):
+        # one coercion reads flags and config-file lines
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("gridn=1e3\n")
+        flag = run(["coverage", "--gridn=1e3"], capsys)
+        assert flag[0] == 2
+        assert run(["coverage", "--config", str(cfgfile)], capsys) == flag
+
+    def test_config_not_utf8_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_bytes(b"gamma=\xff\n")
+        code, out, err = run(["coverage", "--config", str(cfgfile)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["key"] == "config"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, command, capsys):
+        code, out, err = run([command, "--help"], capsys)
+        assert (code, err) == (0, "")
+        for key, default in parse_config([command])[1].items():
+            line, = [ln for ln in out.splitlines()
+                     if ln.split()[:1] == [f"--{key}"]]
+            assert f"(default {default!r})" in line
+        assert "--config PATH" in out and "--out PATH" in out
+
+    def test_top_help_lists_commands(self, capsys):
+        code, out, err = run(["--help"], capsys)
+        assert (code, err) == (0, "")
+        assert [ln.split()[0] for ln in out.splitlines()
+                if ln.startswith("  ")] == list(COMMANDS)
+
+
+# a parse error of each kind, with the key its record names; --gam was once
+# read as --gamma, a prefix argparse matched
+PARSE_ERRORS = [
+    (["coverage", "--bogus", "1"], "bogus"),
+    (["coverage", "extra"], "extra"),
+    (["ft-eval", "--xi1"], "xi1"),
+    (["ft-eval", "--bins", "1.5"], "bins"),
+    (["coverage", "--gridn=1e3"], "gridn"),
+    (["ft-eval", "--xi2", "-inf"], "xi2"),
+    (["bogus"], "command"),
+    ([], "command"),
+    (["coverage", "--gam", "0.7"], "gam")]
+
+
+@pytest.mark.parametrize("argv, key", PARSE_ERRORS,
+                         ids=[" ".join(a) or "no command"
+                              for a, _ in PARSE_ERRORS])
+def test_parse_error_is_one_keyed_record(argv, key, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    record = json.loads(err)
+    assert record["key"] == key
+    assert record["command"] == ("" if key == "command" else argv[0])
 
 
 class TestRunExperiment:
@@ -386,7 +446,8 @@ class TestRunExperiment:
         def overflow(cfg, out):
             raise OverflowError("(34, 'Numerical result out of range')")
 
-        monkeypatch.setitem(cli._RUNNERS, "ft-eval", overflow)
+        _, help_, keys = cli._TABLE["ft-eval"]
+        monkeypatch.setitem(cli._TABLE, "ft-eval", (overflow, help_, keys))
         code, out, err = run(["ft-eval"], capsys)
         assert code == 1
         assert out == ""
