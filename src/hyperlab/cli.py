@@ -388,12 +388,13 @@ def _run_sici_spiral(cfg, out):
     from .sici import nielsen_spiral
     grid = np.geomspace(cfg["xmin"], cfg["xmax"], cfg["n"])
     res = nielsen_spiral(grid)
-    cfg = dict(cfg, minModulus=res.min_modulus)
-    _emit_csv(out, "sici-spiral", cfg, ("x", "ci", "si", "modulus"),
-              (res.x, res.ci, res.si, res.modulus))
+    # the SVG first, so that a path it cannot write leaves no CSV behind
     if cfg["svg"]:
         emit_svg_polyline(zip(res.ci.tolist(), res.si.tolist()),
                           "Nielsen spiral (ci, si)", cfg["svg"])
+    _emit_csv(out, "sici-spiral", dict(cfg, minModulus=res.min_modulus),
+              ("x", "ci", "si", "modulus"),
+              (res.x, res.ci, res.si, res.modulus))
 
 
 def _hardy_test_measure(conjugate: bool) -> Measure1D:
@@ -510,7 +511,7 @@ def run_experiment(command, cfg, out) -> int:
         _TABLE[command][0](cfg, out)
         return 0
     except (MeasureError, UlamError, QuadratureError, ValueError,
-            MemoryError, OverflowError) as exc:
+            MemoryError, OverflowError, OSError) as exc:
         sys.stderr.write(_error_record(command, "", str(exc)))
         return 1
 

@@ -9,13 +9,14 @@ so that the pairing exp(i 2 pi j t) used in the one-branch experiments is
 ft at xi = (2j, 0) (after the alpha = 2, m = 2 pi rescaling).  Every
 ``pairing`` of a measure with e^{i(w t - c/t)}, over arrays of
 frequencies, sends its oscillatory integrals through one primitive,
-``_osc``: QAWO on finite cuts, Ooura-Mori on tails, QAWF only as a
-measured fallback.  It shares one cos/sin pair between w and -w and
-samples its integrand once per node: a tail samples every |w| of a call
-at the Ooura-Mori nodes as one array, and falls back to QAWF for a |w|
-whose achieved estimate is not within the QUADPACK tolerance.  Piecewise
-constant (Ulam) densities are paired in closed form where one phase
-vanishes, and bin by bin through the same charts elsewhere.  QUADPACK's
+``_osc``: QAWO on finite cuts and Ooura-Mori on tails.  It shares one
+cos/sin pair between w and -w and samples its integrand once per node: a
+tail samples every |w| of a call at the Ooura-Mori nodes as one array,
+and a |w| whose achieved estimate is not within the QUADPACK tolerance
+takes one rescue step through the same two rules: QAWO up to
+16 max(a, 1), and the Ooura-Mori rule from there.  Piecewise constant
+(Ulam) densities are paired in closed form where one phase vanishes,
+and bin by bin through the same charts elsewhere.  QUADPACK's
 IntegrationWarnings are kept as diagnostics, which a ``QuadratureError``
 carries in its message.
 
@@ -217,15 +218,18 @@ def _om_tail(gs, a, mags):
     roundoff floor of a few ulp of the sum of |terms|), and whether the
     estimate is within ABS_TOL + REL_TOL (|cos| + |sin|).  Each |w| is
     sampled once at all nodes of both levels, in blocks of OM_BLOCK entries;
-    a row whose nodes pass the largest float, or whose terms are not
-    finite, is not ok."""
+    a row whose terms are not finite is not ok.  QuadratureError, before
+    any sample, where the nodes pass the largest float."""
     n = mags.size
+    with np.errstate(over="ignore"):
+        if a + _OM_X.max() / mags.min() == np.inf:
+            raise _refusal(f"tail nodes at |w|={mags.min():.3g} from "
+                           f"{a:.3g} pass the largest float")
     sums = np.zeros((2, 4, n), dtype=complex)
     size = np.zeros(n)
-    rows = np.flatnonzero(np.isfinite(a + _OM_X.max() / mags))
     step = max(1, OM_BLOCK // _OM_X.size)
-    for i in range(0, rows.size, step):
-        r = rows[i:i + step]
+    for i in range(0, n, step):
+        r = slice(i, i + step)
         om = mags[r, None]
         t = a + _OM_X / om
         with np.errstate(all="ignore"):
@@ -246,44 +250,23 @@ def _om_tail(gs, a, mags):
     sin_c, sin_f = sn * oc_c + cs * os_c, sn * oc_f + cs * os_f
     with np.errstate(invalid="ignore"):
         est = np.abs(cos_c - cos_f) + np.abs(sin_c - sin_f) + _OM_ULPS * size
-    ok = np.zeros(n, dtype=bool)
-    ok[rows] = (np.isfinite(est[rows]) & (est[rows] <= ABS_TOL + REL_TOL * (
-        np.abs(cos_f[rows]) + np.abs(sin_f[rows]))))
+        ok = np.isfinite(est) & (est <= ABS_TOL + REL_TOL * (
+            np.abs(cos_f) + np.abs(sin_f)))
     return cos_f, sin_f, est, ok
-
-
-def _qawf_guard(even, odd, a, mag):
-    """QuadratureError unless QAWF can run from a at |w| = mag: QAWF runs
-    up to LIMIT cycles of length (2 floor|w| + 1) pi / |w| from a, and
-    crashes the interpreter on one that ends at inf, or on a non-finite
-    sample: the integrands are probed at a and at the first cycle's lower
-    Clenshaw-Curtis node, 0 for a tiny a."""
-    cycle = (2 * (mag // 1) + 1) * np.pi / mag
-    if a + LIMIT * cycle == np.inf:
-        raise _refusal(f"QAWF's cycles at |w|={mag:.3g} from {a:.3g} pass "
-                       f"the largest float")
-    b1 = a + cycle
-    for x in (a, 0.5 * (a + b1) - 0.5 * (b1 - a)):
-        try:
-            with np.errstate(all="ignore"):
-                gxs = (even(x), odd(x))
-        except ZeroDivisionError:  # an image density at u = 0
-            gxs = (np.nan,)
-        for gx in gxs:
-            if not np.isfinite(gx):
-                raise _refusal(f"the integrand reads {gx} at t={x:.3g}, "
-                               f"where QAWF samples it at |w|={mag:.3g}")
 
 
 def _osc(gs, a, b, w):
     """(integral_a^b g(t) e^{i w t} dt, error estimate) at each entry of a
-    1-d array w of nonzero frequencies: QAWO on finite [a, b], Ooura-Mori
-    on tails (b = inf), and QAWF only as a measured fallback, for a |w|
-    whose Ooura-Mori estimate is not within the tolerance.  gs is (g,), or
-    (g, h) with the mirror integrand h at -w, which adds integral_a^b h(t)
-    e^{-i w t} dt: the value is C[g + h] + i sgn(w) S[g - h].  The
-    integrands do not depend on w, so one cos/sin pair per distinct |w|
-    serves both signs, and its error estimate counts toward each."""
+    1-d array w of nonzero frequencies: QAWO on finite [a, b], and the
+    Ooura-Mori rule on tails (b = inf).  A |w| whose tail misses the
+    rule's tolerance (near a pole close to the axis) takes one rescue step:
+    the tail splits at t = 16 max(a, 1), QAWO takes [a, t) at ABS_TOL alone
+    (epsrel = 0) and the rule [t, inf); if the rule misses from t as well,
+    QuadratureError carries its estimate.  gs is (g,), or (g, h) with the
+    mirror integrand h at -w, which adds integral_a^b h(t) e^{-i w t} dt:
+    the value is C[g + h] + i sgn(w) S[g - h].  The integrands do not
+    depend on w, so one cos/sin pair per distinct |w| serves both signs,
+    and its error estimate counts toward each."""
     w = np.asarray(w, dtype=float)
     if not (np.all(np.isfinite(w)) and np.isfinite(a) and a < b):
         raise QuadratureError(f"oscillatory quadrature needs finite "
@@ -291,24 +274,32 @@ def _osc(gs, a, b, w):
                               f"[{a}, {b})")
     groups = _groups(np.abs(w))
     mags = np.array([mag for (mag,), _ in groups])
+    rows, epsrel = np.arange(mags.size), REL_TOL
+    cos, sin = np.zeros(mags.size, complex), np.zeros(mags.size, complex)
+    est = np.zeros(mags.size)
     if b == np.inf:
         cos, sin, est, ok = _om_tail(gs, a, mags)
-    else:
-        cos, sin = np.empty(mags.size, complex), np.empty(mags.size, complex)
-        est, ok = np.empty(mags.size), np.zeros(mags.size, dtype=bool)
-    even = None
-    for k in np.flatnonzero(~ok):
-        if even is None:
-            even, odd = _sum_diff(gs)
-        if b == np.inf:
-            _qawf_guard(even, odd, a, mags[k])
+        rows, b, epsrel = np.flatnonzero(~ok), 16.0 * max(a, 1.0), 0.0
+        if rows.size:
+            cos[rows], sin[rows], est[rows], ok = _om_tail(gs, b, mags[rows])
+            if not ok.all():
+                k = rows[np.argmin(ok)]
+                raise _refusal(f"the Ooura-Mori tail at |w|={mags[k]:.3g} "
+                               f"achieved error estimate {est[k]:.3g} above "
+                               f"tolerance from {a:.3g} and from {b:.3g}",
+                               est[k])
+    if rows.size:
+        even, odd = _sum_diff(gs)
+    for k in rows:
         kw = {"wvar": mags[k], "complex_func": True, "limit": LIMIT,
-              "limlst": LIMIT, "epsabs": ABS_TOL, "epsrel": REL_TOL}
+              "epsabs": ABS_TOL, "epsrel": epsrel}
         with _caught():
-            cos[k], e_cos = quad(even, a, b, weight="cos", **kw)
-            sin[k], e_sin = quad(odd, a, b, weight="sin", **kw)
+            v_cos, e_cos = quad(even, a, b, weight="cos", **kw)
+            v_sin, e_sin = quad(odd, a, b, weight="sin", **kw)
+        cos[k] += v_cos
+        sin[k] += v_sin
         e = e_cos + e_sin
-        est[k] = e.real + e.imag
+        est[k] += e.real + e.imag
     val = np.empty(w.shape, dtype=complex)
     err = np.empty(w.shape)
     for k, (_, idx) in enumerate(groups):
@@ -320,8 +311,8 @@ def _osc(gs, a, b, w):
 
 def _sum_diff(gs):
     """(even, odd): g + h and g - h under one memo, which serves every |w|
-    of a QUADPACK call: the cos and sin runs, their real and imaginary
-    parts, and QAWF's guard probes; for gs = (g,) both are g."""
+    of a QUADPACK call: the cos and sin runs, and their real and imaginary
+    parts; for gs = (g,) both are g."""
     if len(gs) == 1:
         even = _memo(gs[0])
         return even, even
@@ -396,9 +387,8 @@ def _piece_ft_positive(rhos, a, b, w, c):
                                          / np.sqrt(np.abs(w)), a, b), a)
         u_lo = np.where(c != 0.0, 1.0 / mid, np.inf)
         # from t = 0 the image reaches u = inf, unless |c| < FLOOR, where
-        # the tail's nodes (and QAWF's cycles) would pass the largest
-        # float: then it stops at 1/FLOOR, the mirror of the t chart's
-        # floor
+        # the tail's nodes would pass the largest float: then it stops at
+        # 1/FLOOR, the mirror of the t chart's floor
         u_hi = np.where(np.abs(c) < FLOOR, 1.0 / max(a, FLOOR),
                         1.0 / a if a > 0.0 else np.inf)
         # cut at u = 1/|c|, where the w' u phase turns by a radian: below it
@@ -406,7 +396,7 @@ def _piece_ft_positive(rhos, a, b, w, c):
         u_cut = np.clip(1.0 / np.abs(c), u_lo, u_hi)
 
     # u = 0 is t = inf, where rho(t) t^2 has no known limit: the image is
-    # not sampled there (only QAWF's guard probe may reach it, and refuses)
+    # not sampled there
     images = tuple(lambda u, rho=rho: rho(1.0 / u) / u / u for rho in rhos)
     parts = (_t_chart(images, u_lo, u_cut, -c, -w),
              _t_chart(images, u_cut, u_hi, -c, -w),

@@ -31,7 +31,7 @@ NONFINITE_CASES = key_cases(COMMANDS, float, ("nan", "inf", "-inf"))
 # huge and tiny finite values of every float key
 EXTREME_CASES = key_cases(COMMANDS, float,
                           ("1e300", "-1e300", "1e-300", "-1e-300")) + [
-    # the k rows' image tails at w' = pi beta k: QAWF's guard node once
+    # the k rows' image tails at w' = pi beta k: a QUADPACK node once
     # rounded onto u = 0 there; the Ooura-Mori rule pairs them
     # (test_witness_k_rows_vanish_at_huge_beta)
     ["timelike-witness", "--beta=1e15"]]
@@ -204,6 +204,29 @@ def test_parse_error_is_one_keyed_record(argv, key, capsys):
     assert record["command"] == ("" if key == "command" else argv[0])
 
 
+# an output path that cannot be written, from a flag or a config-file line
+# (an empty out opens ""): each once ended in a raw FileNotFoundError
+# traceback
+WRITE_ERRORS = [["coverage", "--iterates", "3", "--gridn", "100", "--out",
+                 "missing/x.csv"],
+                ["sici-spiral", "--n", "40", "--svg", "missing/x.svg"],
+                ["coverage", "--iterates", "3", "--gridn", "100", "--config",
+                 "out.cfg"]]
+
+
+@pytest.mark.parametrize("argv", WRITE_ERRORS, ids=[a[-1] for a in
+                                                    WRITE_ERRORS])
+def test_write_error_is_one_runtime_record(argv, tmp_path, capsys):
+    (tmp_path / "out.cfg").write_text("out =\n", encoding="utf-8")
+    argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    record = json.loads(err)
+    assert (record["command"], record["key"]) == (argv[0], "")
+    assert "[Errno" in record["message"]
+
+
 class TestRunExperiment:
     def test_annihilator_check_json(self, capsys):
         code, out, _ = run(["annihilator-check", "--gamma", "1",
@@ -257,9 +280,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("beta", ["100", "1000"])
     def test_witness_k_rows_vanish_at_large_beta(self, beta, capsys):
-        # each k row's piece pairs as its image under t -> 1/t, which QAWF
-        # takes at w' = pi beta k: beta = 100 once missed its budget at
-        # k = 3 (estimate 4.2e-8), and beta = 1000 at k = 1 (0.19)
+        # each k row's piece pairs as its image under t -> 1/t, whose tail
+        # the Ooura-Mori rule takes at w' = pi beta k: beta = 100 once
+        # missed its budget at k = 3 (estimate 4.2e-8), and beta = 1000 at
+        # k = 1 (0.19)
         code, out, _ = run(["timelike-witness", "--beta", beta], capsys)
         assert code == 0
         rows = [ln.split(",") for ln in out.splitlines()
@@ -270,10 +294,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("beta", ["1e15", "1e300"])
     def test_witness_k_rows_vanish_at_huge_beta(self, beta, capsys):
         # each k row's image tail starts at u = 1/(pi beta k): at beta =
-        # 1e15 QAWF's first node rounded onto u = 0 and the run ended in a
-        # record ("reads nan"), where the Ooura-Mori rule samples u > 0
-        # only; at 1e300 the part below that start, all under the t
-        # chart's floor 1e-300, was refused as a reversed interval
+        # 1e15 a QUADPACK rule's first node once rounded onto u = 0 and the
+        # run ended in a record ("reads nan"), where the Ooura-Mori rule
+        # samples u > 0 only; at 1e300 the part below that start, all
+        # under the t chart's floor 1e-300, was refused as a reversed
+        # interval
         code, out, _ = run(["timelike-witness", "--beta", beta], capsys)
         assert code == 0
         rows = [ln.split(",") for ln in out.splitlines()

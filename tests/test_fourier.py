@@ -107,11 +107,11 @@ class TestFtPoint:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_nonfinite_frequency_raises_cleanly(self):
-        # QUADPACK's QAWF crashes the interpreter on a NaN or infinite
-        # frequency, or one so small that its cycles pi / |w| pass the
-        # largest float (here on a generic density on [0, inf), whose tail
-        # nodes pass it too, so that the tail falls back to QAWF), so the
-        # guards are exercised in a child process
+        # a NaN or infinite frequency is refused before any rule runs, and
+        # one so small that the Ooura-Mori tail's nodes, up to 534 / |w|,
+        # pass the largest float (here on a generic density on [0, inf)) is
+        # refused before the rule samples anything; in a child process, so
+        # that a crash fails this test alone
         script = """
 import numpy as np
 from hyperlab.annihilators import critical_annihilator
@@ -214,8 +214,8 @@ def test_tiny_xi1_matches_closed_form(xi1):
     # the image piece on [1, inf) is paired in its family chart [0, 1),
     # where the w t phase becomes a c/u one, and that piece as its image
     # under u -> 1/u: cut at 16^i up to 1/|w|, then the Ooura-Mori tail,
-    # or below |w| = 1e-300, whose tail nodes (and QAWF cycles) pass the
-    # largest float, up to 1e300
+    # or below |w| = 1e-300, whose tail nodes pass the largest float, up
+    # to 1e300
     val = ft_point(lift(critical_annihilator()), (xi1, 0.0))
     assert val == pytest.approx(critical_measure_ft(xi1 / 2.0), abs=1e-11)
 
@@ -306,17 +306,18 @@ class TestPairing:
         # each bin reports the estimate its QUADPACK integrals achieved
         assert 0.0 < err <= 1e-9
 
-    def test_nonfinite_sample_at_qawf_node_raises_cleanly(self):
-        # QAWF crashes the interpreter on a non-finite sample.  A piece
-        # from t = 0 starts its tail at 1e-300, where QAWF's first cycle's
-        # lower Clenshaw-Curtis node rounds to 0.0: the image of a tail_p
-        # <= 2 density (here the hardy-defect test measure's) cannot be
-        # read there, and e^{-t}/sqrt(t) reads inf.  The Ooura-Mori rule
-        # never samples t = 0: both pairings meet their closed forms (0,
-        # as J_1.5 of 1/(t + i)^2 is -1.5/(t + 1.5i)^2, and sqrt(pi / (1 -
-        # i pi))) within their estimates.  With every tail sent to the QAWF
-        # fallback, both raise.  In a child process, so that a crash fails
-        # this test alone
+    def test_nonfinite_sample_at_tail_start_raises_cleanly(self):
+        # A piece from t = 0 starts its tail at 1e-300, where a QUADPACK
+        # rule's lower Clenshaw-Curtis node over [1e-300, b) rounds to 0.0:
+        # the image of a tail_p <= 2 density (here the hardy-defect test
+        # measure's) cannot be read there, and e^{-t}/sqrt(t) reads inf.
+        # The Ooura-Mori rule never samples t = 0: both pairings meet their
+        # closed forms (0, as J_1.5 of 1/(t + i)^2 is -1.5/(t + 1.5i)^2,
+        # and sqrt(pi / (1 - i pi))) within their estimates.  With the rule
+        # made to miss everywhere, the rescue step misses from 16 max(a, 1)
+        # too, and both raise its QuadratureError, which carries the
+        # rule's finite estimate, before QAWO samples anything.  In a child
+        # process, so that a crash fails this test alone
         script = """
 import numpy as np
 from hyperlab import fourier
@@ -345,15 +346,16 @@ for forced in (False, True):
             with np.errstate(all="ignore"):
                 val, err = call()
             print("met" if np.all(np.abs(val - want) <= err) else "missed")
-        except QuadratureError:
-            print("QuadratureError")
+        except QuadratureError as exc:
+            print("rescue" if str(exc).startswith("the Ooura-Mori tail at")
+                  and np.isfinite(exc.error_estimate) else "QuadratureError")
 """
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(hyperlab.__file__)))
         res = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["met"] * 2 + ["QuadratureError"] * 2
+        assert res.stdout.split() == ["met"] * 2 + ["rescue"] * 2
 
     @pytest.mark.parametrize("lo", [-1.0, -0.5])
     def test_piece_straddling_zero_pairs_both_sides(self, lo):
