@@ -171,7 +171,7 @@ def perturbed_equation_residual(omega1: Measure1D, omega2: Measure1D,
     if not 1.0 < gamma <= 2.0:
         raise MeasureError("the perturbed equation is implemented for "
                            "gamma in (1, 2]")
-    if gamma == 2.0:
+    if gamma == 2.0 and (omega2.pieces or omega2.atoms):
         warnings.warn("gamma = 2 endpoint: the support of omega2 meets the "
                       "translate boundary; half-open convention applies",
                       stacklevel=2)

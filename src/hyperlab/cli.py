@@ -309,12 +309,10 @@ def _run_ft_eval(cfg, out):
 def _run_ft_cross(cfg, out):
     from .fourier import ft_on_cross
     cross = LatticeCross(cfg["alpha"], cfg["beta"], cfg["jmax"], cfg["kmax"])
-    cvs = ft_on_cross(_named_measure(cfg), cross)
-    table = np.array([(cv.xi1, cv.xi2, cv.value.real, cv.value.imag,
-                       cv.abs_err_estimate) for cv in cvs])
+    vals, errs = ft_on_cross(_named_measure(cfg), cross)
     _emit_csv(out, "ft-cross", cfg,
               ("axis", "index", "xi1", "xi2", "re", "im", "absErrEstimate"),
-              ([cv.axis for cv in cvs], [cv.index for cv in cvs], *table.T))
+              (*zip(*cross.points()), vals.real, vals.imag, errs))
 
 
 @_command("invariant-density", "Ulam invariant density of U_gamma",
@@ -372,9 +370,8 @@ def _run_perturbed_residual(cfg, out):
           iterates=(int, 20, "maximum even iterate"),
           gridn=(int, 100000, "midpoint grid size"))
 def _run_coverage(cfg, out):
-    from .dynamics import GaussMap, coverage_fraction
-    fracs = coverage_fraction(GaussMap(cfg["gamma"]), cfg["iterates"],
-                              cfg["gridn"])
+    from .dynamics import coverage_fraction
+    fracs = coverage_fraction(cfg["gamma"], cfg["iterates"], cfg["gridn"])
     _emit_csv(out, "coverage", cfg, ("evenTime", "fraction"),
               (range(0, 2 * len(fracs), 2), fracs))
 
@@ -454,13 +451,14 @@ def _run_hilbert_check(cfg, out):
           kmax=(int, 10, "largest k"))
 def _run_timelike_witness(cfg, out):
     from .hardy import timelike_witness
-    rows = timelike_witness(complex(0.0, cfg["im"]), cfg["beta"],
-                            cfg["jmax"], cfg["kmax"])
-    table = np.array([(r.value.real, r.value.imag, abs(r.value),
-                       r.err_estimate) for r in rows])
+    vals, errs = timelike_witness(complex(0.0, cfg["im"]), cfg["beta"],
+                                  cfg["jmax"], cfg["kmax"])
+    j, k = range(cfg["jmax"] + 1), range(cfg["kmax"] + 1)
+    # hypot is what abs() of a Python complex computes, to the last bit
     _emit_csv(out, "timelike-witness", cfg,
               ("kind", "index", "re", "im", "abs", "errEstimate"),
-              ([r.kind for r in rows], [r.index for r in rows], *table.T))
+              (["j"] * len(j) + ["k"] * len(k), [*j, *k],
+               vals.real, vals.imag, np.hypot(vals.real, vals.imag), errs))
 
 
 @_command("defect-sweep", "singular-value defect sweep over gamma",
@@ -475,12 +473,11 @@ def _run_defect_sweep(cfg, out):
     from .defect import CandidateBasis, sweep_gamma
     basis = CandidateBasis(cfg["tmin"], cfg["tmax"], cfg["bins"])
     gammas = [float(s) for s in cfg["gammas"].split(",")]
-    rows = sweep_gamma(basis, gammas, cfg["jmax"], cfg["kmax"],
-                       cfg["threshold"])
-    tail = np.array([r.singular_tail for r in rows])
+    tails, defects = sweep_gamma(basis, gammas, cfg["jmax"], cfg["kmax"],
+                                 cfg["threshold"])
     _emit_csv(out, "defect-sweep", cfg,
               ("gamma", "defect", "s1", "s2", "s3", "s4", "s5", "s6"),
-              ([r.gamma for r in rows], [r.defect for r in rows], *tail.T))
+              (gammas, defects, *tails.T))
 
 
 @_command("distorted-cross", "spectral-window test for a shifted half-cross",

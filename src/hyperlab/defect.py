@@ -235,36 +235,22 @@ def cross_for_gamma(gamma: float, j_max: int = 40, k_max: int = 40
     return LatticeCross(2.0, 2.0 * gamma, j_max, k_max)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    singular_tail: tuple  # smallest six singular values, ascending
-    defect: int
-
-
-def _anchored_spectrum(basis: CandidateBasis, gamma: float, j_max: int,
-                       k_max: int, threshold: float):
-    """(singular values, descending; numerical defect) at one gamma, on the
-    grid anchored at 1 and gamma so the expanded annihilators' density
-    jumps fall on bin edges.  Values only: no singular vectors."""
-    b = basis.with_anchor(1.0).with_anchor(float(gamma))
-    mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max, k_max))
-    sv = np.linalg.svd(_checked(mat.entries, threshold), compute_uv=False)
-    return sv, int(np.sum(sv <= threshold * sv[0]))
-
-
 def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
                 k_max: int = 40, threshold: float = 1e-6):
-    """Per-gamma singular tails and defects on the anchored grids."""
-    rows = []
+    """(tails, defects): an n_gamma x 6 array of each gamma's six smallest
+    singular values, ascending, and the n_gamma numerical defects.  Each
+    gamma's grid is anchored at 1 and gamma, so the expanded annihilators'
+    density jumps fall on bin edges; its SVD computes values only."""
+    tails, defects = [], []
     for gamma in gamma_grid:
         if not (np.isfinite(gamma) and gamma > 0):
             raise MeasureError("gamma grid must be positive and finite")
-        sv, defect = _anchored_spectrum(basis, gamma, j_max, k_max,
-                                        threshold)
-        tail = tuple(float(s) for s in np.sort(sv)[:6])
-        rows.append(SweepRow(float(gamma), tail, defect))
-    return rows
+        b = basis.with_anchor(1.0).with_anchor(float(gamma))
+        mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max, k_max))
+        sv = np.linalg.svd(_checked(mat.entries, threshold), compute_uv=False)
+        tails.append(np.sort(sv)[:6])
+        defects.append(int(np.sum(sv <= threshold * sv[0])))
+    return np.reshape(tails, (-1, 6)), np.array(defects, dtype=int)
 
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
@@ -299,5 +285,8 @@ def distorted_cross_residual(xi0, threshold: float = 1e-3
     right = 0.5 * np.arange(0, 41) + xi1
     samples = np.concatenate([left, right])
     centers = np.linspace(-2.0, 3.0, 11)
-    return _null_spectrum(np.exp(-(samples[:, None] - centers[None, :]) ** 2
-                                 / (2.0 * 0.12**2)), threshold)
+    # past |xi1| ~ 1.3e154 the squares overflow to inf: those rows read 0
+    with np.errstate(over="ignore"):
+        rows = np.exp(-(samples[:, None] - centers[None, :]) ** 2
+                      / (2.0 * 0.12**2))
+    return _null_spectrum(rows, threshold)

@@ -4,22 +4,11 @@ times."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # orbit points a coverage estimate may follow, (iterates + 1) * grid_n: a
 # bound on the problem size, not on its accuracy
 WORK_BUDGET_POINTS = 10 ** 8
-
-
-@dataclass(frozen=True)
-class GaussMap:
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 def _apply(gamma: float, x: np.ndarray) -> np.ndarray:
@@ -31,25 +20,27 @@ def _apply(gamma: float, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def coverage_fraction(m: GaussMap, max_even_iterates: int, grid_n: int):
-    """Fraction of a midpoint grid whose orbit visits [gamma, 1] at some
-    even time <= 2k, for k = 0 .. max_even_iterates.
+def coverage_fraction(gamma: float, max_even_iterates: int, grid_n: int):
+    """Fractions of a midpoint grid whose orbit under U_gamma visits
+    [gamma, 1] at some even time <= 2k, for k = 0 .. max_even_iterates: a
+    list of max_even_iterates + 1 floats.
 
     Midpoint grids keep the estimate reproducible; the fractions are
     nondecreasing in k by construction.
     """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
     if (max_even_iterates + 1) * grid_n > WORK_BUDGET_POINTS:
         raise ValueError(f"(iterates + 1) * grid_n exceeds the work "
                          f"budget {WORK_BUDGET_POINTS:.0e}")
-    g = m.gamma
     x = (np.arange(grid_n) + 0.5) / grid_n
-    hit = (x >= g) & (x <= 1.0)
+    hit = (x >= gamma) & (x <= 1.0)
     fractions = [float(np.count_nonzero(hit)) / grid_n]
     for _ in range(max_even_iterates):
         # one even time = two map applications
-        x = _apply(g, _apply(g, x))
-        hit |= (x >= g) & (x <= 1.0)
+        x = _apply(gamma, _apply(gamma, x))
+        hit |= (x >= gamma) & (x <= 1.0)
         fractions.append(float(np.count_nonzero(hit)) / grid_n)
     return fractions

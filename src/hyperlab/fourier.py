@@ -32,7 +32,6 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -550,26 +549,15 @@ def ft_point(mu: HyperbolaMeasure, xi) -> complex:
     return complex(vals[0])
 
 
-@dataclass(frozen=True)
-class CrossValue:
-    axis: int
-    index: int
-    xi1: float
-    xi2: float
-    value: complex
-    abs_err_estimate: float
-
-
 def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross):
-    """One transform per cross point, deterministic ordering, each with
-    the error estimate its quadrature achieved (0 where closed-form)."""
+    """(values, error estimates) of the transform at the cross points, in
+    the order of ``cross.points()``: complex and float arrays, each
+    estimate the one its quadrature achieved (0 where closed-form)."""
     pts = cross.points()
-    vals, errs = _checked_ft(
+    return _checked_ft(
         mu, [p[2] for p in pts], [p[3] for p in pts],
         [f"cross point axis={axis} index={idx} xi=({x1}, {x2}): "
          f"oscillatory quadrature" for axis, idx, x1, x2 in pts])
-    return [CrossValue(*p, complex(v), float(e))
-            for p, v, e in zip(pts, vals, errs)]
 
 
 def critical_measure_ft(x: float) -> complex:

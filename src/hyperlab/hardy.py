@@ -205,14 +205,6 @@ def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid) -> HyperbolaHilbert:
 # ---------------------------------------------------------------------------
 # time-like witness
 
-@dataclass(frozen=True)
-class PairingRow:
-    kind: str  # "j" or "k"
-    index: int
-    value: complex
-    err_estimate: float
-
-
 def _witness_f(z0: complex):
     def f(t):
         return 1.0 / (t - z0) - 1.0 / (t - 2.0 - z0)
@@ -220,24 +212,24 @@ def _witness_f(z0: complex):
 
 
 def timelike_witness(z0: complex, beta: float, j_max: int, k_max: int):
-    """Pairings <f_z0, e^{i pi j t}> (j = 0..j_max) and
-    <f_z0, e^{i pi beta k / t}> (k = 0..k_max); all vanish by residues.
-    A pairing whose achieved error estimate exceeds its budget, or whose
-    |value| exceeds the budget of the exact 0, raises ``QuadratureError``,
-    as does Im z0 below WITNESS_MIN_IM."""
+    """(values, error estimates) of the pairings <f_z0, e^{i pi j t}> for
+    j = 0..j_max, then <f_z0, e^{i pi beta k / t}> for k = 0..k_max: complex
+    and float arrays of j_max + k_max + 2 entries, each value 0 by
+    residues, each estimate the one its quadrature achieved.  A pairing
+    whose achieved error estimate exceeds its budget, or whose |value|
+    exceeds the budget of the exact 0, raises ``QuadratureError``, as does
+    Im z0 below WITNESS_MIN_IM."""
     z0 = complex(z0)
     if z0.imag <= 0:
         raise MeasureError("the witness requires Im z0 > 0")
     if beta <= 0:
         raise MeasureError("beta must be positive")
     j, k = np.arange(j_max + 1), np.arange(k_max + 1)
-    rows = [("j", int(i)) for i in j] + [("k", int(i)) for i in k]
-    vals, errs = _witness_pairings(
+    return _witness_pairings(
         z0, np.r_[np.pi * j, np.zeros(k.size)],
         np.r_[np.zeros(j.size), -np.pi * beta * k],
-        [f"witness pairing {kind} = {idx}" for kind, idx in rows])
-    return [PairingRow(kind, idx, complex(v), float(e))
-            for (kind, idx), v, e in zip(rows, vals, errs)]
+        [f"witness pairing j = {i}" for i in j]
+        + [f"witness pairing k = {i}" for i in k])
 
 
 def _witness_pairings(z0: complex, w, c, labels):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,5 +220,18 @@ class TestPerturbedEquation:
             perturbed_equation_residual(Measure1D(), Measure1D(), 2.5)
 
     def test_gamma_two_warns(self):
-        with pytest.warns(UserWarning):
-            perturbed_equation_residual(Measure1D(), Measure1D(), 2.0)
+        # rho2(t) = ln(t/sqrt 2)/t is antisymmetric under t -> 2/t
+        def rho2(t):
+            t = np.asarray(t)
+            return np.log(t / np.sqrt(2.0)) / t
+
+        omega2 = Measure1D(pieces=(Piece(1.0, 2.0, rho2, 1.0),))
+        with pytest.warns(UserWarning, match="gamma = 2 endpoint"):
+            perturbed_equation_residual(Measure1D(), omega2, 2.0)
+
+    def test_gamma_two_without_omega2_is_quiet(self):
+        # nothing meets the translate boundary when omega2 = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert perturbed_equation_residual(Measure1D(), Measure1D(),
+                                               2.0) == 0.0

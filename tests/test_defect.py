@@ -327,10 +327,10 @@ class TestGammaOnePoint:
 class TestSweep:
     def test_phase_transition_pattern(self):
         basis = CandidateBasis(0.08, 12.5, 202)
-        rows = sweep_gamma(basis, [0.8, 1.0, 1.2], j_max=640, k_max=640,
-                           threshold=1e-2)
-        assert [r.defect for r in rows][:2] == [0, 1]
-        assert rows[2].defect >= 1
+        _, defects = sweep_gamma(basis, [0.8, 1.0, 1.2], j_max=640,
+                                 k_max=640, threshold=1e-2)
+        assert defects.tolist()[:2] == [0, 1]
+        assert defects[2] >= 1
 
     def test_gamma_grid_validated(self):
         for gamma in (-1.0, np.nan, np.inf):
@@ -345,10 +345,10 @@ class TestSweep:
         # doubling the cross keeps the one null direction, and moves the
         # smallest singular value by less than 5%
         basis = CandidateBasis(0.08, 12.5, 202)
-        base, doubled = (sweep_gamma(basis, [1.0], n, n, 1e-2)[0]
-                         for n in (640, 1280))
-        assert base.defect == doubled.defect == 1
-        s, s2 = base.singular_tail[0], doubled.singular_tail[0]
+        (base, base_d), (doubled, doubled_d) = (
+            sweep_gamma(basis, [1.0], n, n, 1e-2) for n in (640, 1280))
+        assert base_d[0] == doubled_d[0] == 1
+        s, s2 = base[0, 0], doubled[0, 0]
         assert abs(s2 - s) < 0.05 * s
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperlab.dynamics import GaussMap, _apply, coverage_fraction
+from hyperlab.dynamics import _apply, coverage_fraction
 
 
 class TestStep:
@@ -24,10 +24,15 @@ class TestStep:
 
 class TestCoverage:
     def test_monotone_and_bounded(self):
-        fracs = coverage_fraction(GaussMap(0.5), 10, 2000)
+        fracs = coverage_fraction(0.5, 10, 2000)
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] <= 1.0
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            coverage_fraction(gamma, 1, 10)
+
     def test_gamma_half_rapid_coverage(self):
-        fracs = coverage_fraction(GaussMap(0.5), 10, 10_000)
+        fracs = coverage_fraction(0.5, 10, 10_000)
         assert fracs[-1] >= 0.99

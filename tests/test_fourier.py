@@ -413,33 +413,33 @@ class TestLatticeCross:
     def test_single_point_cross_gives_mass(self):
         mu = lift(Measure1D(atoms=((1.0, 3.0),)))
         cross = LatticeCross(2.0, 2.0, 0, 0)
-        vals = ft_on_cross(mu, cross)
+        vals, _ = ft_on_cross(mu, cross)
         # the origin appears once per axis, same value
         assert len(vals) == 2
-        assert vals[0].value == pytest.approx(3.0)
+        assert vals[0] == pytest.approx(3.0)
 
     def test_zero_measure_cross_all_zero(self):
-        vals = ft_on_cross(lift(Measure1D()), LatticeCross(
+        vals, _ = ft_on_cross(lift(Measure1D()), LatticeCross(
             2.0, 2.0, 2, 2))
-        assert all(v.value == 0.0 for v in vals)
+        assert all(v == 0.0 for v in vals)
 
     def test_critical_annihilator_positive_branch_pairings(self):
         nu = critical_annihilator()
         cross = LatticeCross(2.0, 2.0, 3, 3)
-        for v in ft_on_cross(lift(nu), cross):
-            assert abs(v.value) <= 1e-8, (v.axis, v.index)
+        vals, _ = ft_on_cross(lift(nu), cross)
+        for (axis, index, _, _), v in zip(cross.points(), vals):
+            assert abs(v) <= 1e-8, (axis, index)
 
     def test_reports_achieved_error(self):
-        vals = ft_on_cross(lift(critical_annihilator()),
-                           LatticeCross(2.0, 2.0, 3, 3))
-        errs = [v.abs_err_estimate for v in vals]
+        _, errs = ft_on_cross(lift(critical_annihilator()),
+                              LatticeCross(2.0, 2.0, 3, 3))
         assert all(e >= 0.0 for e in errs)
         assert any(e != ABS_TOL for e in errs)
 
     def test_closed_form_rows_report_zero_error(self, expanded15):
-        vals = ft_on_cross(lift(expanded15),
-                           LatticeCross(2.0, 3.0, 2, 2))
-        assert [v.abs_err_estimate for v in vals] == [0.0] * len(vals)
+        _, errs = ft_on_cross(lift(expanded15),
+                              LatticeCross(2.0, 3.0, 2, 2))
+        assert errs.tolist() == [0.0] * len(errs)
 
 
 class TestCriticalMeasureFT:
