@@ -292,9 +292,9 @@ def _named_measure(cfg) -> HyperbolaMeasure:
           xi2=(float, 0.0, "second coordinate of xi"))
 def _run_ft_eval(cfg, out):
     from .fourier import ft_point
-    val = ft_point(_named_measure(cfg), (cfg["xi1"], cfg["xi2"]))
+    val, err = ft_point(_named_measure(cfg), (cfg["xi1"], cfg["xi2"]))
     _emit_json(out, "ft-eval", cfg,
-               {"re": val.real, "im": val.imag,
+               {"re": val.real, "im": val.imag, "absErrEstimate": err,
                 "convention": "exp(i pi (xi1 t + xi2 x2(t)))"})
 
 

@@ -18,16 +18,27 @@ e^{-i c k / t} see scales down to ~2 gamma lr; outside the joint window
 the system aliases and the defect count becomes meaningless.  Grid edges
 may be anchored at density-jump locations (t = gamma for the expanded
 annihilators); the sweep does this automatically.
+
+The work is done once where it can be.  The real stack is written in
+place: each bin's real and imaginary parts are differences of the two
+real arrays (Re E, Im E) (``sici.exp_integral_parts``), written straight
+into their rows, with no complex intermediate.  The sweep's crosses all
+have alpha = 2, so their axis-1 rows pair the same frequencies: one axis-1
+E table on the union of the gammas' edges serves the whole grid, and each
+gamma reads its own columns.  Null vectors come from the SVD of the n x n
+factor R of a QR of the stack, which has the stack's singular values and
+right singular vectors without its tall left factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .measures import LatticeCross, Measure1D, MeasureError
-from .sici import _e2_e3, exp_integral_tail
+from .sici import _e2_e3, exp_integral_parts
 
 # largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite
 MAX_BAND_SCALE = float(np.sqrt(np.finfo(float).max / 2.0))
@@ -67,15 +78,16 @@ class CandidateBasis:
             return self
         return replace(self, anchors=tuple(sorted(set(self.anchors) | {t})))
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        base = np.geomspace(self.t_min, self.t_max, self.n_bins + 1)
-        if not self.anchors:
-            return base
-        out = np.asarray(sorted(set(base) | set(self.anchors)))
-        # drop near-duplicates from anchor insertion
-        keep = np.concatenate([[True], np.diff(np.log(out)) > 1e-9])
-        return out[keep]
+        """The grid, computed once per basis and read-only."""
+        out = np.geomspace(self.t_min, self.t_max, self.n_bins + 1)
+        if self.anchors:
+            out = np.asarray(sorted(set(out) | set(self.anchors)))
+            # drop near-duplicates from anchor insertion
+            out = out[np.concatenate([[True], np.diff(np.log(out)) > 1e-9])]
+        out.flags.writeable = False
+        return out
 
     @property
     def n_interior(self) -> int:
@@ -131,38 +143,76 @@ def _small_y(y: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> None:
     f1[near], f2[near] = terms @ (1.0 / (n + 1.0)), terms @ (2.0 / (n + 2.0))
 
 
-def _branch_block(out: np.ndarray, basis: CandidateBasis, w: np.ndarray,
-                  c: np.ndarray) -> None:
-    """Write the pairings of e^{i(w t - c/t)} with the basis elements into
-    ``out``, one row per entry of w and c.  The rows lie on one axis: all
-    c = 0, or else all w = 0.  Rows at the origin pair to the element
-    masses, 1.  An axis-1 row pairs the bins through E (``sici``), the
-    near-end {1, t} shapes in elementary form, or ``_small_y`` near 0, and
-    the far-end shapes as E_2 and 2 E_3 (``sici._e2_e3``).  An axis-2 row
-    is the axis-1 row at w = -c of the reciprocal basis (u = 1/t): its
-    edges are 1/edges reversed, its bins are the basis's bins reversed, and
-    its near-end and far-end shapes are the basis's far-end and near-end
-    ones."""
+def _e_table(w: np.ndarray, edges: np.ndarray):
+    """(Re E, Im E) at w_i edges_j, rows i and columns j: the table whose
+    column differences are the bins' pairings at w."""
+    return exp_integral_parts(w[:, None] * edges)
+
+
+def _branch_block(re: np.ndarray, im: np.ndarray, basis: CandidateBasis,
+                  w: np.ndarray, c: np.ndarray, e=None) -> None:
+    """Write the pairings of e^{i(w t - c/t)} with the basis elements, their
+    real parts into ``re`` and their imaginary parts into ``im``, one row
+    per entry of w and c.  The rows lie on one axis: all c = 0, or else all
+    w = 0.  Rows at the origin pair to the element masses, 1.  An axis-1
+    row pairs the bins through E (``_e_table``, or the table ``e`` if one
+    is given), the near-end {1, t} shapes in elementary form, or
+    ``_small_y`` near 0, and the far-end shapes as E_2 and 2 E_3
+    (``sici._e2_e3``).  An axis-2 row is the axis-1 row at w = -c of the
+    reciprocal basis (u = 1/t): its edges are 1/edges reversed, its bins
+    are the basis's bins reversed, and its near-end and far-end shapes are
+    the basis's far-end and near-end ones."""
     edges, nb = basis.edges, basis.n_interior
-    bins, near, far = out[:, :nb], (nb, nb + 1), (nb + 2, nb + 3)
+    bins, near, far = slice(nb), (nb, nb + 1), (nb + 2, nb + 3)
     if np.any(c):
         edges, w = 1.0 / edges[::-1], -c
-        bins, near, far = out[:, nb - 1::-1], far, near
+        bins, near, far = slice(nb - 1, None, -1), far, near
     origin = w == 0.0
     w = np.where(origin, 1.0, w)
-    vals = exp_integral_tail(w[:, None] * edges)
-    np.subtract(vals[:, :-1], vals[:, 1:], out=bins)
-    bins /= np.diff(np.log(edges))
+    # times the reciprocal of the log widths, not divided by them: numpy
+    # divides a complex array by a real one so, and these are its bits
+    inv_width = 1.0 / np.diff(np.log(edges))
+    for out, val in zip((re, im), _e_table(w, edges) if e is None else e):
+        np.subtract(val[:, :-1], val[:, 1:], out=out[:, bins])
+        out[:, bins] *= inv_width
     # (1/t0) int_0^t0 e^{iwt} dt and (2/t0^2) int_0^t0 t e^{iwt} dt
     iy = 1j * w * edges[0]
     ey = np.exp(iy)
-    out[:, near[0]] = (ey - 1.0) / iy
-    out[:, near[1]] = 2.0 * (ey * (iy - 1.0) + 1.0) / iy**2
-    _small_y(w * edges[0], out[:, near[0]], out[:, near[1]])
+    f1 = (ey - 1.0) / iy
+    f2 = 2.0 * (ey * (iy - 1.0) + 1.0) / iy**2
+    _small_y(w * edges[0], f1, f2)
     # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
     e2, e3 = _e2_e3(w * edges[-1])
-    out[:, far[0]], out[:, far[1]] = e2, 2.0 * e3
-    out[origin] = 1.0
+    for col, val in zip(near + far, (f1, f2, e2, 2.0 * e3)):
+        re[:, col], im[:, col] = val.real, val.imag
+    re[origin], im[origin] = 1.0, 0.0
+
+
+def _half_cross(cross: LatticeCross):
+    """The index >= 0 points of the cross, in its order (axis 1, then axis
+    2, each from its index-0 point up), and pi (xi1, xi2) at each: the
+    (w, c) of the row that pairs e^{i(w t - c/t)}."""
+    pts = [p for p in cross.points() if p[1] >= 0]
+    return pts, np.pi * np.array([(x1, x2) for _, _, x1, x2 in pts],
+                                 dtype=float)
+
+
+def _assemble(basis: CandidateBasis, cross: LatticeCross, e1=None
+              ) -> ConstraintMatrix:
+    """``build_constraint_matrix``; ``e1``, if given, is the E table (Re,
+    Im) of the axis-1 rows j = 1..j_max at basis.edges (``_e_table``)."""
+    pts, xi = _half_cross(cross)
+    # each axis opens with its index-0 row; the other rows write their real
+    # parts in place and their imaginary parts, in the same order, below
+    n, n1 = len(pts), cross.j_max + 1
+    entries = np.empty((2 * n - 2, basis.n_elements))
+    _branch_block(entries[1:n1], entries[n:n + n1 - 1], basis,
+                  xi[1:n1, 0], xi[1:n1, 1], e1)
+    _branch_block(entries[n1 + 1:n], entries[n + n1 - 1:], basis,
+                  xi[n1 + 1:, 0], xi[n1 + 1:, 1])
+    entries *= np.sqrt(2.0)
+    entries[[0, n1]] = 1.0
+    return ConstraintMatrix(tuple(pts), entries, basis)
 
 
 def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
@@ -175,19 +225,9 @@ def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
     S = sqrt(2) [Re R; Im R] with the two index-0 rows (real: they pair to
     the element masses) weighted 1/sqrt(2) and their zero imaginary parts
     left out.  Then S^T S = A^H A, S has A's row count, sigma(S) =
-    sigma(A), and the right singular vectors of S are real."""
-    pts = [p for p in cross.points() if p[1] >= 0]
-    half = np.empty((len(pts), basis.n_elements), dtype=complex)
-    xi = np.pi * np.array([(x1, x2) for _, _, x1, x2 in pts], dtype=float)
-    # the cross lists its axis-1 points first, then its axis-2 points
-    n1 = cross.j_max + 1
-    for blk in (slice(0, n1), slice(n1, len(pts))):
-        _branch_block(half[blk], basis, xi[blk, 0], xi[blk, 1])
-    zero = np.array([idx == 0 for _, idx, _, _ in pts])
-    scale = np.where(zero, 1.0, np.sqrt(2.0))[:, None]
-    entries = np.concatenate([scale * half.real,
-                              np.sqrt(2.0) * half[~zero].imag])
-    return ConstraintMatrix(tuple(pts), entries, basis)
+    sigma(A), and the right singular vectors of S are real.  S is written
+    in place, real and imaginary parts straight into their rows."""
+    return _assemble(basis, cross)
 
 
 @dataclass(frozen=True)
@@ -212,9 +252,11 @@ def _checked(entries: np.ndarray, threshold: float) -> np.ndarray:
 def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
     """SVD of a pairing system; the numerical defect counts singular
     values <= threshold * sigma_max, and their right singular vectors are
-    the null vectors."""
-    sv, vh = np.linalg.svd(_checked(entries, threshold),
-                           full_matrices=False)[1:]
+    the null vectors.  The SVD is that of the n x n factor R of entries =
+    QR, which has the same singular values and right singular vectors, so
+    the tall left factor is never formed."""
+    r = np.linalg.qr(_checked(entries, threshold), mode="r")
+    sv, vh = np.linalg.svd(r)[1:]
     defect = int(np.sum(sv <= threshold * sv[0]))
     nullvectors = vh[len(sv) - defect:] if defect else \
         np.zeros((0, entries.shape[1]))
@@ -240,13 +282,25 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
     """(tails, defects): an n_gamma x 6 array of each gamma's six smallest
     singular values, ascending, and the n_gamma numerical defects.  Each
     gamma's grid is anchored at 1 and gamma, so the expanded annihilators'
-    density jumps fall on bin edges; its SVD computes values only."""
-    tails, defects = [], []
+    density jumps fall on bin edges; its SVD computes values only.
+
+    Every gamma's cross has alpha = 2, so its axis-1 rows pair the same w.
+    E is elementwise, so their E table is evaluated once, on the union of
+    the grids' edges (the base edges, 1 and each gamma), and each gamma
+    reads its own columns: the same bits as its own table."""
+    gamma_grid = list(gamma_grid)
     for gamma in gamma_grid:
         if not (np.isfinite(gamma) and gamma > 0):
             raise MeasureError("gamma grid must be positive and finite")
-        b = basis.with_anchor(1.0).with_anchor(float(gamma))
-        mat = build_constraint_matrix(b, cross_for_gamma(gamma, j_max, k_max))
+    bases = [basis.with_anchor(1.0).with_anchor(float(g)) for g in gamma_grid]
+    crosses = [cross_for_gamma(g, j_max, k_max) for g in gamma_grid]
+    if bases:
+        cols = np.unique(np.concatenate([b.edges for b in bases]))
+        table = _e_table(_half_cross(crosses[0])[1][1:j_max + 1, 0], cols)
+    tails, defects = [], []
+    for b, cross in zip(bases, crosses):
+        idx = np.searchsorted(cols, b.edges)
+        mat = _assemble(b, cross, [t[:, idx] for t in table])
         sv = np.linalg.svd(_checked(mat.entries, threshold), compute_uv=False)
         tails.append(np.sort(sv)[:6])
         defects.append(int(np.sum(sv <= threshold * sv[0])))

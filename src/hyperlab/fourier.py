@@ -541,12 +541,14 @@ def _checked_ft(mu: HyperbolaMeasure, xi1, xi2, labels):
         return _within_budget(*pairing(mu.pi1, w, c), labels)
 
 
-def ft_point(mu: HyperbolaMeasure, xi) -> complex:
-    """Fourier transform of mu at the planar point xi = (xi1, xi2)."""
+def ft_point(mu: HyperbolaMeasure, xi) -> tuple[complex, float]:
+    """(value, error estimate) of the Fourier transform of mu at the planar
+    point xi = (xi1, xi2): a complex and a float, the estimate the one its
+    quadrature achieved (0 where closed-form)."""
     xi1, xi2 = float(xi[0]), float(xi[1])
-    vals, _ = _checked_ft(mu, [xi1], [xi2], [
+    vals, errs = _checked_ft(mu, [xi1], [xi2], [
         f"oscillatory quadrature at xi=({xi1}, {xi2})"])
-    return complex(vals[0])
+    return complex(vals[0]), float(errs[0])
 
 
 def ft_on_cross(mu: HyperbolaMeasure, cross: LatticeCross):

@@ -7,11 +7,13 @@ Conventions (fixed once, used everywhere in this package):
     ci(x) = -integral_x^inf  cos(y)/y dy   (the standard Ci),
 
 so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Both are
-parts of E(y) = -ci(|y|) + i sgn(y) si(|y|) (``exp_integral_tail``), the
-one reader of ``scipy.special.sici``, which returns (Si, Ci) with Si =
-pi/2 - si.  The spiral reads (ci, si) off E, and the end integrals E_2,
-E_3 of the defect basis come from E or its asymptotic series; no other
-module calls sici.
+parts of E(y) = -ci(|y|) + i sgn(y) si(|y|).  ``exp_integral_parts``,
+which returns (Re E, Im E) as two real arrays, is the one reader of
+``scipy.special.sici`` (which returns (Si, Ci) with Si = pi/2 - si);
+``exp_integral_tail`` is E as one complex array built on it.  The spiral
+reads (ci, si) off E, the defect bins read the two real parts, and the end
+integrals E_2, E_3 of the defect basis come from E or its asymptotic
+series; no other module calls sici.
 """
 
 from __future__ import annotations
@@ -22,14 +24,23 @@ import numpy as np
 from scipy.special import sici as _sici
 
 
-def exp_integral_tail(y):
-    """E(y) = integral_1^inf e^{i y u} du / u = -ci(|y|) + i sgn(y) si(|y|)
-    for y != 0, elementwise over arrays (a complex scalar for a scalar)."""
+def exp_integral_parts(y):
+    """(Re E(y), Im E(y)) = (-ci(|y|), sgn(y) si(|y|)) for y != 0, as two
+    real arrays, elementwise: E without a complex array, for callers that
+    keep real and imaginary parts apart."""
     y = np.asarray(y, dtype=float)
     if np.any(y == 0.0):
         raise ValueError("diverges at y = 0")
     big_si, ci = _sici(np.abs(y))
-    out = -ci + 1j * np.sign(y) * (0.5 * np.pi - big_si)
+    # 0.0 - ci, not -ci: at |y| = inf, where ci = 0, Re E reads +0
+    return 0.0 - ci, np.sign(y) * (0.5 * np.pi - big_si)
+
+
+def exp_integral_tail(y):
+    """E(y) = integral_1^inf e^{i y u} du / u = -ci(|y|) + i sgn(y) si(|y|)
+    for y != 0, elementwise over arrays (a complex scalar for a scalar)."""
+    re, im = exp_integral_parts(y)
+    out = re + 1j * im
     return complex(out) if out.ndim == 0 else out
 
 

@@ -166,7 +166,7 @@ def test_criterion_7_hilbert_machinery():
     for xi1 in (-2.0, -1.0, 1.0, 2.0):
         w = np.pi * abs(xi1)
         rhs = 1j * np.sign(xi1) * (np.exp(-w) - np.exp(-2.0 * w))
-        sign_err = max(sign_err, abs(ft_point(hf, (xi1, 0.0)) - rhs))
+        sign_err = max(sign_err, abs(ft_point(hf, (xi1, 0.0))[0] - rhs))
 
     res = hilbert_hyperbola(HyperbolaMeasure(M, _cauchy_pair()),
                             np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))

@@ -270,6 +270,14 @@ class TestRunExperiment:
         assert code == 0
         assert 0.0 < json.loads(out)["errEstimate"] <= 1e-6
 
+    @pytest.mark.parametrize("flags", [[], ["--xi2", "1000"]])
+    def test_ft_eval_reports_achieved_error(self, flags, capsys):
+        # the estimate ft_point's quadrature achieved, next to the value
+        code, out, _ = run(["ft-eval", *flags], capsys)
+        assert code == 0
+        err = json.loads(out)["absErrEstimate"]
+        assert isinstance(err, float) and np.isfinite(err) and err >= 0.0
+
     def test_witness_over_budget_runtime_record(self, capsys):
         # at Im z0 = 1e-8 the j pairings miss their budgets: j = 1 first,
         # by 18 times, and j = 7 reads |value| 5.77, where the exact value

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hyperlab import defect as defect_module
 from hyperlab.annihilators import critical_annihilator
 from hyperlab.defect import (MAX_BAND_SCALE, CandidateBasis,
                              ConstraintMatrix, _branch_block,
@@ -72,6 +73,12 @@ class TestCandidateBasis:
         b = CandidateBasis(0.1, 10.0, 64).with_anchor(1.0)
         assert np.any(np.isclose(b.edges, 1.0))
 
+    def test_edges_computed_once_and_read_only(self):
+        b = CandidateBasis(0.1, 10.0, 64).with_anchor(1.0)
+        assert b.edges is b.edges
+        with pytest.raises(ValueError):
+            b.edges[0] = 0.2
+
     def test_anchor_outside_band_ignored(self):
         b = CandidateBasis(0.1, 10.0, 64).with_anchor(50.0)
         assert b.anchors == ()
@@ -129,11 +136,11 @@ def full_system(basis, cross):
     axis assembled by ``_branch_block`` at its own frequencies."""
     pts = cross.points()
     w, c = frequencies(pts)
-    a = np.empty((len(pts), basis.n_elements), dtype=complex)
+    re, im = np.empty((2, len(pts), basis.n_elements))
     n1 = sum(axis == 1 for axis, *_ in pts)
     for blk in (slice(0, n1), slice(n1, len(pts))):
-        _branch_block(a[blk], basis, w[blk], c[blk])
-    return a
+        _branch_block(re[blk], im[blk], basis, w[blk], c[blk])
+    return re + 1j * im
 
 
 # E_2(y) and 2 E_3(y), the four fast-side end columns of _branch_block, on
@@ -224,8 +231,9 @@ class TestBranchRow:
         w, c = frequencies(pts)
         for axis, cols in ((1, [nb + 2, nb + 3]), (2, [nb, nb + 1])):
             sel = [i for i, p in enumerate(pts) if p[0] == axis]
-            out = np.empty((len(sel), nb + 4), dtype=complex)
-            _branch_block(out, basis, w[sel], c[sel])
+            re, im = np.empty((2, len(sel), nb + 4))
+            _branch_block(re, im, basis, w[sel], c[sel])
+            out = re + 1j * im
             for row, i in zip(out, sel):
                 idx = pts[i][1]
                 pin = np.array(END_COLUMNS[axis, abs(idx)])
@@ -241,8 +249,9 @@ class TestBranchRow:
         w, c = frequencies(pts)
         for i, (axis, cols) in enumerate(((1, [nb, nb + 1]),
                                           (2, [nb + 2, nb + 3]))):
-            out = np.empty((1, nb + 4), dtype=complex)
-            _branch_block(out, basis, w[i:i + 1], c[i:i + 1])
+            re, im = np.empty((2, 1, nb + 4))
+            _branch_block(re, im, basis, w[i:i + 1], c[i:i + 1])
+            out = re + 1j * im
             pin = np.array(SLOW_END_COLUMNS[axis])
             assert np.all(np.abs(out[0, cols] - pin) <= 1e-10 * np.abs(pin))
 
@@ -336,6 +345,28 @@ class TestSweep:
         for gamma in (-1.0, np.nan, np.inf):
             with pytest.raises(MeasureError):
                 sweep_gamma(CandidateBasis(0.08, 12.5, 32), [gamma])
+
+    def test_shared_table_matches_each_gamma_alone(self):
+        # one axis-1 E table serves the whole grid: a repeated gamma, one
+        # past the band, and one on its lower edge each read the bits of
+        # their own matrix's values-only SVD
+        basis = CandidateBasis(0.08, 12.5, 24)
+        grid = [1.0, 1.0, 1.2, 20.0, basis.t_min]
+        tails, defects = sweep_gamma(basis, grid, 12, 10, 1e-2)
+        for gamma, tail, defect in zip(grid, tails, defects):
+            b = basis.with_anchor(1.0).with_anchor(gamma)
+            mat = build_constraint_matrix(b, cross_for_gamma(gamma, 12, 10))
+            sv = np.linalg.svd(mat.entries, compute_uv=False)
+            assert np.array_equal(tail, np.sort(sv)[:6])
+            assert defect == np.sum(sv <= 1e-2 * sv[0])
+
+    def test_whole_grid_validated_first(self, monkeypatch):
+        # a bad gamma anywhere in the grid is refused before any assembly
+        def never(*args):
+            raise AssertionError("assembled before the grid was checked")
+        monkeypatch.setattr(defect_module, "_assemble", never)
+        with pytest.raises(MeasureError, match="gamma grid"):
+            sweep_gamma(CandidateBasis(0.08, 12.5, 32), [1.0, 1.2, -1.0])
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(MeasureError, match="threshold"):

@@ -408,7 +408,7 @@ class TestHilbertHyperbola:
             Piece(-np.inf, 0.0, h_rho, 1.0, params=tp),
             Piece(0.0, np.inf, h_rho, 1.0, params=tp))))
         for xi1 in (-2.0, -1.0, 1.0, 2.0):
-            lhs = ft_point(hf, (xi1, 0.0))
+            lhs = ft_point(hf, (xi1, 0.0))[0]
             # hat f(xi1) for P_1 - P_2 with the e^{i pi xi1 t} convention
             w = np.pi * abs(xi1)
             rhs = 1j * np.sign(xi1) * (np.exp(-w) - np.exp(-2.0 * w))

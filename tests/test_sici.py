@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab.sici import _e2_e3, exp_integral_tail, nielsen_spiral
+from hyperlab.sici import (_e2_e3, exp_integral_parts, exp_integral_tail,
+                          nielsen_spiral)
 
 
 def sine_integral_tail(x):
@@ -91,6 +92,22 @@ class TestAsymptoticEnvelope:
         for x in np.geomspace(10.0, 1e4, 40):
             assert abs(cosine_integral(x)) + abs(sine_integral_tail(x)) \
                 <= 2.2 / x
+
+
+class TestRealParts:
+    def test_conjugate_symmetry(self):
+        # the real arrays (Re E, Im E), with E(-y) = conj E(y); E itself is
+        # checked against the quadrature oracles above
+        x = np.geomspace(1e-3, 1e5, 61)
+        re, im = exp_integral_parts(np.concatenate([x, -x]))
+        e = exp_integral_tail(x)
+        assert re.dtype == im.dtype == np.float64
+        assert np.array_equal(re, np.concatenate([e.real, e.real]))
+        assert np.array_equal(im, np.concatenate([e.imag, -e.imag]))
+
+    def test_origin_rejected(self):
+        with pytest.raises(ValueError, match="diverges"):
+            exp_integral_parts(np.array([1.0, 0.0]))
 
 
 class TestEndIntegrals:
