@@ -175,11 +175,13 @@ def _branch_block(re: np.ndarray, im: np.ndarray, basis: CandidateBasis,
     for out, val in zip((re, im), _e_table(w, edges) if e is None else e):
         np.subtract(val[:, :-1], val[:, 1:], out=out[:, bins])
         out[:, bins] *= inv_width
-    # (1/t0) int_0^t0 e^{iwt} dt and (2/t0^2) int_0^t0 t e^{iwt} dt
+    # (1/t0) int_0^t0 e^{iwt} dt and (2/t0^2) int_0^t0 t e^{iwt} dt: past
+    # |y| ~ 1e154 f2 reads its limit 0, and below 1e-154 _small_y's series
     iy = 1j * w * edges[0]
     ey = np.exp(iy)
-    f1 = (ey - 1.0) / iy
-    f2 = 2.0 * (ey * (iy - 1.0) + 1.0) / iy**2
+    with np.errstate(all="ignore"):
+        f1 = (ey - 1.0) / iy
+        f2 = 2.0 * (ey * (iy - 1.0) + 1.0) / iy**2
     _small_y(w * edges[0], f1, f2)
     # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
     e2, e3 = _e2_e3(w * edges[-1])
@@ -288,11 +290,14 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
     E is elementwise, so their E table is evaluated once, on the union of
     the grids' edges (the base edges, 1 and each gamma), and each gamma
     reads its own columns: the same bits as its own table."""
-    gamma_grid = list(gamma_grid)
+    gamma_grid = [float(g) for g in gamma_grid]
     for gamma in gamma_grid:
-        if not (np.isfinite(gamma) and gamma > 0):
-            raise MeasureError("gamma grid must be positive and finite")
-    bases = [basis.with_anchor(1.0).with_anchor(float(g)) for g in gamma_grid]
+        # gamma > 0, and a finite largest axis-2 phase, as its row computes it
+        if not (gamma > 0 and np.isfinite(np.pi * (2.0 * gamma * k_max)
+                                          * (1.0 / basis.t_min))):
+            raise MeasureError(f"gamma grid holds {gamma:g}: need gamma > 0 "
+                               f"and a finite 2 pi gamma k_max / t_min")
+    bases = [basis.with_anchor(1.0).with_anchor(g) for g in gamma_grid]
     crosses = [cross_for_gamma(g, j_max, k_max) for g in gamma_grid]
     if bases:
         cols = np.unique(np.concatenate([b.edges for b in bases]))

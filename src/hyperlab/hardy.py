@@ -17,13 +17,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _caught, \
-    _cquad, _diagnosed, _memo, _refusal, _within_budget, error_budget, \
-    pairing
+    _diagnosed, _memo, _refusal, _within_budget, error_budget, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
                        _pushforward_reciprocal, compress_pi2)
 
-# half-width of the principal-value window around each point
-PV_WINDOW = 50.0
 # the smallest Im z0 of the witness: a scan of its pairings against their
 # exact 0 (beta from 0.1 to 1000, j, k <= 20, Im z0 down to 1e-9) found
 # every row within its budget of 0, or over its own budget, down to 1e-4,
@@ -112,40 +109,34 @@ def _total_density(f: Measure1D):
 
 
 def _pv_point(f: Measure1D, x: float):
-    """pv int f(t)/(x - t) dt with error estimate.
-
-    The principal-value window x +- PV_WINDOW integrates the *total*
-    density with QUADPACK's Cauchy-weight rule, so internal piece
-    boundaries (where the total density is continuous) cause no trouble;
-    the remaining support is integrated plainly per piece."""
-    lo, hi = x - PV_WINDOW, x + PV_WINDOW
-    if not lo < x < hi:
-        raise QuadratureError(f"principal-value window around x={x} is "
-                              f"below float resolution")
-    total = 0.0 + 0.0j
-    err = 0.0
-    if any(pc.a < hi and pc.b > lo for pc in f.pieces):
-        # QUADPACK's Cauchy-weight rule computes pv int rho/(t - x)
+    """pv int f(t)/(x - t) dt with error estimate, as the regular integral
+    int_0^inf [rho(x - s) - rho(x + s)]/s ds of the total density rho,
+    split at s = d = |x - e| for each finite piece end e, where rho may
+    jump, and cut 16^i (i = 0, 1, ...) from each such d on both sides while
+    16^i < d (``fourier._t_chart``'s fixed ladder), so that no part hides a
+    narrow piece or a far mass from its rule.  An end with d + 1 == d (d >=
+    2^53), where the first cut is not a float, raises ``QuadratureError``."""
+    cuts = {0.0, np.inf}
+    for end in {e for pc in f.pieces for e in (pc.a, pc.b) if np.isfinite(e)}:
+        d = abs(x - end)
+        if d + 1.0 == d:
+            raise QuadratureError(f"piece end {end} lies {d:.3g} from x={x}: "
+                                  f"a unit cut is below float resolution")
+        cuts.add(d)
+        step = 1.0
+        while step < d:
+            cuts.update((d - step, d + step))
+            step *= 16.0
+    rho = _total_density(f)
+    g = _memo(lambda s: (rho(x - s) - rho(x + s)) / s)
+    total, err = 0j, 0.0
+    cuts = sorted(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
         with _caught():
-            v, e = quad(_memo(_total_density(f)), lo, hi,
-                        weight="cauchy", wvar=x, complex_func=True,
-                        limit=LIMIT, epsabs=ABS_TOL, epsrel=REL_TOL)
-        total -= v
+            v, e = quad(g, lo, hi, complex_func=True, limit=LIMIT,
+                        epsabs=ABS_TOL, epsrel=REL_TOL)
+        total += v
         err += e.real + e.imag
-    for pc in f.pieces:
-        rho = pc.density
-
-        def plain(t, rho=rho):
-            return rho(t) / (x - t)
-
-        if pc.a < lo:
-            v, e = _cquad(plain, pc.a, min(pc.b, lo))
-            total += v
-            err += e
-        if pc.b > hi:
-            v, e = _cquad(plain, max(pc.a, hi), pc.b)
-            total += v
-            err += e
     return total, err
 
 

@@ -95,25 +95,25 @@ def _cauchy1p(scale: complex) -> Callable:
     return lambda t: scale / (1.0 + t)
 
 
-def _binned(edges: np.ndarray, values: np.ndarray) -> Callable:
-    # v on the bins [e_k, e_{k+1}), 0 off the table
+def _binned(edges: np.ndarray, values: np.ndarray, side="right") -> Callable:
+    # v on [e_k, e_{k+1}), or on (e_k, e_{k+1}] at side "left"; 0 off it
     edges = np.asarray(edges, dtype=float)
     table = np.concatenate([[0.0], np.asarray(values), [0.0]])
-    return lambda t: table[np.searchsorted(edges, t, side="right")]
+    return lambda t: table[np.searchsorted(edges, t, side=side)]
 
 
 def density_from_family(family: str, params: dict) -> Callable:
     """The family density w, or with params["s"] the density w(s/x) s/x^2
-    of its image under x = s/t.  The image is the composition, point by
-    point: a bin [e_k, e_{k+1}) of w becomes (s/e_{k+1}, s/e_k], so an
-    image piece on [a, b) reads 0 at a and its sums count t + j = b."""
+    of its image under x = s/t, whose bins [s/e_{k+1}, s/e_k) are half-open
+    like every piece: w reads u = s/x on (e_k, e_{k+1}]."""
+    s = params.get("s")
     if family == "cauchy1p":
         w = _cauchy1p(params["scale"])
     elif family == "binned":
-        w = _binned(params["edges"], params["values"])
+        w = _binned(params["edges"], params["values"],
+                    "right" if s is None else "left")
     else:
         raise MeasureError(f"unknown density family {family!r}")
-    s = params.get("s")
     if s is None:
         return w
 

@@ -202,12 +202,13 @@ def invariant_density(gamma: float, n_bins: int) -> InvariantDensity:
 
 def _bin_table_sum(edges, values, s: float, t: np.ndarray) -> np.ndarray:
     """sum_{j>=0} v(s/(t+j)) s/(t+j)^2 for t in [0, 1) and the bin table
-    v = (edges, values), zero off [edges[0], edges[-1]).
+    v = (edges, values), zero off (edges[0], edges[-1]].
 
-    This is the transfer operator of U_s applied to the table.  The j below
-    J = max(20, sqrt(s n)) are summed term by term.  Beyond J, bin m takes
-    the run s/e_{m+1} < t + j <= s/e_m, which adds v_m s (psi'(t + j_a) -
-    psi'(t + j_b + 1)); only the first ~sqrt(s n) bins have such runs."""
+    This is the transfer operator of U_s applied to the table, read on
+    (e_m, e_{m+1}] as an image piece reads it.  The j below J = max(20,
+    sqrt(s n)) are summed term by term.  Beyond J, bin m takes the run
+    s/e_{m+1} <= t + j < s/e_m, which adds v_m s (psi'(t + j_a) - psi'(t +
+    j_b + 1)); only the first ~sqrt(s n) bins have such runs."""
     edges = np.asarray(edges, dtype=float)
     values = np.asarray(values)
     t = np.asarray(t, dtype=float)
@@ -215,7 +216,7 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray) -> np.ndarray:
     out = np.zeros(flat.shape, dtype=np.result_type(values, float))
     if not flat.size:
         return out.reshape(t.shape)
-    # index 0 is below the table and n + 1 above it (searchsorted, right)
+    # index 0 is below the table and n + 1 above it (searchsorted, left)
     table = np.concatenate([[0.0], values, [0.0]])
     top = s / edges[0] if edges[0] > 0.0 else np.inf
     J = max(20, int(np.ceil(np.sqrt(s * values.size))))
@@ -229,11 +230,11 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray) -> np.ndarray:
             x[0, x[0] == 0.0] = np.inf
         u = s / x
         # a block's arguments span few bins: search only those edges
-        i0, i1 = np.searchsorted(edges, [u.min(), u.max()], side="right")
-        w = table[i0 + np.searchsorted(edges[i0:i1], u, side="right")] * (u / x)
+        i0, i1 = np.searchsorted(edges, [u.min(), u.max()], side="left")
+        w = table[i0 + np.searchsorted(edges[i0:i1], u, side="left")] * (u / x)
         out += np.sum(w, axis=0)
     # bins reached by some j >= J, and where each one's run of j starts:
-    # b[:, m] = floor(s/e_m - t) + 1, at least J
+    # b[:, m] = ceil(s/e_m - t), at least J
     m_hi = min(int(np.searchsorted(edges, s / J, side="right")), values.size)
     if m_hi:
         with np.errstate(divide="ignore"):
@@ -241,7 +242,7 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray) -> np.ndarray:
         step = max(1, _BLOCK_ELEMS // (m_hi + 1))
         for k0 in range(0, flat.size, step):
             tt = flat[k0:k0 + step, None]
-            b = np.maximum(np.floor(over[None, :] - tt) + 1.0, J)
+            b = np.maximum(np.ceil(over[None, :] - tt), J)
             psi1 = _trigamma(tt + b)
             out[k0:k0 + step] += s * ((psi1[:, 1:] - psi1[:, :-1])
                                       @ values[:m_hi])

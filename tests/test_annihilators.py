@@ -10,7 +10,7 @@ from hyperlab.annihilators import (annihilator_report, critical_annihilator,
                                    perturbed_equation_residual, piece_mass,
                                    symmetry_residual, total_mass)
 from hyperlab.measures import Measure1D, MeasureError, Piece, \
-    piece_from_family
+    piece_from_family, pushforward_inversion
 from hyperlab.transfer import invariant_density
 from measure_helpers import restrict
 
@@ -143,11 +143,15 @@ class TestPeriodizationSums:
 
     @staticmethod
     def brute_sums(nu, gamma, t, n_terms=1_000_000):
+        # the second sum is the first of the image under t -> gamma/t, whose
+        # pieces are half-open: at t + j = gamma the image of the [0, 1)
+        # piece reads its last bin, where the composition nu(gamma/u)
+        # gamma/u^2 reads 0 at u = 1
         u = t[:, None] + np.arange(n_terms)[None, :]
         s1 = np.sum(nu.density_at(u), axis=1)
         # at t = 0 the j = 0 term is taken as its limit from the right
         u = np.maximum(u, 1e-100)
-        s2 = np.sum(nu.density_at(gamma / u) * gamma / u**2, axis=1)
+        s2 = np.sum(pushforward_inversion(nu, gamma).density_at(u), axis=1)
         return s1, s2
 
     def test_expanded_sums_match_brute_force(self, nu256):

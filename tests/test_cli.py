@@ -389,6 +389,40 @@ class TestRunExperiment:
             ln.split(",") for ln in out.splitlines() if ln[:1].isdigit())] \
             == [(2.0, 4), (3.0, 7), (5.0, 8)]
 
+    @pytest.mark.parametrize("gammas, code", [
+        ("1e300,1", 0), ("1e-300", 0), ("1e308", 1)])
+    def test_defect_sweep_extreme_gamma_is_quiet(self, gammas, code):
+        # a fresh process with warnings shown: the near-end column's iy**2
+        # overflowed at gamma = 1e300 and underflowed into 0/0 at 1e-300,
+        # and at 1e308 beta = 2 gamma overflowed, and numpy's warnings
+        # reached stderr; a gamma whose rows' phase is not finite is one
+        # runtime record
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hyperlab.__file__)))
+        res = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "hyperlab.cli", "defect-sweep", "--gammas",
+                              gammas], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == code
+        if code == 0:
+            assert res.stderr == ""
+            return
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["command"] == "defect-sweep"
+
+    def test_annihilator_check_odd_grid(self, capsys):
+        # at gridn = 10001 the midpoint t = 0.5 meets t + 1 = gamma, the
+        # left end of the image piece [gamma, inf), whose bins were
+        # (s/e_{k+1}, s/e_k]: it read 0 there, and both sums read 0.684
+        # (1.53e-4 at gridn = 10000); criterion 5's bound is 5e-3
+        code, out, _ = run(["annihilator-check", "--gamma", "1.5",
+                            "--gridn", "10001"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["periodizedResidualSum1"] <= 5e-3
+        assert rec["periodizedResidualSum2"] <= 5e-3
+
     def test_ft_eval_tiny_xi1_is_quiet(self):
         # in a child process with warnings shown, so that a raw
         # IntegrationWarning would reach its stderr

@@ -183,9 +183,10 @@ class TestSampledOncePerNode:
     """QUADPACK reads each node of a complex integrand in a real and an
     imaginary run, and a cos/sin pair reads the same nodes twice more; an
     Ooura-Mori tail reads each |w| at all its nodes as one array.  Within
-    one integral each density is evaluated once per node.  An integral
-    that folds two mirrored pieces reads one density at t and the other at
-    -t."""
+    one integral each density is evaluated once per node and read point.
+    An integral that folds two mirrored pieces reads one density at t and
+    the other at -t; the Hilbert transform's regular form reads the total
+    density once at x - s and once at x + s."""
 
     @pytest.mark.parametrize("case", ["q2", "witness", "hilbert"])
     def test_density_evaluated_once_per_node(self, case, integrals,
@@ -204,7 +205,8 @@ class TestSampledOncePerNode:
                                 lambda z0: counted(witness_f(z0)))
             timelike_witness(1j, 1.0, 10, 10)
         else:
-            hilbert_line(recounted(cauchy_pair()), np.linspace(-3, 3, 7))
+            grid = np.linspace(-3, 3, 7)
+            hilbert_line(recounted(cauchy_pair()), grid)
         outside, *scopes = found
         assert outside == []
         reads = [x for nodes in scopes for _, rs in nodes for _, x in rs]
@@ -217,9 +219,8 @@ class TestSampledOncePerNode:
             ts = [key(t) for t, _ in nodes]
             assert len(set(ts)) == len(ts)
             # each node reads each density of the integral once, keyed by
-            # the density, the side of t = 0 it reads and the node
-            keys = [(d, np.copysign(1.0, np.ravel(x)[0]), key(t))
-                    for t, rs in nodes for d, x in rs]
+            # the density, the point it reads and the node
+            keys = [(d, key(x), key(t)) for t, rs in nodes for d, x in rs]
             assert len(set(keys)) == len(keys)
             assert len({len(rs) for _, rs in nodes}) == 1
             for t, rs in nodes:
@@ -228,9 +229,13 @@ class TestSampledOncePerNode:
                 if np.ndim(t):
                     assert np.shape(t)[1] == fourier._OM_X.size
                     assert all(np.shape(x) == np.shape(t) for _, x in rs)
-                if len(rs) == 2:
+                if case == "hilbert":
+                    # the node s of a grid point x reads x - s, then x + s
+                    assert any([x for _, x in rs] == [c - t, c + t]
+                               for c in grid)
+                elif len(rs) == 2:
                     assert np.array_equal(rs[0][1], -rs[1][1])
-            folded += len(nodes[0][1]) == 2
+                    folded += 1
             tails += np.ndim(nodes[0][0]) == 2
         # the q2 and witness pieces mirror each other across t = 0, and
         # their tails run under the Ooura-Mori rule
@@ -367,13 +372,11 @@ class TestHilbertLine:
                              + f.density_at(x))) <= 5e-4
         assert np.max(np.abs(h.values - hf.density_at(x))) <= 1e-6
 
-    def test_nan_estimate_raises(self):
-        # the pi2 image of the Cauchy pair reads NaN at x = 0 (its limit
-        # there is unknown), which the Cauchy-weight rule around x = 25
-        # samples: the NaN estimate is refused, not reported
-        nu2 = compress_pi2(HyperbolaMeasure(2.0 * np.pi, cauchy_pair()))
+    def test_nan_estimate_raises(self, monkeypatch):
+        # a finite value whose estimate is NaN is refused, not reported
+        monkeypatch.setattr(hardy, "_pv_point", lambda f, x: (0.1, np.nan))
         with pytest.raises(QuadratureError, match="error estimate nan"):
-            hilbert_line(nu2, [25.0])
+            hilbert_line(cauchy_pair(), [0.5])
 
     def test_estimate_over_budget_raises(self, monkeypatch):
         # a finite value whose estimate is over its budget is refused, as
@@ -381,6 +384,45 @@ class TestHilbertLine:
         monkeypatch.setattr(hardy, "_pv_point", lambda f, x: (0.1, 1.0))
         with pytest.raises(QuadratureError, match="above tolerance"):
             hilbert_line(cauchy_pair(), [0.5])
+
+    def test_narrow_piece_closed_form(self):
+        # H[1_[1,2)](x) = (1/pi) log|(x - 1)/(x - 2)|: a 100-wide
+        # Cauchy-weight window around x never sampled the box, and read 0
+        # with estimate 0 at each x here below 1e6
+        box = Measure1D(pieces=(Piece(1.0, 2.0, lambda t: np.ones_like(
+            np.asarray(t, dtype=float)), 1.0),))
+        x = np.array([-3.0, 0.5, 1.5, 1.9, 2.5, 40.0, 1e6])
+        exact = np.log(np.abs((x - 1.0) / (x - 2.0))) / np.pi
+        res = hilbert_line(box, x)
+        assert res.values == pytest.approx(exact, rel=1e-9, abs=1e-15)
+
+    def test_cauchy_far_from_origin(self):
+        # x/(pi (1 + x^2)) as 1/(pi (x + 1/x)); the window and its plain
+        # remainder missed half the mass from x ~ 1.1e5 to 7e6, up to 74
+        # times the budget, with estimates near 1e-11
+        def rho(t):
+            return 1.0 / (np.pi * (1.0 + np.asarray(t) ** 2))
+
+        tp = {"tail_c": 1.0 / np.pi, "tail_p": 2.0}
+        f = Measure1D(pieces=(Piece(-np.inf, 0.0, rho, 0.5, params=tp),
+                              Piece(0.0, np.inf, rho, 0.5, params=tp)))
+        x = np.logspace(0.0, 15.0, 31)
+        exact = 1.0 / (np.pi * (x + 1.0 / x))
+        res = hilbert_line(f, x)
+        assert np.all(np.abs(res.values - exact) <= error_budget(exact))
+
+    def test_pi2_cauchy_pair_off_origin(self):
+        # the pi2 image reads NaN at x = 0, where its limit is unknown: a
+        # Cauchy-weight window around +-25 sampled it and refused a NaN
+        # estimate.  At m = 2 pi, sigma = -1/t, and by intertwining
+        # H[pi2](sigma) = t^2 H[pi1](t) with H[P_1 - P_2] in closed form
+        nu2 = compress_pi2(HyperbolaMeasure(2.0 * np.pi, cauchy_pair()))
+        sigma = np.array([25.0, -25.0])
+        t = -1.0 / sigma
+        exact = t**2 * (t / (1.0 + t**2) - t / (4.0 + t**2)) / np.pi
+        res = hilbert_line(nu2, sigma)
+        assert np.all(np.isfinite(res.values))
+        assert np.all(np.abs(res.values - exact) <= error_budget(exact))
 
 
 class TestHilbertHyperbola:

@@ -135,21 +135,24 @@ class TestImagePieces:
         assert np.allclose(dil.density(x), (2.0 / 3.0) / (1.0 + 2.0 * x / 3.0))
 
     def test_image_density_is_the_composition(self):
-        # w(s/x) s/x^2, read at the images s/e_k of the bin edges too
+        # w(s/x) s/x^2, read at the images s/e_k of the bin edges too,
+        # with the table read on (e_k, e_{k+1}]: the image bins
+        # [s/e_{k+1}, s/e_k) are half-open like every piece
         edges, values = np.arange(9) / 8, np.arange(1.0, 9.0)
         img = piece_from_family(2.0, np.inf, "binned", {
             "edges": edges, "values": values, "s": 2.0}, 1.0)
         x = np.r_[2.0 / edges[1:], 2.5, 7.0, 40.0]
-        k = np.searchsorted(edges, 2.0 / x, side="right") - 1
-        # x = 2 reads u = 1, where the table [0, 1) ends
-        want = np.where(x > 2.0, values[np.minimum(k, 7)] * 2.0 / x**2, 0.0)
+        k = np.searchsorted(edges, 2.0 / x, side="left") - 1
+        # x = 2 reads u = 1, the table's last bin
+        assert k[-4] == 7
+        want = values[k] * 2.0 / x**2
         assert np.array_equal(Measure1D(pieces=(img,)).density_at(x), want)
         # an image reaching x = 0, the image of t = inf, reads 0 there
         # (0 * inf there read NaN)
         img = piece_from_family(0.0, 2.0, "binned", {
             "edges": [0.5, 1.0], "values": [1.0], "s": 1.0}, 1.0)
         assert np.array_equal(Measure1D(pieces=(img,)).density_at(
-            [0.0, 0.5, 1.5]), [0.0, 0.0, 1.0 / 1.5**2])
+            [0.0, 0.5, 1.0, 1.5]), [0.0, 0.0, 1.0, 1.0 / 1.5**2])
 
     def test_nonpositive_s_rejected(self):
         with pytest.raises(MeasureError):

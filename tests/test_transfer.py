@@ -85,7 +85,8 @@ def direct_sum(edges, values, s, t, lo=0.0, hi=np.inf):
         x = tm + np.arange(j_end, dtype=float)
         x = x[(x >= lo) & (x < hi) & (x > 0.0)]
         u = s / x
-        k = np.searchsorted(edges, u, side="right") - 1
+        # the image of a bin [e_k, e_{k+1}) is [s/e_{k+1}, s/e_k)
+        k = np.searchsorted(edges, u, side="left") - 1
         inside = (k >= 0) & (k < len(values))
         out[m] = np.sum(values[k[inside]] * u[inside] / x[inside])
         if edges[0] == 0.0 and not np.isfinite(hi):
@@ -255,9 +256,8 @@ class TestBinTableSum:
     ])
     def test_matches_direct_sum(self, edges, s, lo, hi):
         # the window lo <= t + j < hi is the image of a binned piece on
-        # [lo, hi), whose table is cut to [s/hi, s/lo): the image of the
-        # x = t + j in (lo, hi], so the oracle's window moves up one ulp
-        # (on floats, lo' <= x < hi' is lo < x <= hi)
+        # [lo, hi), whose table is cut to [s/hi, s/lo): the image bins are
+        # half-open, so the window is the piece's own
         rng = np.random.default_rng(7)
         values = (rng.uniform(0.5, 1.5, len(edges) - 1)
                   + 1j * rng.uniform(-1.0, 1.0, len(edges) - 1))
@@ -265,8 +265,7 @@ class TestBinTableSum:
         cut = piece_from_family(lo, hi, "binned", {
             "edges": edges, "values": values, "s": s}, 1.0).params
         got = _bin_table_sum(cut["edges"], cut["values"], s, t)
-        want = direct_sum(edges, values, s, t, np.nextafter(lo, np.inf),
-                          np.nextafter(hi, np.inf))
+        want = direct_sum(edges, values, s, t, lo, hi)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
