@@ -337,14 +337,11 @@ def _run_annihilator_check(cfg, out):
     dens = None
     if cfg["gamma"] > 1.0:
         dens = invariant_density(cfg["gamma"], cfg["bins"])
-    rep = annihilator_report(cfg["gamma"], dens, cfg["gridn"])
+    mass, sym, r1, r2 = annihilator_report(cfg["gamma"], dens, cfg["gridn"])
     _emit_json(out, "annihilator-check", cfg, {
-        "gamma": rep.gamma,
-        "totalMass": [rep.total_mass.real, rep.total_mass.imag],
-        "symmetryResidual": rep.symmetry_residual,
-        "periodizedResidualSum1": rep.periodized_residual_sum1,
-        "periodizedResidualSum2": rep.periodized_residual_sum2,
-        "gridN": rep.grid_n})
+        "gamma": cfg["gamma"], "totalMass": [mass.real, mass.imag],
+        "symmetryResidual": sym, "periodizedResidualSum1": r1,
+        "periodizedResidualSum2": r2, "gridN": cfg["gridn"]})
 
 
 @_command("perturbed-residual", "perturbed invariance-equation residual",
@@ -384,14 +381,15 @@ def _run_coverage(cfg, out):
 def _run_sici_spiral(cfg, out):
     from .sici import nielsen_spiral
     grid = np.geomspace(cfg["xmin"], cfg["xmax"], cfg["n"])
-    res = nielsen_spiral(grid)
+    ci, si = nielsen_spiral(grid)
     # the SVG first, so that a path it cannot write leaves no CSV behind
     if cfg["svg"]:
-        emit_svg_polyline(zip(res.ci.tolist(), res.si.tolist()),
+        emit_svg_polyline(zip(ci.tolist(), si.tolist()),
                           "Nielsen spiral (ci, si)", cfg["svg"])
-    _emit_csv(out, "sici-spiral", dict(cfg, minModulus=res.min_modulus),
-              ("x", "ci", "si", "modulus"),
-              (res.x, res.ci, res.si, res.modulus))
+    modulus = np.hypot(ci, si)
+    cfg = dict(cfg, minModulus=float(np.min(modulus)))
+    _emit_csv(out, "sici-spiral", cfg, ("x", "ci", "si", "modulus"),
+              (grid, ci, si, modulus))
 
 
 def _hardy_test_measure(conjugate: bool) -> Measure1D:
@@ -436,12 +434,12 @@ def _run_hilbert_check(cfg, out):
         Piece(0.0, np.inf, cauchy, 0.5,
               params={"tail_c": 1.0 / np.pi, "tail_p": 2.0})))
     grid = np.linspace(-cfg["xmax"], cfg["xmax"], cfg["n"])
-    res = hilbert_line(f, grid)
+    vals = hilbert_line(f, grid)[0]
     exact = grid / (np.pi * (1.0 + grid**2))
-    err = np.abs(res.values - exact)
+    err = np.abs(vals - exact)
     cfg = dict(cfg, maxError=float(np.max(err)))
     _emit_csv(out, "hilbert-check", cfg, ("x", "re", "im", "absError"),
-              (grid, res.values.real, res.values.imag, err))
+              (grid, vals.real, vals.imag, err))
 
 
 @_command("timelike-witness", "residue-identity pairings of f_{z0}",

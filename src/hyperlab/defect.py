@@ -131,7 +131,6 @@ def _near_end(density, t0: float) -> np.ndarray:
 class ConstraintMatrix:
     rows: tuple  # (axis, index, xi1, xi2) descriptors of the index >= 0 rows
     entries: np.ndarray  # real stack of the full system's rows x nElements
-    basis: CandidateBasis
 
 
 def _small_y(y: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> None:
@@ -199,10 +198,20 @@ def _half_cross(cross: LatticeCross):
                                  dtype=float)
 
 
-def _assemble(basis: CandidateBasis, cross: LatticeCross, e1=None
-              ) -> ConstraintMatrix:
-    """``build_constraint_matrix``; ``e1``, if given, is the E table (Re,
-    Im) of the axis-1 rows j = 1..j_max at basis.edges (``_e_table``)."""
+def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross,
+                            e1=None) -> ConstraintMatrix:
+    """The pairing system of a symmetric cross, as one real matrix.
+
+    The elements are real measures, so the row for index -j of the full
+    complex system A is the conjugate of the row for +j.  Only the index
+    >= 0 rows R are assembled, in the cross's order, and the entries are
+    S = sqrt(2) [Re R; Im R] with the two index-0 rows (real: they pair to
+    the element masses) weighted 1/sqrt(2) and their zero imaginary parts
+    left out.  Then S^T S = A^H A, S has A's row count, sigma(S) =
+    sigma(A), and the right singular vectors of S are real.  S is written
+    in place, real and imaginary parts straight into their rows.  ``e1``,
+    if given, is the E table (Re, Im) of the axis-1 rows j = 1..j_max at
+    basis.edges (``_e_table``)."""
     pts, xi = _half_cross(cross)
     # each axis opens with its index-0 row; the other rows write their real
     # parts in place and their imaginary parts, in the same order, below
@@ -214,28 +223,12 @@ def _assemble(basis: CandidateBasis, cross: LatticeCross, e1=None
                   xi[n1 + 1:, 0], xi[n1 + 1:, 1])
     entries *= np.sqrt(2.0)
     entries[[0, n1]] = 1.0
-    return ConstraintMatrix(tuple(pts), entries, basis)
-
-
-def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross
-                            ) -> ConstraintMatrix:
-    """The pairing system of a symmetric cross, as one real matrix.
-
-    The elements are real measures, so the row for index -j of the full
-    complex system A is the conjugate of the row for +j.  Only the index
-    >= 0 rows R are assembled, in the cross's order, and the entries are
-    S = sqrt(2) [Re R; Im R] with the two index-0 rows (real: they pair to
-    the element masses) weighted 1/sqrt(2) and their zero imaginary parts
-    left out.  Then S^T S = A^H A, S has A's row count, sigma(S) =
-    sigma(A), and the right singular vectors of S are real.  S is written
-    in place, real and imaginary parts straight into their rows."""
-    return _assemble(basis, cross)
+    return ConstraintMatrix(tuple(pts), entries)
 
 
 @dataclass(frozen=True)
 class DefectEstimate:
     singular_values: np.ndarray  # descending
-    threshold: float
     numerical_defect: int
     nullvectors: np.ndarray  # numerical_defect x nElements
 
@@ -262,7 +255,7 @@ def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
     defect = int(np.sum(sv <= threshold * sv[0]))
     nullvectors = vh[len(sv) - defect:] if defect else \
         np.zeros((0, entries.shape[1]))
-    return DefectEstimate(sv, threshold, defect, nullvectors)
+    return DefectEstimate(sv, defect, nullvectors)
 
 
 def defect_estimate(mat: ConstraintMatrix,
@@ -305,7 +298,7 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
     tails, defects = [], []
     for b, cross in zip(bases, crosses):
         idx = np.searchsorted(cols, b.edges)
-        mat = _assemble(b, cross, [t[:, idx] for t in table])
+        mat = build_constraint_matrix(b, cross, [t[:, idx] for t in table])
         sv = np.linalg.svd(_checked(mat.entries, threshold), compute_uv=False)
         tails.append(np.sort(sv)[:6])
         defects.append(int(np.sum(sv <= threshold * sv[0])))

@@ -91,13 +91,6 @@ def inversion_j(f: Measure1D, beta: float) -> Measure1D:
 # ---------------------------------------------------------------------------
 # Hilbert transforms
 
-@dataclass(frozen=True)
-class SampledFunction:
-    x: np.ndarray
-    values: np.ndarray
-    err_estimates: np.ndarray
-
-
 def _total_density(f: Measure1D):
     """The total density of f at one float t, by ``density_at``'s rule
     (the sum over the pieces with a <= t < b) without its arrays and
@@ -115,10 +108,21 @@ def _pv_point(f: Measure1D, x: float):
     jump, and cut 16^i (i = 0, 1, ...) from each such d on both sides while
     16^i < d (``fourier._t_chart``'s fixed ladder), so that no part hides a
     narrow piece or a far mass from its rule.  An end with d + 1 == d (d >=
-    2^53), where the first cut is not a float, raises ``QuadratureError``."""
+    2^53), where the first cut is not a float, raises ``QuadratureError``;
+    an x at a piece end where rho jumps by more than rounding (ABS_TOL +
+    REL_TOL |rho(x)|), where the principal value diverges, raises
+    ``MeasureError``."""
+    rho = _total_density(f)
     cuts = {0.0, np.inf}
     for end in {e for pc in f.pieces for e in (pc.a, pc.b) if np.isfinite(e)}:
         d = abs(x - end)
+        if d == 0.0:
+            here = rho(x)
+            jump = float(abs(here - rho(np.nextafter(x, -np.inf))))
+            if jump > ABS_TOL + REL_TOL * abs(here):
+                raise MeasureError(f"the density jumps by {jump:.3g} at the "
+                                   f"piece end x={x}: the principal value "
+                                   f"diverges there")
         if d + 1.0 == d:
             raise QuadratureError(f"piece end {end} lies {d:.3g} from x={x}: "
                                   f"a unit cut is below float resolution")
@@ -127,7 +131,6 @@ def _pv_point(f: Measure1D, x: float):
         while step < d:
             cuts.update((d - step, d + step))
             step *= 16.0
-    rho = _total_density(f)
     g = _memo(lambda s: (rho(x - s) - rho(x + s)) / s)
     total, err = 0j, 0.0
     cuts = sorted(cuts)
@@ -140,10 +143,12 @@ def _pv_point(f: Measure1D, x: float):
     return total, err
 
 
-def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
-    """H[f](x) = (1/pi) pv int f(t)/(x - t) dt on the given grid; a value
-    whose achieved error estimate is over its budget raises
-    ``QuadratureError``."""
+def hilbert_line(f: Measure1D, x_grid):
+    """(values, errs): H[f](x) = (1/pi) pv int f(t)/(x - t) dt on the given
+    grid, a complex array, and the error estimates achieved, a float
+    array; a value whose achieved error estimate is over its budget raises
+    ``QuadratureError``, and an x at a piece end where the density jumps
+    ``MeasureError`` (``_pv_point``)."""
     if f.atoms:
         raise MeasureError("Hilbert transform of atoms is not a function")
     x_grid = np.asarray(x_grid, dtype=float)
@@ -156,24 +161,14 @@ def hilbert_line(f: Measure1D, x_grid) -> SampledFunction:
             errs[i] = e / np.pi
         _within_budget(vals, errs, [f"Hilbert transform at x={x}"
                                     for x in x_grid.tolist()])
-    return SampledFunction(x_grid, vals, errs)
+    return vals, errs
 
 
-@dataclass(frozen=True)
-class HyperbolaHilbert:
-    """Hilbert transform of a mass-zero hyperbola measure, reported in
-    both compressions: ``pi1`` is H[pi1 nu] on t_grid; ``pi2_route`` is
-    H[pi2 nu] pulled back to the same chart (values at sigma(t_grid)
-    times the Jacobian), which must agree with ``pi1`` by intertwining."""
-
-    m: float
-    t_grid: np.ndarray
-    pi1: SampledFunction
-    pi2_route: SampledFunction
-    agreement_sup: float
-
-
-def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid) -> HyperbolaHilbert:
+def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid):
+    """(values, errs, agreement_sup): H[pi1 nu] on t_grid with its error
+    estimates, and the sup distance from it of the pi2 route, H[pi2 nu]
+    pulled back to the same chart (its values at sigma(t_grid) times the
+    Jacobian), which must agree with it by intertwining."""
     nu1 = mu.pi1
     if abs(pairing(nu1, 0.0, 0.0)[0]) > 1e-10:
         raise MeasureError("hyperbola Hilbert transform requires total "
@@ -181,16 +176,13 @@ def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid) -> HyperbolaHilbert:
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid == 0.0):
         raise MeasureError("grid must avoid the branch point t = 0")
-    h1 = hilbert_line(nu1, t_grid)
-    nu2 = compress_pi2(mu)
+    vals, errs = hilbert_line(nu1, t_grid)
     sigma = -mu.m**2 / (4.0 * np.pi**2 * t_grid)
-    h2 = hilbert_line(nu2, sigma)
+    h2 = hilbert_line(compress_pi2(mu), sigma)[0]
     # pull the pi2-route values back to the t chart: a density on the
     # x2-axis corresponds to |dsigma/dt| times its pullback
     jac = mu.m**2 / (4.0 * np.pi**2 * t_grid**2)
-    back = SampledFunction(t_grid, h2.values * jac, h2.err_estimates * jac)
-    agree = float(np.max(np.abs(back.values - h1.values)))
-    return HyperbolaHilbert(mu.m, t_grid, h1, back, agree)
+    return vals, errs, float(np.max(np.abs(h2 * jac - vals)))
 
 
 # ---------------------------------------------------------------------------

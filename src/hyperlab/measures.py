@@ -281,7 +281,8 @@ def _image_piece(p: Piece, s: float) -> Piece:
 
     def rho_new(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # near x = 0, s / x may overflow and x**2 underflow to 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = rho(s / x) * abs(s) / x**2
         return np.where(x == 0.0, at_0, out)
     return Piece(a_new, b_new, rho_new, p.tv_bound)

@@ -11,14 +11,12 @@ parts of E(y) = -ci(|y|) + i sgn(y) si(|y|).  ``exp_integral_parts``,
 which returns (Re E, Im E) as two real arrays, is the one reader of
 ``scipy.special.sici`` (which returns (Si, Ci) with Si = pi/2 - si);
 ``exp_integral_tail`` is E as one complex array built on it.  The spiral
-reads (ci, si) off E, the defect bins read the two real parts, and the end
-integrals E_2, E_3 of the defect basis come from E or its asymptotic
-series; no other module calls sici.
+and the defect bins read the two real parts, and the end integrals E_2,
+E_3 of the defect basis come from E or its asymptotic series; no other
+module calls sici.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici as _sici
@@ -65,23 +63,10 @@ def _e2_e3(y):
     return e2, e3
 
 
-@dataclass(frozen=True)
-class SpiralResult:
-    x: np.ndarray
-    ci: np.ndarray
-    si: np.ndarray
-    modulus: np.ndarray  # hypot(ci, si)
-    min_modulus: float
-
-
-def nielsen_spiral(x_grid) -> SpiralResult:
-    """Evaluate (ci(x), si(x)) along a positive grid, as arrays."""
+def nielsen_spiral(x_grid):
+    """(ci(x), si(x)) along a positive, finite grid, as two arrays."""
     x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0:
-        return SpiralResult(x_grid, x_grid, x_grid, x_grid, np.inf)
     if np.any(x_grid <= 0) or not np.all(np.isfinite(x_grid)):
         raise ValueError("grid must be positive and finite")
-    e = exp_integral_tail(x_grid)
-    ci, si = -e.real, e.imag
-    modulus = np.hypot(ci, si)
-    return SpiralResult(x_grid, ci, si, modulus, float(np.min(modulus)))
+    re, si = exp_integral_parts(x_grid)
+    return -re, si

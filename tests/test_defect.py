@@ -280,19 +280,19 @@ class TestRealSystem:
 class TestDefectEstimate:
     def test_zero_matrix_full_defect(self):
         basis = CandidateBasis(0.1, 10.0, 16)
-        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)), basis)
+        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)))
         est = defect_estimate(mat, 0.5)
         assert est.numerical_defect == basis.n_elements
 
     def test_underdetermined_rejected(self):
         basis = CandidateBasis(0.1, 10.0, 64)
-        mat = ConstraintMatrix((), np.zeros((10, basis.n_elements)), basis)
+        mat = ConstraintMatrix((), np.zeros((10, basis.n_elements)))
         with pytest.raises(MeasureError):
             defect_estimate(mat, 0.5)
 
     def test_bad_threshold_rejected(self):
         basis = CandidateBasis(0.1, 10.0, 16)
-        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)), basis)
+        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)))
         with pytest.raises(MeasureError):
             defect_estimate(mat, 2.0)
 
@@ -364,7 +364,7 @@ class TestSweep:
         # a bad gamma anywhere in the grid is refused before any assembly
         def never(*args):
             raise AssertionError("assembled before the grid was checked")
-        monkeypatch.setattr(defect_module, "_assemble", never)
+        monkeypatch.setattr(defect_module, "build_constraint_matrix", never)
         with pytest.raises(MeasureError, match="gamma grid"):
             sweep_gamma(CandidateBasis(0.08, 12.5, 32), [1.0, 1.2, -1.0])
 
