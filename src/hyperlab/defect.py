@@ -37,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import LatticeCross, Measure1D, MeasureError
+from .measures import LatticeCross, Measure1D, MeasureError, \
+    _reciprocal_density
 from .sici import _e2_e3, exp_integral_parts
 
 # largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite
@@ -100,8 +101,7 @@ class CandidateBasis:
     def project(self, nu: Measure1D) -> np.ndarray:
         """Coefficients approximating nu: per-bin masses, and end
         coefficients matched by mass and first moment, from 16 midpoint
-        samples per bin.  The far-end ones are the near-end ones of the
-        reciprocal density rho(1/u)/u^2 below 1/t_max."""
+        samples per bin; far-end ones from the image of nu under u = 1/t."""
         edges = self.edges
         nb = self.n_interior
         coeffs = np.empty(self.n_elements, dtype=complex)
@@ -111,7 +111,7 @@ class CandidateBasis:
             * np.diff(np.log(edges))
         coeffs[nb:nb + 2] = _near_end(nu.density_at, self.t_min)
         coeffs[nb + 2:] = _near_end(
-            lambda u: nu.density_at(1.0 / u) / u**2, 1.0 / self.t_max)
+            _reciprocal_density(nu.density_at, 1.0, 0.0), 1.0 / self.t_max)
         return coeffs
 
 
@@ -129,7 +129,6 @@ def _near_end(density, t0: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    rows: tuple  # (axis, index, xi1, xi2) descriptors of the index >= 0 rows
     entries: np.ndarray  # real stack of the full system's rows x nElements
 
 
@@ -189,13 +188,12 @@ def _branch_block(re: np.ndarray, im: np.ndarray, basis: CandidateBasis,
     re[origin], im[origin] = 1.0, 0.0
 
 
-def _half_cross(cross: LatticeCross):
-    """The index >= 0 points of the cross, in its order (axis 1, then axis
-    2, each from its index-0 point up), and pi (xi1, xi2) at each: the
-    (w, c) of the row that pairs e^{i(w t - c/t)}."""
-    pts = [p for p in cross.points() if p[1] >= 0]
-    return pts, np.pi * np.array([(x1, x2) for _, _, x1, x2 in pts],
-                                 dtype=float)
+def _half_cross(cross: LatticeCross) -> np.ndarray:
+    """pi (xi1, xi2) at the index >= 0 points of the cross, in its order
+    (axis 1, then axis 2, each from its index-0 point up): the (w, c) of
+    the row that pairs e^{i(w t - c/t)}."""
+    return np.pi * np.array([(x1, x2) for _, idx, x1, x2 in cross.points()
+                             if idx >= 0], dtype=float)
 
 
 def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross,
@@ -212,10 +210,10 @@ def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross,
     in place, real and imaginary parts straight into their rows.  ``e1``,
     if given, is the E table (Re, Im) of the axis-1 rows j = 1..j_max at
     basis.edges (``_e_table``)."""
-    pts, xi = _half_cross(cross)
+    xi = _half_cross(cross)
     # each axis opens with its index-0 row; the other rows write their real
     # parts in place and their imaginary parts, in the same order, below
-    n, n1 = len(pts), cross.j_max + 1
+    n, n1 = len(xi), cross.j_max + 1
     entries = np.empty((2 * n - 2, basis.n_elements))
     _branch_block(entries[1:n1], entries[n:n + n1 - 1], basis,
                   xi[1:n1, 0], xi[1:n1, 1], e1)
@@ -223,7 +221,7 @@ def build_constraint_matrix(basis: CandidateBasis, cross: LatticeCross,
                   xi[n1 + 1:, 0], xi[n1 + 1:, 1])
     entries *= np.sqrt(2.0)
     entries[[0, n1]] = 1.0
-    return ConstraintMatrix(tuple(pts), entries)
+    return ConstraintMatrix(entries)
 
 
 @dataclass(frozen=True)
@@ -253,9 +251,7 @@ def _null_spectrum(entries: np.ndarray, threshold: float) -> DefectEstimate:
     r = np.linalg.qr(_checked(entries, threshold), mode="r")
     sv, vh = np.linalg.svd(r)[1:]
     defect = int(np.sum(sv <= threshold * sv[0]))
-    nullvectors = vh[len(sv) - defect:] if defect else \
-        np.zeros((0, entries.shape[1]))
-    return DefectEstimate(sv, defect, nullvectors)
+    return DefectEstimate(sv, defect, vh[len(sv) - defect:])
 
 
 def defect_estimate(mat: ConstraintMatrix,
@@ -294,7 +290,7 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
     crosses = [cross_for_gamma(g, j_max, k_max) for g in gamma_grid]
     if bases:
         cols = np.unique(np.concatenate([b.edges for b in bases]))
-        table = _e_table(_half_cross(crosses[0])[1][1:j_max + 1, 0], cols)
+        table = _e_table(_half_cross(crosses[0])[1:j_max + 1, 0], cols)
     tails, defects = [], []
     for b, cross in zip(bases, crosses):
         idx = np.searchsorted(cols, b.edges)

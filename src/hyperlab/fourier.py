@@ -394,8 +394,8 @@ def _piece_ft_positive(rhos, a, b, w, c):
         # QAWO keeps to its Gauss-Kronrod rule, which never reads u = 0
         u_cut = np.clip(1.0 / np.abs(c), u_lo, u_hi)
 
-    # u = 0 is t = inf, where rho(t) t^2 has no known limit: the image is
-    # not sampled there
+    # plain arithmetic, not measures' reciprocal rule, whose asarray/where
+    # would cost every QUADPACK node: u = 0 (t = inf) is never sampled here
     images = tuple(lambda u, rho=rho: rho(1.0 / u) / u / u for rho in rhos)
     parts = (_t_chart(images, u_lo, u_cut, -c, -w),
              _t_chart(images, u_cut, u_hi, -c, -w),

@@ -179,8 +179,8 @@ def hilbert_hyperbola(mu: HyperbolaMeasure, t_grid):
     vals, errs = hilbert_line(nu1, t_grid)
     sigma = -mu.m**2 / (4.0 * np.pi**2 * t_grid)
     h2 = hilbert_line(compress_pi2(mu), sigma)[0]
-    # pull the pi2-route values back to the t chart: a density on the
-    # x2-axis corresponds to |dsigma/dt| times its pullback
+    # a density on the x2-axis pulls back to |dsigma/dt| times its values;
+    # not by the reciprocal rule, whose rounding order would move the sup
     jac = mu.m**2 / (4.0 * np.pi**2 * t_grid**2)
     return vals, errs, float(np.max(np.abs(h2 * jac - vals)))
 

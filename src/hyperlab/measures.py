@@ -102,10 +102,22 @@ def _binned(edges: np.ndarray, values: np.ndarray, side="right") -> Callable:
     return lambda t: table[np.searchsorted(edges, t, side=side)]
 
 
+def _reciprocal_density(rho: Callable, s: float, at_0: float) -> Callable:
+    """x -> rho(s/x) |s|/x^2, the image of the density rho under t -> s/t
+    (s != 0), reading ``at_0`` at x = 0, the image of t = inf."""
+    def image(x):
+        x = np.asarray(x, dtype=float)
+        # near x = 0, s / x may overflow and x**2 underflow to 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = rho(s / x) * abs(s) / x**2
+        return np.where(x == 0.0, at_0, out)
+    return image
+
+
 def density_from_family(family: str, params: dict) -> Callable:
     """The family density w, or with params["s"] the density w(s/x) s/x^2
     of its image under x = s/t, whose bins [s/e_{k+1}, s/e_k) are half-open
-    like every piece: w reads u = s/x on (e_k, e_{k+1}]."""
+    like every piece: w reads u = s/x on (e_k, e_{k+1}], and x = 0 reads 0."""
     s = params.get("s")
     if family == "cauchy1p":
         w = _cauchy1p(params["scale"])
@@ -114,16 +126,7 @@ def density_from_family(family: str, params: dict) -> Callable:
                     "right" if s is None else "left")
     else:
         raise MeasureError(f"unknown density family {family!r}")
-    if s is None:
-        return w
-
-    def rho(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = w(s / x) * s / x**2
-        # x = 0 is the image of t = inf, past the end of any bin table
-        return np.where(x != 0.0, out, 0.0)
-    return rho
+    return w if s is None else _reciprocal_density(w, s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -269,23 +272,15 @@ def _image_piece(p: Piece, s: float) -> Piece:
             return piece_from_family(a_new, b_new, p.family, params,
                                      p.tv_bound)
         if s0 is not None:
-            # an image under t -> s0/t pushed by another s is a dilation of
-            # the family density w: w(k x) |k| with k = s0/s, finite at 0
+            # the dilation w(k x) |k|, k = s0/s, of an image under t -> s0/t
+            # pushed by another s: finite at 0, where an image's image is NaN
             w, k = density_from_family(p.family, params), s0 / s
             return Piece(a_new, b_new, lambda x: w(
                 k * np.asarray(x, dtype=float)) * abs(k), p.tv_bound)
-    rho = p.density
-    # x = 0 is the image of t = inf; a majorant |t|^-p with p > 2 makes the
-    # image density vanish there, otherwise its limit is unknown
+    # at x = 0 (t = inf) a majorant |t|^-p with p > 2 gives 0, else unknown
     at_0 = 0.0 if p.params.get("tail_p", 0.0) > 2.0 else np.nan
-
-    def rho_new(x):
-        x = np.asarray(x, dtype=float)
-        # near x = 0, s / x may overflow and x**2 underflow to 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = rho(s / x) * abs(s) / x**2
-        return np.where(x == 0.0, at_0, out)
-    return Piece(a_new, b_new, rho_new, p.tv_bound)
+    return Piece(a_new, b_new, _reciprocal_density(p.density, s, at_0),
+                 p.tv_bound)
 
 
 def _pushforward_reciprocal(nu: Measure1D, s: float) -> Measure1D:
@@ -309,17 +304,27 @@ def pushforward_inversion(nu: Measure1D, gamma: float) -> Measure1D:
 
 
 def total_variation(nu: Measure1D) -> float:
-    """Sum of |atom weights| plus integrals of |density| over the pieces."""
+    """Sum of |atom weights| plus integrals of |density| over the pieces.
+    A piece whose integral is not finite, or whose estimate misses the
+    bound, raises a QuadratureError that carries QUADPACK's warnings."""
+    # fourier holds the diagnostics, imported on first call so that
+    # importing this module loads no scipy
+    from .fourier import _caught, _diagnosed, _refusal
     rel_tol = 1e-10
     # through the module binding, which a profiler may patch
     quad = sys.modules[__name__].quad
     tv = sum(abs(w) for _, w in nu.atoms)
-    for p in nu.pieces:
-        val, err = quad(lambda t: abs(p.density(t)), p.a, p.b, limit=400,
-                        epsabs=1e-13, epsrel=rel_tol)
-        if err > rel_tol * max(1.0, abs(val)) + 1e-9:
-            raise MeasureError(f"quadrature did not converge on piece "
-                               f"[{p.a}, {p.b}): error estimate {err:g}")
-        tv += val
+    with _diagnosed():
+        for p in nu.pieces:
+            with _caught():
+                val, err = quad(lambda t: abs(p.density(t)), p.a, p.b,
+                                limit=400, epsabs=1e-13, epsrel=rel_tol)
+            # a NaN estimate is not within the bound
+            if not (np.isfinite(val)
+                    and err <= rel_tol * max(1.0, abs(val)) + 1e-9):
+                raise _refusal(f"quadrature did not converge on piece "
+                               f"[{p.a}, {p.b}): value {val:g}, error "
+                               f"estimate {err:g}", err)
+            tv += val
     return tv
 

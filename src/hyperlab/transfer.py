@@ -229,7 +229,8 @@ def _bin_table_sum(edges, values, s: float, t: np.ndarray) -> np.ndarray:
             # x = 0 is the image of an infinite argument: weight 0, not 0*inf
             x[0, x[0] == 0.0] = np.inf
         u = s / x
-        # a block's arguments span few bins: search only those edges
+        # a block's arguments span few bins: search only those edges; the
+        # weight u/x is this kernel's own rounding, not the reciprocal rule's
         i0, i1 = np.searchsorted(edges, [u.min(), u.max()], side="left")
         w = table[i0 + np.searchsorted(edges[i0:i1], u, side="left")] * (u / x)
         out += np.sum(w, axis=0)

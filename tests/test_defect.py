@@ -120,11 +120,12 @@ def frequencies(rows):
     return np.pi * xi[:, 0], np.pi * xi[:, 1]
 
 
-def complex_rows(mat):
-    """The index >= 0 rows R read back from the real stack
-    sqrt(2) [Re R; Im R] (index-0 rows weighted 1/sqrt(2), no Im rows)."""
-    n = len(mat.rows)
-    zero = np.array([idx == 0 for _, idx, _, _ in mat.rows])
+def complex_rows(mat, pts):
+    """The index >= 0 rows R, at the cross points pts, read back from the
+    real stack sqrt(2) [Re R; Im R] (index-0 rows weighted 1/sqrt(2), no Im
+    rows)."""
+    n = len(pts)
+    zero = np.array([idx == 0 for _, idx, _, _ in pts])
     rows = mat.entries[:n] / np.where(zero, 1.0, np.sqrt(2.0))[:, None] \
         + 0j
     rows[~zero] += 1j * mat.entries[n:] / np.sqrt(2.0)
@@ -207,17 +208,19 @@ class TestBranchRow:
     def test_against_quadrature_oracle(self, w, c):
         # the index -n row, which is not assembled, is the conjugate of the
         # index +n row
-        basis, _, mat = small_system(w, c)
-        rw, rc = frequencies(mat.rows)
-        for row, fw, fc in zip(complex_rows(mat), rw, rc):
+        basis, cross, mat = small_system(w, c)
+        pts = [p for p in cross.points() if p[1] >= 0]
+        rw, rc = frequencies(pts)
+        for row, fw, fc in zip(complex_rows(mat, pts), rw, rc):
             oracle = row_oracle(basis, fw, fc)
             assert np.max(np.abs(row - oracle)) <= 1e-4
             oracle = row_oracle(basis, -fw, -fc)
             assert np.max(np.abs(np.conj(row) - oracle)) <= 1e-4
 
     def test_zero_row_is_masses(self):
-        _, _, mat = small_system(3.0, 4.0)
-        origin = [r for r, (_, idx, _, _) in enumerate(mat.rows) if idx == 0]
+        _, cross, mat = small_system(3.0, 4.0)
+        pts = [p for p in cross.points() if p[1] >= 0]
+        origin = [r for r, (_, idx, _, _) in enumerate(pts) if idx == 0]
         assert len(origin) == 2
         assert np.allclose(mat.entries[origin], 1.0)
 
@@ -280,19 +283,19 @@ class TestRealSystem:
 class TestDefectEstimate:
     def test_zero_matrix_full_defect(self):
         basis = CandidateBasis(0.1, 10.0, 16)
-        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)))
+        mat = ConstraintMatrix(np.zeros((40, basis.n_elements)))
         est = defect_estimate(mat, 0.5)
         assert est.numerical_defect == basis.n_elements
 
     def test_underdetermined_rejected(self):
         basis = CandidateBasis(0.1, 10.0, 64)
-        mat = ConstraintMatrix((), np.zeros((10, basis.n_elements)))
+        mat = ConstraintMatrix(np.zeros((10, basis.n_elements)))
         with pytest.raises(MeasureError):
             defect_estimate(mat, 0.5)
 
     def test_bad_threshold_rejected(self):
         basis = CandidateBasis(0.1, 10.0, 16)
-        mat = ConstraintMatrix((), np.zeros((40, basis.n_elements)))
+        mat = ConstraintMatrix(np.zeros((40, basis.n_elements)))
         with pytest.raises(MeasureError):
             defect_estimate(mat, 2.0)
 

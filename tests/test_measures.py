@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hyperlab.annihilators import periodization_sum1, piece_mass
+from hyperlab.annihilators import (critical_annihilator, periodization_sum1,
+                                   piece_mass)
 
 from hyperlab.measures import (HyperbolaMeasure, Measure1D, MeasureError,
-                               Piece, compress_pi2,
+                               Piece, QuadratureError, compress_pi2,
                                piece_from_family, pushforward_inversion,
                                total_variation)
 from measure_helpers import restrict
@@ -46,6 +49,26 @@ class TestTotalVariation:
 
     def test_zero_measure(self):
         assert total_variation(Measure1D()) == 0.0
+
+    def test_infinite_value_refused(self):
+        # |log|t - 1/2|| on [0, 1) integrates to 1 + log 2, but QUADPACK
+        # samples t = 1/2 and returns (inf, inf), which is not a value
+        def log_dist(t):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(np.asarray(t, dtype=float) - 0.5))
+        mu = Measure1D(pieces=(Piece(0.0, 1.0, log_dist, 2.0),))
+        with pytest.raises(QuadratureError):
+            total_variation(mu)
+
+    def test_quadpack_warnings_kept_in_the_refusal(self):
+        # sin(50/t) oscillates without end near 0: the subdivision limit's
+        # warning goes into the refusal, never to stderr
+        mu = Measure1D(pieces=(Piece(0.0, 1.0, lambda t: np.sin(
+            50.0 / np.asarray(t, dtype=float)), 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="QUADPACK warned"):
+                total_variation(mu)
 
 
 class TestRestrict:
@@ -153,6 +176,25 @@ class TestImagePieces:
             "edges": [0.5, 1.0], "values": [1.0], "s": 1.0}, 1.0)
         assert np.array_equal(Measure1D(pieces=(img,)).density_at(
             [0.0, 0.5, 1.0, 1.5]), [0.0, 0.0, 1.0, 1.0 / 1.5**2])
+
+    def test_image_density_at_zero(self):
+        # x = 0 is the image of t = inf: a family image reads 0 there, and a
+        # generic image 0 under a majorant |t|^-p with p > 2, else NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert critical_annihilator().pieces[1].density(
+                np.array([0.0])).tolist() == [0.0]
+            img = piece_from_family(0.0, 2.0, "binned", {
+                "edges": [0.5, 1.0], "values": [3.0], "s": 1.0}, 1.0)
+            # the bin reads u = 1/x on (0.5, 1]: x = 2 is off it
+            assert np.array_equal(img.density(np.array([0.0, 1.0, 1.5, 2.0])),
+                                  [0.0, 3.0, 4.0 / 3.0, 0.0])
+            for p, want in ((3.0, [0.0, 0.25]), (2.0, [np.nan, 0.5])):
+                tail = Piece(1.0, np.inf, lambda t, p=p: np.asarray(t) ** -p,
+                             1.0, params={"tail_c": 1.0, "tail_p": p})
+                img = pushforward_inversion(Measure1D(pieces=(tail,)), 2.0)
+                assert np.array_equal(img.pieces[0].density(
+                    np.array([0.0, 1.0])), want, equal_nan=True)
 
     def test_nonpositive_s_rejected(self):
         with pytest.raises(MeasureError):
