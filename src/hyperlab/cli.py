@@ -3,9 +3,9 @@ CSV/JSON/SVG emission.
 
 Conventions shared by every command:
   * config = defaults, overridden by an optional flat key=value file
-    (--config), overridden by explicit flags, all read through one table
-    of keys, types and defaults (_TABLE) that --help prints; keys match
-    exactly, and after --key the next token is always its value;
+    (--config), overridden by explicit flags, each value typed and checked
+    as it is read by one table of keys (_TABLE) that --help prints; keys
+    match exactly, and after --key the next token is always its value;
   * every CSV/JSON artifact embeds the fully resolved config for
     provenance;
   * floats are formatted with ``repr`` (shortest round-trip), so
@@ -54,7 +54,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-_TABLE = {}  # command -> (runner, help, {key: (type, default, help)})
+_TABLE = {}  # command -> (runner, help, {key: (type, default, help[, check])})
 
 
 def _command(name, help_, **keys):
@@ -64,6 +64,27 @@ def _command(name, help_, **keys):
     return register
 
 
+def _positive_list(raw):
+    try:
+        return all(0 < float(g) < np.inf for g in raw.split(","))
+    except ValueError:
+        return False
+
+
+# a key's check: (predicate on its typed value, the words that --help and
+# a refusal print); a float key is also finite, by its type
+_POSITIVE = (lambda v: v > 0, "positive")
+_FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
+_COUNT = (lambda n: n >= 1, "at least 1")
+# Ulam bins need gamma >= 1, so more than the branch work budget can never
+# be assembled
+_ULAM_BINS = (lambda n: 1 <= n <= WORK_BUDGET_BRANCHES,
+              f"from 1 to {WORK_BUDGET_BRANCHES:.0e}, the Ulam work budget")
+_FLAG = (lambda v: v in (0, 1), "0 or 1")
+_MEASURE = (lambda v: v in ("critical", "expanded"), "critical or expanded")
+_GAMMAS = (_positive_list, "a comma list of positive finite numbers")
+
+
 def _help(command=None) -> str:
     """Usage text read off _TABLE: the commands, or one command's keys."""
     if command is None:
@@ -71,8 +92,9 @@ def _help(command=None) -> str:
         rows = [(name, h) for name, (_, h, _) in _TABLE.items()]
     else:
         _, help_, keys = _TABLE[command]
-        rows = [(f"--{key} {typ.__name__.upper()}", f"{h} (default {d!r})")
-                for key, (typ, d, h) in keys.items()]
+        rows = [(f"--{key} {typ.__name__.upper()}", "; ".join(
+            [h, *(words for _, words in check)]) + f" (default {d!r})")
+            for key, (typ, d, h, *check) in keys.items()]
         rows += [("--config PATH", "flat key=value file; flags override"),
                  ("--out PATH", "artifact path (default: stdout)")]
     lines = [f"usage: hyperlab {command} [--key value ...]", "", help_, ""]
@@ -81,7 +103,8 @@ def _help(command=None) -> str:
 
 def parse_config(argv):
     """Resolved (command, config dict, out path): defaults < file < flags.
-    Raises a keyed UsageError on a bad token, HelpRequested on --help."""
+    Raises a keyed UsageError on a bad token or value (the first one read,
+    flags before the file), HelpRequested on --help."""
     command, *args = argv or [""]
     if command == "--help":
         raise HelpRequested(_help())
@@ -106,7 +129,6 @@ def parse_config(argv):
                              ("out",)))
         cfg.update(flags)
         out = cfg.pop("out", None)
-        _validate(command, cfg)
     except UsageError as exc:
         exc.command = command
         raise
@@ -131,51 +153,21 @@ def _file_pairs(path):
 
 
 def _read(command, pairs, paths):
-    """{key: value} of flag or file pairs: typed by the table, or a path."""
+    """{key: value} of flag or file pairs, each typed and checked."""
     keys, vals = _TABLE[command][2], {}
     for key, raw in pairs:
         if key not in keys and key not in paths:
             raise UsageError(key, f"unknown key for {command}: {key!r}")
-        typ = keys[key][0] if key in keys else str
+        typ, _, _, *check = keys.get(key, (str, "", ""))
         try:
-            vals[key] = typ(raw)
+            vals[key] = val = typ(raw)
         except ValueError as exc:
             raise UsageError(key, f"{key} must be {typ.__name__}, got "
                                   f"{raw!r}") from exc
+        for ok, words in [(np.isfinite, "finite")] * (typ is float) + check:
+            if not ok(val):
+                raise UsageError(key, f"{key} must be {words}, got {raw!r}")
     return vals
-
-
-def _validate(command, cfg):
-    for key, val in cfg.items():
-        if isinstance(val, float) and not np.isfinite(val):
-            raise UsageError(key, f"{key} must be finite")
-    for key in ("gamma", "alpha", "beta", "xmin", "xmax", "tmin", "tmax",
-                "threshold", "im"):
-        if key in cfg and cfg[key] <= 0:
-            raise UsageError(key, f"{key} must be positive")
-    if "threshold" in cfg and cfg["threshold"] >= 1:
-        raise UsageError("threshold", "threshold must lie in (0, 1)")
-    for key in ("bins", "gridn", "jmax", "kmax", "n", "nmax", "iterates"):
-        if key in cfg and cfg[key] < 1:
-            raise UsageError(key, f"{key} must be a positive integer")
-    # Ulam bins (every bins key but the defect basis's) need gamma >= 1, so
-    # more than the branch work budget can never be assembled
-    if command != "defect-sweep" and cfg.get("bins", 0) > WORK_BUDGET_BRANCHES:
-        raise UsageError("bins", f"bins must be at most "
-                                 f"{WORK_BUDGET_BRANCHES:.0e}, the Ulam "
-                                 f"branch work budget at gamma >= 1")
-    if command == "hardy-defect" and cfg["conjugate"] not in (0, 1):
-        raise UsageError("conjugate", "conjugate must be 0 or 1")
-    if "measure" in cfg and cfg["measure"] not in ("critical", "expanded"):
-        raise UsageError("measure", "measure must be critical or expanded")
-    if command == "defect-sweep":
-        try:
-            gammas = [float(s) for s in cfg["gammas"].split(",")]
-        except ValueError as exc:
-            raise UsageError("gammas", "gammas must be a comma-separated "
-                                       "list of numbers") from exc
-        if not gammas or not all(np.isfinite(g) and g > 0 for g in gammas):
-            raise UsageError("gammas", "gammas must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +277,9 @@ def _named_measure(cfg) -> HyperbolaMeasure:
 
 
 @_command("ft-eval", "Fourier transform of a named measure at one point",
-          measure=(str, "critical", "measure name: critical or expanded"),
-          gamma=(float, 1.0, "gamma for the expanded measure"),
-          bins=(int, 512, "Ulam bins behind the expanded density"),
+          measure=(str, "critical", "measure name", _MEASURE),
+          gamma=(float, 1.0, "gamma for the expanded measure", _POSITIVE),
+          bins=(int, 512, "Ulam bins of the expanded density", _ULAM_BINS),
           xi1=(float, 0.0, "first coordinate of xi"),
           xi2=(float, 0.0, "second coordinate of xi"))
 def _run_ft_eval(cfg, out):
@@ -299,13 +291,13 @@ def _run_ft_eval(cfg, out):
 
 
 @_command("ft-cross", "Fourier transform on a lattice-cross",
-          measure=(str, "critical", "measure name: critical or expanded"),
-          gamma=(float, 1.0, "gamma for the expanded measure"),
-          bins=(int, 512, "Ulam bins behind the expanded density"),
-          alpha=(float, 2.0, "axis-1 spacing"),
-          beta=(float, 2.0, "axis-2 spacing"),
-          jmax=(int, 5, "axis-1 index range -jmax..jmax"),
-          kmax=(int, 5, "axis-2 index range -kmax..kmax"))
+          measure=(str, "critical", "measure name", _MEASURE),
+          gamma=(float, 1.0, "gamma for the expanded measure", _POSITIVE),
+          bins=(int, 512, "Ulam bins of the expanded density", _ULAM_BINS),
+          alpha=(float, 2.0, "axis-1 spacing", _POSITIVE),
+          beta=(float, 2.0, "axis-2 spacing", _POSITIVE),
+          jmax=(int, 5, "axis-1 index range -jmax..jmax", _COUNT),
+          kmax=(int, 5, "axis-2 index range -kmax..kmax", _COUNT))
 def _run_ft_cross(cfg, out):
     from .fourier import ft_on_cross
     cross = LatticeCross(cfg["alpha"], cfg["beta"], cfg["jmax"], cfg["kmax"])
@@ -316,8 +308,8 @@ def _run_ft_cross(cfg, out):
 
 
 @_command("invariant-density", "Ulam invariant density of U_gamma",
-          gamma=(float, 1.0, "map parameter"),
-          bins=(int, 4096, "Ulam bins"))
+          gamma=(float, 1.0, "map parameter", _POSITIVE),
+          bins=(int, 4096, "Ulam bins", _ULAM_BINS))
 def _run_invariant_density(cfg, out):
     from .transfer import invariance_residual, invariant_density
     dens = invariant_density(cfg["gamma"], cfg["bins"])
@@ -328,9 +320,9 @@ def _run_invariant_density(cfg, out):
 
 
 @_command("annihilator-check", "annihilating-measure residual report",
-          gamma=(float, 1.0, "gamma (1 = critical, >1 = expanded)"),
-          bins=(int, 4096, "Ulam bins for gamma > 1"),
-          gridn=(int, 10000, "residual grid size"))
+          gamma=(float, 1.0, "gamma (1 = critical, >1 = expanded)", _POSITIVE),
+          bins=(int, 4096, "Ulam bins for gamma > 1", _ULAM_BINS),
+          gridn=(int, 10000, "residual grid size", _COUNT))
 def _run_annihilator_check(cfg, out):
     from .annihilators import annihilator_report
     from .transfer import invariant_density
@@ -345,9 +337,9 @@ def _run_annihilator_check(cfg, out):
 
 
 @_command("perturbed-residual", "perturbed invariance-equation residual",
-          gamma=(float, 1.5, "gamma in (1, 2]"),
-          bins=(int, 1024, "Ulam bins"),
-          gridn=(int, 2000, "residual grid size"))
+          gamma=(float, 1.5, "gamma in (1, 2]", _POSITIVE),
+          bins=(int, 1024, "Ulam bins", _ULAM_BINS),
+          gridn=(int, 2000, "residual grid size", _COUNT))
 def _run_perturbed_residual(cfg, out):
     from .annihilators import perturbed_equation_residual
     from .transfer import invariant_density
@@ -363,9 +355,9 @@ def _run_perturbed_residual(cfg, out):
 
 
 @_command("coverage", "Gauss-map even-time coverage of [gamma, 1]",
-          gamma=(float, 0.5, "map parameter"),
-          iterates=(int, 20, "maximum even iterate"),
-          gridn=(int, 100000, "midpoint grid size"))
+          gamma=(float, 0.5, "map parameter", _POSITIVE),
+          iterates=(int, 20, "maximum even iterate", _COUNT),
+          gridn=(int, 100000, "midpoint grid size", _COUNT))
 def _run_coverage(cfg, out):
     from .dynamics import coverage_fraction
     fracs = coverage_fraction(cfg["gamma"], cfg["iterates"], cfg["gridn"])
@@ -374,9 +366,9 @@ def _run_coverage(cfg, out):
 
 
 @_command("sici-spiral", "Nielsen spiral (ci(x), si(x))",
-          xmin=(float, 0.01, "grid start"),
-          xmax=(float, 100.0, "grid end"),
-          n=(int, 10000, "grid size"),
+          xmin=(float, 0.01, "grid start", _POSITIVE),
+          xmax=(float, 100.0, "grid end", _POSITIVE),
+          n=(int, 10000, "grid size", _COUNT),
           svg=(str, "", "optional SVG path for the spiral polyline"))
 def _run_sici_spiral(cfg, out):
     from .sici import nielsen_spiral
@@ -407,8 +399,8 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
 
 
 @_command("hardy-defect", "Hardy-space defect of a 2-periodization",
-          conjugate=(int, 0, "1 to test the conjugate family"),
-          nmax=(int, 64, "coefficient cutoff"))
+          conjugate=(int, 0, "1 to test the conjugate family", _FLAG),
+          nmax=(int, 64, "coefficient cutoff", _COUNT))
 def _run_hardy_defect(cfg, out):
     from .hardy import hardy_defect
     f = _hardy_test_measure(bool(cfg["conjugate"]))
@@ -420,8 +412,8 @@ def _run_hardy_defect(cfg, out):
 
 
 @_command("hilbert-check", "Hilbert transform of the Cauchy density",
-          xmax=(float, 3.0, "check grid endpoint"),
-          n=(int, 7, "check grid size"))
+          xmax=(float, 3.0, "check grid endpoint", _POSITIVE),
+          n=(int, 7, "check grid size", _COUNT))
 def _run_hilbert_check(cfg, out):
     from .hardy import hilbert_line
 
@@ -443,10 +435,10 @@ def _run_hilbert_check(cfg, out):
 
 
 @_command("timelike-witness", "residue-identity pairings of f_{z0}",
-          im=(float, 1.0, "imaginary part of z0"),
-          beta=(float, 1.0, "axis-2 spacing"),
-          jmax=(int, 10, "largest j"),
-          kmax=(int, 10, "largest k"))
+          im=(float, 1.0, "imaginary part of z0", _POSITIVE),
+          beta=(float, 1.0, "axis-2 spacing", _POSITIVE),
+          jmax=(int, 10, "largest j", _COUNT),
+          kmax=(int, 10, "largest k", _COUNT))
 def _run_timelike_witness(cfg, out):
     from .hardy import timelike_witness
     vals, errs = timelike_witness(complex(0.0, cfg["im"]), cfg["beta"],
@@ -460,13 +452,13 @@ def _run_timelike_witness(cfg, out):
 
 
 @_command("defect-sweep", "singular-value defect sweep over gamma",
-          gammas=(str, "0.6,0.8,1.0,1.2,1.5", "comma-separated gamma grid"),
-          tmin=(float, 0.08, "basis band start"),
-          tmax=(float, 12.5, "basis band end"),
-          bins=(int, 202, "basis bins"),
-          jmax=(int, 640, "axis-1 truncation"),
-          kmax=(int, 640, "axis-2 truncation"),
-          threshold=(float, 1e-2, "relative singular-value threshold"))
+          gammas=(str, "0.6,0.8,1.0,1.2,1.5", "gamma grid", _GAMMAS),
+          tmin=(float, 0.08, "basis band start", _POSITIVE),
+          tmax=(float, 12.5, "basis band end", _POSITIVE),
+          bins=(int, 202, "basis bins", _COUNT),
+          jmax=(int, 640, "axis-1 truncation", _COUNT),
+          kmax=(int, 640, "axis-2 truncation", _COUNT),
+          threshold=(float, 1e-2, "relative singular-value cutoff", _FRACTION))
 def _run_defect_sweep(cfg, out):
     from .defect import CandidateBasis, sweep_gamma
     basis = CandidateBasis(cfg["tmin"], cfg["tmax"], cfg["bins"])
@@ -481,7 +473,7 @@ def _run_defect_sweep(cfg, out):
 @_command("distorted-cross", "spectral-window test for a shifted half-cross",
           xi1=(float, 0.0, "axis-1 shift of the distorted cross"),
           xi2=(float, 0.0, "axis-2 shift (must be 0)"),
-          threshold=(float, 1e-3, "relative singular-value threshold"))
+          threshold=(float, 1e-3, "relative singular-value cutoff", _FRACTION))
 def _run_distorted_cross(cfg, out):
     from .defect import distorted_cross_residual
     est = distorted_cross_residual((cfg["xi1"], cfg["xi2"]),

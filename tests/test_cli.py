@@ -11,7 +11,7 @@ import hyperlab
 from hyperlab import cli
 from hyperlab.cli import COMMANDS, emit_svg_polyline, main, parse_config
 from hyperlab.fourier import critical_measure_ft
-from hyperlab.measures import MeasureError
+from hyperlab.measures import WORK_BUDGET_BRANCHES, MeasureError
 
 
 def key_cases(commands, kind, values):
@@ -28,9 +28,11 @@ def key_cases(commands, kind, values):
 
 NONFINITE_CASES = key_cases(COMMANDS, float, ("nan", "inf", "-inf"))
 
-# huge and tiny finite values of every float key
+# huge, tiny, subnormal and zero finite values of every float key:
+# hilbert-check at a subnormal xmax once ended in a raw ZeroDivisionError
 EXTREME_CASES = key_cases(COMMANDS, float,
-                          ("1e300", "-1e300", "1e-300", "-1e-300")) + [
+                          ("1e300", "-1e300", "1e-300", "-1e-300", "5e-324",
+                           "-5e-324", "1e-320", "0", "-0")) + [
     # the k rows' image tails at w' = pi beta k: a QUADPACK node once
     # rounded onto u = 0 there; the Ooura-Mori rule pairs them
     # (test_witness_k_rows_vanish_at_huge_beta)
@@ -157,6 +159,23 @@ class TestParseConfig:
         assert flag[0] == 2
         assert run(["coverage", "--config", str(cfgfile)], capsys) == flag
 
+    @pytest.mark.parametrize("argv, key", [
+        (["--config", "exp.cfg", "--gamma", "0.5"], "gamma"),
+        (["--gridn", "0", "--gamma", "-1"], "gridn"),
+        (["--gamma", "-1", "--gridn", "0"], "gamma"),
+        (["--config", "exp.cfg", "--gridn", "0"], "gridn")])
+    def test_bad_value_named_where_read(self, argv, key, tmp_path, capsys,
+                                        monkeypatch):
+        # each value is checked as it is read, flags in order and then the
+        # file (gamma=-1), and the record names the first bad one: a flag
+        # that overrides a bad file value does not hide it (it once ran at
+        # the flag's 0.5), as a mistyped file value is not hidden
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("gamma=-1\n")
+        code, out, err = run(["coverage", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["key"] == key
+
     def test_config_not_utf8_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_bytes(b"gamma=\xff\n")
@@ -168,10 +187,11 @@ class TestParseConfig:
     def test_command_help(self, command, capsys):
         code, out, err = run([command, "--help"], capsys)
         assert (code, err) == (0, "")
-        for key, default in parse_config([command])[1].items():
+        for key, (_, default, _, *check) in cli._TABLE[command][2].items():
             line, = [ln for ln in out.splitlines()
                      if ln.split()[:1] == [f"--{key}"]]
             assert f"(default {default!r})" in line
+            assert all(words in line for _, words in check)
         assert "--config PATH" in out and "--out PATH" in out
 
     def test_top_help_lists_commands(self, capsys):
@@ -205,6 +225,46 @@ def test_parse_error_is_one_keyed_record(argv, key, capsys):
     record = json.loads(err)
     assert record["key"] == key
     assert record["command"] == ("" if key == "command" else argv[0])
+
+
+# one value just outside each kind of check in the key table
+OUTSIDE = {cli._POSITIVE: "0", cli._FRACTION: "1", cli._COUNT: "0",
+           cli._ULAM_BINS: str(WORK_BUDGET_BRANCHES + 1), cli._FLAG: "2",
+           cli._MEASURE: "x", cli._GAMMAS: "1,0"}
+CHECKED_KEYS = [(cmd, key, OUTSIDE[check])
+                for cmd in COMMANDS
+                for key, (_, _, _, *checks) in cli._TABLE[cmd][2].items()
+                for check in checks]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_defaults_pass_their_checks(command, tmp_path):
+    # each default, written as a flag or a config-file line, is read back
+    # as itself through its key's type and check
+    keys = cli._TABLE[command][2]
+    defaults = {key: spec[1] for key, spec in keys.items()}
+    cfgfile = tmp_path / "defaults.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items()))
+    flags = [f"--{k}={v}" for k, v in defaults.items()]
+    assert all(isinstance(v, spec[0]) for v, spec in zip(defaults.values(),
+                                                         keys.values()))
+    assert parse_config([command, *flags])[1] == defaults
+    assert parse_config([command, "--config", str(cfgfile)])[1] == defaults
+
+
+@pytest.mark.parametrize("command, key, value", CHECKED_KEYS,
+                         ids=[f"{c} {k}={v}" for c, k, v in CHECKED_KEYS])
+def test_value_outside_check_is_keyed_record(command, key, value, tmp_path,
+                                             capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"{key}={value}\n")
+    for argv in ([command, f"--{key}", value],
+                 [command, "--config", str(cfgfile)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err)["key"] == key
+        assert json.loads(err)["command"] == command
 
 
 # an output path that cannot be written, from a flag or a config-file line
@@ -549,7 +609,8 @@ class TestImportHygiene:
         (["defect-sweep", "--gammas", "1.0", "--bins", "20", "--jmax", "40",
           "--kmax", "40"], ("scipy.integrate", "scipy.sparse")),
         (["distorted-cross"], ("scipy.integrate", "scipy.sparse")),
-        (["invariant-density", "--bins", "256"], ("scipy.integrate",))],
+        (["invariant-density", "--bins", "256"],
+         ("scipy.integrate", "scipy.special"))],
         ids=["import", "coverage", "defect-sweep", "distorted-cross",
              "invariant-density"])
     def test_command_leaves_scipy_unloaded(self, argv, unloaded):

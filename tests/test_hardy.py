@@ -364,6 +364,13 @@ class TestHilbertLine:
         exact = x / (np.pi * (1.0 + x**2))
         assert np.max(np.abs(vals - exact)) <= 1e-6
 
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-320])
+    def test_subnormal_x(self, x):
+        # the part [0, |x|) collapses at a subnormal x, and QUADPACK
+        # sampled the integrand at s = 0: a raw ZeroDivisionError
+        vals, errs = hilbert_line(cauchy_pair(), [x])
+        assert abs(vals[0]) <= 1e-300 and errs[0] <= 1e-300
+
     def test_involution_on_smooth_function(self):
         f = cauchy_pair()
         x = np.linspace(-2.0, 2.0, 9)
