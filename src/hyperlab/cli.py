@@ -76,10 +76,11 @@ def _positive_list(raw):
 _POSITIVE = (lambda v: v > 0, "positive")
 _FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
 _COUNT = (lambda n: n >= 1, "at least 1")
-# Ulam bins need gamma >= 1, so more than the branch work budget can never
-# be assembled
-_ULAM_BINS = (lambda n: 1 <= n <= WORK_BUDGET_BRANCHES,
-              f"from 1 to {WORK_BUDGET_BRANCHES:.0e}, the Ulam work budget")
+# the floors of an Ulam matrix and of a defect basis; Ulam bins need
+# gamma >= 1, so more than the branch work budget can never be assembled
+_ULAM_BINS = (lambda n: 2 <= n <= WORK_BUDGET_BRANCHES,
+              f"from 2 to {WORK_BUDGET_BRANCHES:.0e}, the Ulam work budget")
+_BASIS_BINS = (lambda n: n >= 8, "at least 8")
 _FLAG = (lambda v: v in (0, 1), "0 or 1")
 _MEASURE = (lambda v: v in ("critical", "expanded"), "critical or expanded")
 _GAMMAS = (_positive_list, "a comma list of positive finite numbers")
@@ -455,7 +456,7 @@ def _run_timelike_witness(cfg, out):
           gammas=(str, "0.6,0.8,1.0,1.2,1.5", "gamma grid", _GAMMAS),
           tmin=(float, 0.08, "basis band start", _POSITIVE),
           tmax=(float, 12.5, "basis band end", _POSITIVE),
-          bins=(int, 202, "basis bins", _COUNT),
+          bins=(int, 202, "basis bins", _BASIS_BINS),
           jmax=(int, 640, "axis-1 truncation", _COUNT),
           kmax=(int, 640, "axis-2 truncation", _COUNT),
           threshold=(float, 1e-2, "relative singular-value cutoff", _FRACTION))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .measures import LatticeCross, Measure1D, MeasureError, \
     _reciprocal_density
-from .sici import _e2_e3, exp_integral_parts
+from .sici import exp_integral, exp_integral_parts
 
 # largest t_max, and 1/t_min, whose end elements' scale 2 t^2 is finite
 MAX_BAND_SCALE = float(np.sqrt(np.finfo(float).max / 2.0))
@@ -156,10 +156,10 @@ def _branch_block(re: np.ndarray, im: np.ndarray, basis: CandidateBasis,
     row pairs the bins through E (``_e_table``, or the table ``e`` if one
     is given), the near-end {1, t} shapes in elementary form, or
     ``_small_y`` near 0, and the far-end shapes as E_2 and 2 E_3
-    (``sici._e2_e3``).  An axis-2 row is the axis-1 row at w = -c of the
-    reciprocal basis (u = 1/t): its edges are 1/edges reversed, its bins
-    are the basis's bins reversed, and its near-end and far-end shapes are
-    the basis's far-end and near-end ones."""
+    (``sici.exp_integral``).  An axis-2 row is the axis-1 row at w = -c of
+    the reciprocal basis (u = 1/t): its edges are 1/edges reversed, its
+    bins are the basis's bins reversed, and its near-end and far-end shapes
+    are the basis's far-end and near-end ones."""
     edges, nb = basis.edges, basis.n_interior
     bins, near, far = slice(nb), (nb, nb + 1), (nb + 2, nb + 3)
     if np.any(c):
@@ -182,7 +182,7 @@ def _branch_block(re: np.ndarray, im: np.ndarray, basis: CandidateBasis,
         f2 = 2.0 * (ey * (iy - 1.0) + 1.0) / iy**2
     _small_y(w * edges[0], f1, f2)
     # t1 int_t1^inf e^{iwt}/t^2 and 2 t1^2 int_t1^inf e^{iwt}/t^3
-    e2, e3 = _e2_e3(w * edges[-1])
+    e2, e3 = (exp_integral(p, w * edges[-1]) for p in (2, 3))
     for col, val in zip(near + far, (f1, f2, e2, 2.0 * e3)):
         re[:, col], im[:, col] = val.real, val.imag
     re[origin], im[origin] = 1.0, 0.0

@@ -14,11 +14,12 @@ cos/sin pair between w and -w and samples its integrand once per node: a
 tail samples every |w| of a call at the Ooura-Mori nodes as one array,
 and a |w| whose achieved estimate is not within the QUADPACK tolerance
 takes one rescue step through the same two rules: QAWO up to
-16 max(a, 1), and the Ooura-Mori rule from there.  Piecewise constant
-(Ulam) densities are paired in closed form where one phase vanishes,
-and bin by bin through the same charts elsewhere.  QUADPACK's
-IntegrationWarnings are kept as diagnostics, which a ``QuadratureError``
-carries in its message.
+16 max(a, 1), and the Ooura-Mori rule from there.  Ulam densities pair
+in closed form where one phase vanishes, through e^{iwt}/(iw) and
+t E_2(-c/t) (``sici.exp_integral``, the one E_p, which also gives the
+critical transform its E), and bin by bin through the same charts
+elsewhere.  QUADPACK's IntegrationWarnings are kept as diagnostics,
+which a ``QuadratureError`` carries in its message.
 
 Generic pieces (family None) pair by their densities: one that straddles
 t = 0 as its two sides, and two on [a, b) and [-b, -a) as one integral on
@@ -40,7 +41,7 @@ from scipy.integrate import IntegrationWarning, quad
 # measures module; they are read from here too
 from .measures import (MAX_CROSS_POINTS, HyperbolaMeasure, LatticeCross,
                        Measure1D, Piece, QuadratureError, _image_piece)
-from .sici import exp_integral_tail
+from .sici import exp_integral
 
 
 # QUADPACK tolerances and subdivision limit of every pairing; a tail under
@@ -423,12 +424,10 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
            lambda r: np.exp(1j * w[r] * edges) / (1j * w[r]))
 
     def axis2(r):
-        # t e^{-ic/t} - ic E(-c/t), a primitive of e^{-ic/t} that is 0 at 0
-        pos = edges > 0.0
-        t = edges[pos]
+        # t E_2(-c/t), a primitive of e^{-ic/t} that is 0 at 0
         prim = np.zeros((r.shape[0], edges.size), dtype=complex)
-        prim[:, pos] = (t * np.exp(-1j * c[r] / t)
-                        - 1j * c[r] * exp_integral_tail(-c[r] / t))
+        t = edges[edges > 0.0]
+        prim[:, edges > 0.0] = t * exp_integral(2, -c[r] / t)
         return prim
     closed(np.flatnonzero((w == 0.0) & (c != 0.0)), axis2)
     off = np.flatnonzero((w != 0.0) & (c != 0.0))
@@ -570,5 +569,5 @@ def critical_measure_ft(x: float) -> complex:
     x = float(x)
     if x.is_integer():
         return 0.0 + 0.0j
-    e_val = np.exp(-2j * np.pi * x) * exp_integral_tail(2.0 * np.pi * x)
+    e_val = np.exp(-2j * np.pi * x) * exp_integral(1, 2.0 * np.pi * x)
     return complex((1.0 - np.exp(2j * np.pi * x)) * e_val)

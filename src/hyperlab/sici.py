@@ -10,10 +10,8 @@ so that ci is negative on (0, x0) with first zero x0 ~ 0.6165.  Both are
 parts of E(y) = -ci(|y|) + i sgn(y) si(|y|).  ``exp_integral_parts``,
 which returns (Re E, Im E) as two real arrays, is the one reader of
 ``scipy.special.sici`` (which returns (Si, Ci) with Si = pi/2 - si);
-``exp_integral_tail`` is E as one complex array built on it.  The spiral
-and the defect bins read the two real parts, and the end integrals E_2,
-E_3 of the defect basis come from E or its asymptotic series; no other
-module calls sici.
+``exp_integral`` is the one E_p, built on it.  The spiral and the defect
+bins read the two real parts; no other module calls sici.
 """
 
 from __future__ import annotations
@@ -34,33 +32,34 @@ def exp_integral_parts(y):
     return 0.0 - ci, np.sign(y) * (0.5 * np.pi - big_si)
 
 
-def exp_integral_tail(y):
-    """E(y) = integral_1^inf e^{i y u} du / u = -ci(|y|) + i sgn(y) si(|y|)
-    for y != 0, elementwise over arrays (a complex scalar for a scalar)."""
-    re, im = exp_integral_parts(y)
-    out = re + 1j * im
-    return complex(out) if out.ndim == 0 else out
-
-
-def _e2_e3(y):
-    """(E_2(y), E_3(y)) at each entry of a 1-d array y of nonzero reals,
-    E_p(y) = integral_1^inf e^{i y u} u^{-p} du (E_1 = E).  The recurrence
-    E_{p+1} = (e^{iy} + iy E_p) / p from E cancels by about |y| per step;
-    below |y| = 60 it loses at most about 1e-11 relative.  From |y| = 60
-    on, both are 20 terms of the asymptotic series -(e^{iy} / iy) sum_k
-    (p)_k (iy)^{-k} (DLMF 8.20.2 at z = -iy), exact there to rounding."""
+def exp_integral(p, y):
+    """E_p(y) = integral_1^inf e^{i y u} u^{-p} du for p = 1, 2, 3 and
+    y != 0, elementwise over arrays (a complex scalar for a scalar).  E_1
+    joins ``exp_integral_parts``.  Below |y| = 60, E_{q+1} = (e^{iy} +
+    iy E_q) / q from E, which cancels by about |y| per step and loses at
+    most about 1e-11 relative.  From |y| = 60 on, E_p (p >= 2) is 20 terms
+    of -(e^{iy} / iy) sum_k (p)_k (iy)^{-k} (DLMF 8.20.2 at z = -iy), exact
+    there to rounding, in real arithmetic: with A(1/y^2) the even terms of
+    the sum and -i B(1/y^2) / y the odd ones, E_p = (e^{iy} / y) (B / y +
+    i A).  For p >= 2, sici is called only below |y| = 60."""
     y = np.asarray(y, dtype=float)
-    ey = np.exp(1j * y)
-    e2 = ey + 1j * y * exp_integral_tail(y)
-    e3 = (ey + 1j * y * e2) / 2.0
-    far = np.abs(y) >= 60.0
-    z = 1.0 / (1j * y[far])
-    for p, out in ((2, e2), (3, e3)):
-        s = 1.0
-        for k in range(19, -1, -1):
-            s = 1.0 + (p + k) * z * s
-        out[far] = -ey[far] * z * s
-    return e2, e3
+    far = (np.abs(y) >= 60.0) & (p > 1)
+    out = np.empty(y.shape, dtype=complex)
+    near = y[~far]
+    re, im = exp_integral_parts(near)
+    e, ey = re + 1j * im, np.exp(1j * near)
+    for q in range(1, p):
+        e = (ey + 1j * near * e) / q
+    out[~far] = e
+    if np.any(far):
+        y, k = y[far], np.arange(20)
+        coef = np.cumprod(np.r_[1.0, p + k[:-1]]) * (-1.0) ** (k // 2)
+        r = 1.0 / y  # squared below: y^2 overflows from |y| ~ 1e154
+        a, b = (np.polyval(c[::-1], r * r) for c in (coef[0::2], coef[1::2]))
+        cos, sin = np.cos(y), np.sin(y)
+        out.real[far] = (b * r * cos - a * sin) * r
+        out.imag[far] = (a * cos + b * r * sin) * r
+    return complex(out) if out.ndim == 0 else out
 
 
 def nielsen_spiral(x_grid):

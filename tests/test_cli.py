@@ -227,14 +227,17 @@ def test_parse_error_is_one_keyed_record(argv, key, capsys):
     assert record["command"] == ("" if key == "command" else argv[0])
 
 
-# one value just outside each kind of check in the key table
-OUTSIDE = {cli._POSITIVE: "0", cli._FRACTION: "1", cli._COUNT: "0",
-           cli._ULAM_BINS: str(WORK_BUDGET_BRANCHES + 1), cli._FLAG: "2",
-           cli._MEASURE: "x", cli._GAMMAS: "1,0"}
-CHECKED_KEYS = [(cmd, key, OUTSIDE[check])
+# values just outside each kind of check in the key table (and 0 for the
+# basis bins, below every count)
+OUTSIDE = {cli._POSITIVE: ("0",), cli._FRACTION: ("1",), cli._COUNT: ("0",),
+           cli._ULAM_BINS: ("1", str(WORK_BUDGET_BRANCHES + 1)),
+           cli._BASIS_BINS: ("0", "7"), cli._FLAG: ("2",),
+           cli._MEASURE: ("x",), cli._GAMMAS: ("1,0",)}
+CHECKED_KEYS = [(cmd, key, value)
                 for cmd in COMMANDS
                 for key, (_, _, _, *checks) in cli._TABLE[cmd][2].items()
-                for check in checks]
+                for check in checks
+                for value in OUTSIDE[check]]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -15,8 +15,9 @@ from hyperlab.fourier import (ABS_TOL, MAX_CROSS_POINTS, REL_TOL,
                               critical_measure_ft, error_budget,
                               ft_on_cross, ft_point, pairing)
 from hyperlab.hardy import inversion_j
-from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece
-from hyperlab.sici import exp_integral_tail
+from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece, \
+    piece_from_family
+from hyperlab.sici import exp_integral
 from hyperlab.transfer import invariant_density
 from measure_helpers import restrict
 
@@ -266,12 +267,26 @@ class TestPairing:
         t = edges[1:]
         want = [np.sum(values * np.diff(np.exp(1j * x * edges) / (1j * x)))
                 for x in f]
-        want += [np.sum(values * np.diff(np.r_[0.0, t * np.exp(-1j * x / t)
-                                               - 1j * x * exp_integral_tail(
-                                                   -x / t)]))
-                 for x in f]
+        want += [np.sum(values * np.diff(
+            np.r_[0.0, t * exp_integral(2, -x / t)])) for x in f]
         assert np.array_equal(val, want)
         assert not np.any(err)
+
+    def test_axis2_bin_near_zero_matches_image_chart_oracle(self):
+        # one bin [1/4096, 2/4096) at w = 0, c = 60 pi, where |c/t| reaches
+        # 7.7e5: the primitive t e^{-ic/t} - ic E(-c/t) cancelled there to
+        # 2e-5 relative with an estimate of 0.  Oracle: QAWO in the chart
+        # u = 1/t, the integral of e^{-icu} / u^2 over (2048, 4096]
+        a, b, c = 1.0 / 4096.0, 2.0 / 4096.0, 60.0 * np.pi
+        nu = Measure1D(pieces=(piece_from_family(
+            a, b, "binned", {"edges": np.array([a, b]),
+                             "values": np.array([1.0])}, b - a),))
+        val, err = pairing(nu, 0.0, c)
+        re, im = (quad(lambda u: u ** -2.0, 1.0 / b, 1.0 / a, weight=kind,
+                       wvar=c, epsabs=1e-21)[0] for kind in ("cos", "sin"))
+        want = complex(re, -im)
+        assert abs(val - want) <= 1e-9 * abs(want)
+        assert err == 0.0
 
     @pytest.mark.parametrize("w, c", [(np.pi, np.pi),
                                       (10.0 * np.pi, np.pi / 2.0)])

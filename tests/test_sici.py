@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperlab.sici import (_e2_e3, exp_integral_parts, exp_integral_tail,
-                          nielsen_spiral)
+from hyperlab.sici import exp_integral, exp_integral_parts, nielsen_spiral
 
 
 def sine_integral_tail(x):
     """si(x) = Im E(x) for x > 0."""
-    return exp_integral_tail(x).imag
+    return exp_integral(1, x).imag
 
 
 def cosine_integral(x):
     """ci(x) = -Re E(x) for x > 0."""
-    return -exp_integral_tail(x).real
+    return -exp_integral(1, x).real
 
 
 def si_oracle(x):
@@ -100,7 +99,7 @@ class TestRealParts:
         # checked against the quadrature oracles above
         x = np.geomspace(1e-3, 1e5, 61)
         re, im = exp_integral_parts(np.concatenate([x, -x]))
-        e = exp_integral_tail(x)
+        e = exp_integral(1, x)
         assert re.dtype == im.dtype == np.float64
         assert np.array_equal(re, np.concatenate([e.real, e.real]))
         assert np.array_equal(im, np.concatenate([e.imag, -e.imag]))
@@ -111,16 +110,21 @@ class TestRealParts:
 
 
 class TestEndIntegrals:
-    # on both sides of |y| = 60, where the recurrence from E hands over to
-    # the asymptotic series, and out to |y| = 7.5e4, where the recurrence
-    # alone would have lost every digit of E_3
+    # E_1, E_2 and E_3 on both sides of |y| = 60, where the recurrence from
+    # E hands over to the asymptotic series, for both signs of y, and out
+    # to |y| = 7.5e4, where the recurrence alone would have lost every
+    # digit of E_3; each as a scalar, and as an entry of an array that
+    # holds the other side of |y| = 60 too
     @pytest.mark.parametrize("y", [-7.5e4, -117.8, -60.0, -59.9, 2.0, 12.0,
                                    59.9, 60.0, 78.5, 5e4])
     def test_matches_quadrature_oracle(self, y):
-        e2, e3 = _e2_e3(np.array([y]))
-        for p, got in ((2, e2[0]), (3, e3[0])):
+        for p in (1, 2, 3):
+            got = exp_integral(p, y)
             want = e_oracle(p, y)
+            assert isinstance(got, complex)
             assert abs(got - want) <= 1e-10 * abs(want)
+            other = 1.5 if abs(y) >= 60.0 else 61.0
+            assert exp_integral(p, np.array([[y, other]]))[0, 0] == got
 
 
 class TestNielsenSpiral:
