@@ -613,9 +613,13 @@ class TestImportHygiene:
           "--kmax", "40"], ("scipy.integrate", "scipy.sparse")),
         (["distorted-cross"], ("scipy.integrate", "scipy.sparse")),
         (["invariant-density", "--bins", "256"],
-         ("scipy.integrate", "scipy.special"))],
+         ("scipy.integrate", "scipy.special")),
+        (["sici-spiral"], ("scipy.integrate", "scipy.sparse")),
+        (["annihilator-check"], ("scipy.integrate",)),
+        (["perturbed-residual"], ("scipy.integrate",))],
         ids=["import", "coverage", "defect-sweep", "distorted-cross",
-             "invariant-density"])
+             "invariant-density", "sici-spiral", "annihilator-check",
+             "perturbed-residual"])
     def test_command_leaves_scipy_unloaded(self, argv, unloaded):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(hyperlab.__file__)))
