@@ -272,8 +272,7 @@ def _osc(gs, a, b, w):
         raise QuadratureError(f"oscillatory quadrature needs finite "
                               f"frequencies and limits, got w={w} on "
                               f"[{a}, {b})")
-    groups = _groups(np.abs(w))
-    mags = np.array([mag for (mag,), _ in groups])
+    mags, inv = np.unique(np.abs(w), return_inverse=True)
     rows, epsrel = np.arange(mags.size), REL_TOL
     cos, sin = np.zeros(mags.size, complex), np.zeros(mags.size, complex)
     est = np.zeros(mags.size)
@@ -300,13 +299,7 @@ def _osc(gs, a, b, w):
         sin[k] += v_sin
         e = e_cos + e_sin
         est[k] += e.real + e.imag
-    val = np.empty(w.shape, dtype=complex)
-    err = np.empty(w.shape)
-    for k, (_, idx) in enumerate(groups):
-        for i in idx:
-            val[i] = cos[k] + 1j * np.sign(w[i]) * sin[k]
-        err[idx] = est[k]
-    return val, err
+    return cos[inv] + 1j * np.sign(w) * sin[inv], est[inv]
 
 
 def _sum_diff(gs):

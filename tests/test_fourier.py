@@ -11,9 +11,9 @@ import hyperlab
 from hyperlab.annihilators import (critical_annihilator,
                                    expanded_annihilator, total_mass)
 from hyperlab.fourier import (ABS_TOL, MAX_CROSS_POINTS, REL_TOL,
-                              LatticeCross, QuadratureError, _within_budget,
-                              critical_measure_ft, error_budget,
-                              ft_on_cross, ft_point, pairing)
+                              LatticeCross, QuadratureError, _osc,
+                              _within_budget, critical_measure_ft,
+                              error_budget, ft_on_cross, ft_point, pairing)
 from hyperlab.hardy import inversion_j
 from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece, \
     piece_from_family
@@ -401,6 +401,19 @@ for forced in (False, True):
         assert np.array_equal(val, [v for v, _ in single])
         assert np.array_equal(err, [e for _, e in single])
         assert np.all(np.abs(val[:3] - np.log(2.0)) <= 1e-7)
+
+    @pytest.mark.parametrize("b", [2.0, np.inf])
+    def test_repeated_and_mirrored_frequencies_match_single_calls(self, b):
+        # one cos/sin pair per distinct |w| serves every entry at +-|w|, on
+        # a finite cut (QAWO) and on a tail (Ooura-Mori), with a mirror
+        # density that makes the two signs differ
+        gs = (lambda t: 1.0 / (1.0 + t * t), lambda t: np.exp(-t))
+        w = np.array([3.0, -3.0, 3.0, 5.0, -5.0])
+        val, err = _osc(gs, 1.0, b, w)
+        single = [_osc(gs, 1.0, b, w[i:i + 1]) for i in range(w.size)]
+        assert np.array_equal(val, np.concatenate([v for v, _ in single]))
+        assert np.array_equal(err, np.concatenate([e for _, e in single]))
+        assert val[0] == val[2] and val[0] != val[1]
 
 
 class TestLatticeCross:
