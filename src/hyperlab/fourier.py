@@ -37,10 +37,10 @@ from contextvars import ContextVar
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-# the cross and its budget, and the error type, live in the scipy-free
-# measures module; they are read from here too
-from .measures import (MAX_CROSS_POINTS, HyperbolaMeasure, LatticeCross,
-                       Measure1D, Piece, QuadratureError, _image_piece)
+# the cross and the error type live in the scipy-free measures module;
+# they are read from here too
+from .measures import (HyperbolaMeasure, LatticeCross, Measure1D, Piece,
+                       QuadratureError, _image_piece)
 from .sici import exp_integral
 
 
@@ -134,11 +134,13 @@ def _memo(g):
     return once
 
 
-def _cquad(f, a, b):
+def _cquad(f, a, b, epsrel=REL_TOL, **weight):
+    """(integral_a^b f(t) dt, error estimate) by QUADPACK, the one call of
+    every pairing: QAGS/QAGI, or QAWO under weight= and wvar=.  Both are
+    complex, the estimate's parts those of the real and imaginary runs."""
     with _caught():
-        v, e = quad(_memo(f), a, b, complex_func=True, limit=LIMIT,
-                    epsabs=ABS_TOL, epsrel=REL_TOL)
-    return complex(v), e.real + e.imag
+        return quad(f, a, b, complex_func=True, limit=LIMIT, epsabs=ABS_TOL,
+                    epsrel=epsrel, **weight)
 
 
 def _om_rule(m):
@@ -290,11 +292,8 @@ def _osc(gs, a, b, w):
     if rows.size:
         even, odd = _sum_diff(gs)
     for k in rows:
-        kw = {"wvar": mags[k], "complex_func": True, "limit": LIMIT,
-              "epsabs": ABS_TOL, "epsrel": epsrel}
-        with _caught():
-            v_cos, e_cos = quad(even, a, b, weight="cos", **kw)
-            v_sin, e_sin = quad(odd, a, b, weight="sin", **kw)
+        v_cos, e_cos = _cquad(even, a, b, epsrel, weight="cos", wvar=mags[k])
+        v_sin, e_sin = _cquad(odd, a, b, epsrel, weight="sin", wvar=mags[k])
         cos[k] += v_cos
         sin[k] += v_sin
         e = e_cos + e_sin
@@ -322,9 +321,9 @@ def _t_chart(rhos, lo, hi, w, c):
     """integral_lo^hi rho(t) e^{i(w t - c/t)} dt, and its error estimate,
     at each entry of the 1-d arrays lo, hi, w and c (0 where lo >= hi),
     from t = FLOOR up: the w t phase through ``_osc``, one cos/sin pair per
-    |w| of a (c, lo, hi), and a mass (w = c = 0) by quad.  rhos is (rho,),
-    or (rho, mirror) with a mirror density paired at (-w, -c) and added,
-    in the same integrals."""
+    |w| of a (c, lo, hi), and a mass (w = c = 0) by ``_cquad``.  rhos is
+    (rho,), or (rho, mirror) with a mirror density paired at (-w, -c) and
+    added, in the same integrals."""
     val = np.zeros(w.shape, dtype=complex)
     err = np.zeros(w.shape)
     for (cv, a, b), idx in _groups(c, lo, hi):
@@ -338,30 +337,24 @@ def _t_chart(rhos, lo, hi, w, c):
             for rho, cs in zip(rhos, (cv, -cv)))
         spin, mass = idx[w[idx] != 0.0], idx[w[idx] == 0.0]
         if mass.size:
-            val[mass], err[mass] = _cquad(rhos[0] if len(rhos) == 1 else (
-                lambda t: rhos[0](t) + rhos[1](t)), a, b)
-        segments = {}
-        for (mag,), sub in _groups(np.abs(w[spin])):
-            # one rule samples neither the scale t ~ |c| < 1 where the c/t
-            # phase turns by a radian, nor the mass near t = 1 below a
-            # first w t cycle of length 1/|w| > 1: cut at 16^i steps from
-            # |c| (or 1) up to 1 (or 1/|w|, below b).  Each |w| climbs its
-            # own ladder: QAWO on a smaller |w|'s cuts, far past 1/|w|,
-            # reads NaN (from t ~ 3e85 at |w| = pi 1e-9).  The ladders
-            # share their steps, so the |w| of one step take one call
-            cuts = [a]
-            cut = abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
-            while cut < b and (cut < 1.0 or cut * mag < 1.0):
-                if cut > a:
-                    cuts.append(cut)
-                cut *= 16.0
-            for step in zip(cuts, cuts[1:] + [b]):
-                segments.setdefault(step, []).append(spin[sub])
-        for (t0, t1), rows in segments.items():
-            rows = np.concatenate(rows)
-            v, e = _osc(gs, t0, t1, w[rows])
-            val[rows] += v
-            err[rows] += e
+            v, e = _cquad(_sum_diff(rhos)[0], a, b)
+            val[mass], err[mass] = v, e.real + e.imag
+        # one rule samples neither the scale t ~ |c| < 1 where the c/t
+        # phase turns by a radian, nor the mass near t = 1 below a first
+        # w t cycle of length 1/|w| > 1: cut at 16^i steps from |c| (or 1)
+        # up to 1 (or 1/|w|, below b).  Each row climbs only while its own
+        # |w| does: QAWO on a smaller |w|'s cuts, far past 1/|w|, reads NaN
+        # (from t ~ 3e85 at |w| = pi 1e-9).  At each cut the rows that
+        # stop take one call to b, and the rows still climbing one to it
+        t0, cut = a, abs(cv) if 0.0 < abs(cv) < 1.0 else 1.0
+        while spin.size:
+            climb = (cut < b) & ((cut < 1.0) | (cut * np.abs(w[spin]) < 1.0))
+            for rows, t1 in ((spin[~climb], b), (spin[climb], cut)):
+                if rows.size and t0 < t1:
+                    v, e = _osc(gs, t0, t1, w[rows])
+                    val[rows] += v
+                    err[rows] += e
+            t0, cut, spin = max(t0, cut), 16.0 * cut, spin[climb]
     return val, err
 
 

@@ -1,8 +1,21 @@
-"""Fixture builders shared by the tests."""
+"""Fixture builders and the child-process runner shared by the tests."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
+import hyperlab
 from hyperlab.measures import Measure1D, piece_from_family
+
+
+def run_child(*args, timeout, input=None):
+    """The finished ``python *args`` run in a fresh interpreter that imports
+    hyperlab from the tree under test, with its text output captured."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(hyperlab.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, input=input,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def restrict(nu: Measure1D, a: float, b: float) -> Measure1D:

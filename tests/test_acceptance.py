@@ -17,12 +17,11 @@ from hyperlab.defect import (CandidateBasis, build_constraint_matrix,
                              defect_estimate, distorted_cross_residual,
                              sweep_gamma)
 from hyperlab.dynamics import coverage_fraction
-from hyperlab.fourier import (LatticeCross, critical_measure_ft, ft_on_cross,
-                              ft_point)
+from hyperlab.fourier import critical_measure_ft, ft_on_cross, ft_point
 from hyperlab.hardy import (hardy_defect, hilbert_hyperbola, hilbert_line,
                             inversion_j, timelike_witness)
-from hyperlab.measures import (HyperbolaMeasure, Measure1D, Piece,
-                               total_variation)
+from hyperlab.measures import (HyperbolaMeasure, LatticeCross, Measure1D,
+                               Piece, total_variation)
 from hyperlab.sici import nielsen_spiral
 from hyperlab.transfer import invariant_density
 

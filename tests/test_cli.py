@@ -1,17 +1,14 @@
 import json
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import hyperlab
 from hyperlab import cli
 from hyperlab.cli import COMMANDS, emit_svg_polyline, main, parse_config
 from hyperlab.fourier import critical_measure_ft
 from hyperlab.measures import WORK_BUDGET_BRANCHES, MeasureError
+from measure_helpers import run_child
 
 
 def key_cases(commands, kind, values):
@@ -385,12 +382,8 @@ class TestRunExperiment:
         # a fresh process with warnings shown: the QUADPACK warnings of the
         # failing pairings are carried in the record's message, and
         # nothing else reaches stderr
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-W", "default", "-m",
-                              "hyperlab.cli", "timelike-witness", "--im", im],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
+        res = run_child("-W", "default", "-m", "hyperlab.cli",
+                        "timelike-witness", "--im", im, timeout=120)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.count("\n") == 1
@@ -403,11 +396,8 @@ class TestRunExperiment:
         # 2.93e-8); before the half-lines folded, every estimate was
         # within budget and rows read |value| up to about pi.  A fresh
         # process exits 1 with a JSON record, not an artifact
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-m", "hyperlab.cli",
-                              "timelike-witness", "--im", "1e-5"], env=env,
-                             capture_output=True, text=True, timeout=120)
+        res = run_child("-m", "hyperlab.cli", "timelike-witness", "--im",
+                        "1e-5", timeout=120)
         assert res.returncode == 1
         assert res.stdout == ""
         record = json.loads(res.stderr.splitlines()[-1])
@@ -460,12 +450,8 @@ class TestRunExperiment:
         # and at 1e308 beta = 2 gamma overflowed, and numpy's warnings
         # reached stderr; a gamma whose rows' phase is not finite is one
         # runtime record
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-W", "default", "-m",
-                              "hyperlab.cli", "defect-sweep", "--gammas",
-                              gammas], env=env, capture_output=True,
-                             text=True, timeout=120)
+        res = run_child("-W", "default", "-m", "hyperlab.cli",
+                        "defect-sweep", "--gammas", gammas, timeout=120)
         assert res.returncode == code
         if code == 0:
             assert res.stderr == ""
@@ -489,12 +475,8 @@ class TestRunExperiment:
     def test_ft_eval_tiny_xi1_is_quiet(self):
         # in a child process with warnings shown, so that a raw
         # IntegrationWarning would reach its stderr
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-W", "default", "-m",
-                              "hyperlab.cli", "ft-eval", "--xi1", "1e-7"],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
+        res = run_child("-W", "default", "-m", "hyperlab.cli", "ft-eval",
+                        "--xi1", "1e-7", timeout=120)
         assert res.returncode == 0
         assert res.stderr == ""
 
@@ -502,12 +484,8 @@ class TestRunExperiment:
         # a w = 0 row meets the c/t phase near t = 1 in the family chart of
         # the [1, inf) piece, under QAWO; in a child process with warnings
         # shown, as above
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-W", "default", "-m",
-                              "hyperlab.cli", "ft-eval", "--xi2", "1000"],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
+        res = run_child("-W", "default", "-m", "hyperlab.cli", "ft-eval",
+                        "--xi2", "1000", timeout=120)
         assert res.returncode == 0
         assert res.stderr == ""
         rec = json.loads(res.stdout)
@@ -621,11 +599,7 @@ class TestImportHygiene:
              "invariant-density", "sici-spiral", "annihilator-check",
              "perturbed-residual"])
     def test_command_leaves_scipy_unloaded(self, argv, unloaded):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, *argv],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
+        res = run_child("-c", _IMPORTS_CHILD, *argv, timeout=120)
         code, loaded = json.loads(res.stdout)
         assert code == 0
         assert [m for m in loaded for p in unloaded
@@ -668,11 +642,7 @@ def run_in_child(cases):
     """One child process runs every case (a crash there, not here, is what
     QUADPACK's oscillatory rules do with a non-finite frequency); returns
     the per-case results it printed and its exit status."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(hyperlab.__file__)))
-    res = subprocess.run([sys.executable, "-c", _FUZZ_CHILD], env=env,
-                         input=json.dumps(cases),
-                         capture_output=True, text=True, timeout=600)
+    res = run_child("-c", _FUZZ_CHILD, input=json.dumps(cases), timeout=600)
     return [json.loads(ln) for ln in res.stdout.splitlines()], res.returncode
 
 

@@ -9,8 +9,7 @@ from hyperlab.defect import (MAX_BAND_SCALE, CandidateBasis,
                              build_constraint_matrix, cosine_similarity,
                              cross_for_gamma, defect_estimate,
                              distorted_cross_residual, sweep_gamma)
-from hyperlab.fourier import LatticeCross
-from hyperlab.measures import MeasureError
+from hyperlab.measures import LatticeCross, MeasureError
 
 
 def row_oracle(basis, w, c):

@@ -1,25 +1,20 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import hyperlab
 from hyperlab.annihilators import (critical_annihilator,
                                    expanded_annihilator, total_mass)
-from hyperlab.fourier import (ABS_TOL, MAX_CROSS_POINTS, REL_TOL,
-                              LatticeCross, QuadratureError, _osc,
-                              _within_budget, critical_measure_ft,
+from hyperlab.fourier import (ABS_TOL, REL_TOL, QuadratureError, _osc,
+                              _t_chart, _within_budget, critical_measure_ft,
                               error_budget, ft_on_cross, ft_point, pairing)
 from hyperlab.hardy import inversion_j
-from hyperlab.measures import HyperbolaMeasure, Measure1D, Piece, \
-    piece_from_family
+from hyperlab.measures import MAX_CROSS_POINTS, HyperbolaMeasure, \
+    LatticeCross, Measure1D, Piece, piece_from_family
 from hyperlab.sici import exp_integral
 from hyperlab.transfer import invariant_density
-from measure_helpers import restrict
+from measure_helpers import restrict, run_child
 
 M = 2.0 * np.pi
 
@@ -138,10 +133,7 @@ for call in calls:
     except QuadratureError:
         print("QuadratureError")
 """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
+        res = run_child("-c", script, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["QuadratureError"] * 9
 
@@ -164,11 +156,8 @@ TINY_XI2 = [1e-300, 1e-200, 1e-9, 1e-7, 1e-6]
 
 @pytest.fixture(scope="module")
 def tiny_xi2_results():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(hyperlab.__file__)))
-    res = subprocess.run([sys.executable, "-c", _TINY_XI2_CHILD], env=env,
-                         input=json.dumps(TINY_XI2), capture_output=True,
-                         text=True, timeout=300)
+    res = run_child("-c", _TINY_XI2_CHILD, input=json.dumps(TINY_XI2),
+                    timeout=300)
     return [json.loads(ln) for ln in res.stdout.splitlines()], res.stderr
 
 
@@ -366,10 +355,7 @@ for forced in (False, True):
             print("rescue" if str(exc).startswith("the Ooura-Mori tail at")
                   and np.isfinite(exc.error_estimate) else "QuadratureError")
 """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
+        res = run_child("-c", script, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["met"] * 2 + ["rescue"] * 2
 
@@ -414,6 +400,26 @@ for forced in (False, True):
         assert np.array_equal(val, np.concatenate([v for v, _ in single]))
         assert np.array_equal(err, np.concatenate([e for _, e in single]))
         assert val[0] == val[2] and val[0] != val[1]
+
+    @pytest.mark.parametrize("b", [1e4, np.inf])
+    @pytest.mark.parametrize("mirrored", [False, True],
+                             ids=["single", "mirrored"])
+    def test_t_chart_ladders_match_single_row_calls(self, mirrored, b):
+        # one t chart climbs the 16^i cut ladders of all its rows at once:
+        # at c = 0 from 1, 0 to 3 cuts long as |w| falls, next to the mass
+        # row w = 0, and at c = 0.01 from |c|; each row reads as its own call
+        rhos = (lambda t: 1.0 / (1.0 + t * t), lambda t: np.exp(-t))
+        rhos = rhos if mirrored else rhos[:1]
+        w = np.array([0.0] + [1e-3, -1e-3, 0.02, 0.3, 5.0] * 2)
+        c = np.repeat([0.0, 0.01], [6, 5])
+        lo, hi = np.where(c == 0.0, 0.0, 1e-3), np.full(w.shape, b)
+        val, err = _t_chart(rhos, lo, hi, w, c)
+        single = [_t_chart(rhos, lo[i:i + 1], hi[i:i + 1], w[i:i + 1],
+                           c[i:i + 1]) for i in range(w.size)]
+        assert np.array_equal(val, np.concatenate([v for v, _ in single]))
+        assert np.array_equal(err, np.concatenate([e for _, e in single]))
+        mass = np.arctan(b) + (1.0 - np.exp(-b) if mirrored else 0.0)
+        assert abs(val[0] - mass) <= err[0] + 1e-12
 
 
 class TestLatticeCross:

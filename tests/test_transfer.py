@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-import hyperlab
 from hyperlab import transfer
 from hyperlab.cli import main
 from hyperlab.measures import piece_from_family
 from hyperlab.transfer import (InvariantDensity, UlamError, _bin_table_sum,
                                _ulam_matrix, invariance_residual,
                                invariant_density)
+from measure_helpers import run_child
 
 LOG2 = np.log(2.0)
 
@@ -197,12 +194,8 @@ class TestBuildUlam:
         assert got.tolist() == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_huge_gamma_rejected_without_hanging(self):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(hyperlab.__file__)))
-        res = subprocess.run(
-            [sys.executable, "-m", "hyperlab.cli", "invariant-density",
-             "--gamma", "1e300", "--bins", "16"],
-            env=env, capture_output=True, text=True, timeout=60)
+        res = run_child("-m", "hyperlab.cli", "invariant-density",
+                        "--gamma", "1e300", "--bins", "16", timeout=60)
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
         assert "work budget" in json.loads(res.stderr)["message"]
