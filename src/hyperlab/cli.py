@@ -395,8 +395,8 @@ def _hardy_test_measure(conjugate: bool) -> Measure1D:
         return 1.0 / (z * z)
 
     return Measure1D(pieces=(
-        Piece(-np.inf, 0.0, rho, 2.0, params={"tail_c": 1.0, "tail_p": 2.0}),
-        Piece(0.0, np.inf, rho, 2.0, params={"tail_c": 1.0, "tail_p": 2.0})))
+        Piece(-np.inf, 0.0, rho, 2.0, params={"tail_p": 2.0}),
+        Piece(0.0, np.inf, rho, 2.0, params={"tail_p": 2.0})))
 
 
 @_command("hardy-defect", "Hardy-space defect of a 2-periodization",
@@ -422,10 +422,8 @@ def _run_hilbert_check(cfg, out):
         return 1.0 / (np.pi * (1.0 + t * t))
 
     f = Measure1D(pieces=(
-        Piece(-np.inf, 0.0, cauchy, 0.5,
-              params={"tail_c": 1.0 / np.pi, "tail_p": 2.0}),
-        Piece(0.0, np.inf, cauchy, 0.5,
-              params={"tail_c": 1.0 / np.pi, "tail_p": 2.0})))
+        Piece(-np.inf, 0.0, cauchy, 0.5, params={"tail_p": 2.0}),
+        Piece(0.0, np.inf, cauchy, 0.5, params={"tail_p": 2.0})))
     grid = np.linspace(-cfg["xmax"], cfg["xmax"], cfg["n"])
     vals = hilbert_line(f, grid)[0]
     exact = grid / (np.pi * (1.0 + grid**2))

@@ -18,8 +18,9 @@ takes one rescue step through the same two rules: QAWO up to
 in closed form where one phase vanishes, through e^{iwt}/(iw) and
 t E_2(-c/t) (``sici.exp_integral``, the one E_p, which also gives the
 critical transform its E), and bin by bin through the same charts
-elsewhere.  QUADPACK's IntegrationWarnings are kept as diagnostics,
-which a ``QuadratureError`` carries in its message.
+elsewhere.  The message QUADPACK returns for each run is kept as a
+diagnostic by the helpers that live in ``measures``, beside
+``QuadratureError``, which carries them in its message.
 
 Generic pieces (family None) pair by their densities: one that straddles
 t = 0 as its two sides, and two on [a, b) and [-b, -a) as one integral on
@@ -30,17 +31,14 @@ without a mirror pairs alone.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
-# the cross and the error type live in the scipy-free measures module;
-# they are read from here too
+# the cross, the error type and its diagnostics live in the scipy-free
+# measures module; they are read from here too
 from .measures import (HyperbolaMeasure, LatticeCross, Measure1D, Piece,
-                       QuadratureError, _image_piece)
+                       QuadratureError, _diagnosed, _image_piece, _noted,
+                       _refusal)
 from .sici import exp_integral
 
 
@@ -64,52 +62,6 @@ OM_BLOCK = 1 << 13
 
 # ---------------------------------------------------------------------------
 # generic oscillatory quadrature
-
-# the IntegrationWarnings of the QUADPACK calls under way in a _diagnosed
-# block, kept for the message of a QuadratureError
-_NOTES = ContextVar("hyperlab_quadpack_notes", default=None)
-
-
-@contextmanager
-def _diagnosed():
-    """Keep the IntegrationWarnings of the QUADPACK calls inside for the
-    message of a QuadratureError raised inside (``_refusal``)."""
-    token = _NOTES.set([])
-    try:
-        yield
-    finally:
-        _NOTES.reset(token)
-
-
-@contextmanager
-def _caught():
-    """Keep the IntegrationWarnings raised inside (their first sentence)
-    as diagnostics of the _diagnosed block under way, never printed raw;
-    any other warning is shown as before."""
-    notes = _NOTES.get()
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always", IntegrationWarning)
-        try:
-            yield
-        finally:
-            for w in seen:
-                if not issubclass(w.category, IntegrationWarning):
-                    warnings.showwarning(w.message, w.category, w.filename,
-                                         w.lineno)
-                elif notes is not None:
-                    notes.append(" ".join(
-                        str(w.message).split()).partition(".")[0] + ".")
-
-
-def _refusal(message, error_estimate=np.nan):
-    """A QuadratureError whose message ends with the distinct QUADPACK
-    warnings kept so far in the _diagnosed block, each with its count."""
-    notes = _NOTES.get()
-    if notes:
-        message += "; QUADPACK warned: " + "; ".join(
-            f"{w} (x{notes.count(w)})" for w in dict.fromkeys(notes))
-    return QuadratureError(message, error_estimate)
-
 
 def _groups(*keys):
     """[(key, indices)] of the entries on which the 1-d arrays ``keys``
@@ -137,10 +89,11 @@ def _memo(g):
 def _cquad(f, a, b, epsrel=REL_TOL, **weight):
     """(integral_a^b f(t) dt, error estimate) by QUADPACK, the one call of
     every pairing: QAGS/QAGI, or QAWO under weight= and wvar=.  Both are
-    complex, the estimate's parts those of the real and imaginary runs."""
-    with _caught():
-        return quad(f, a, b, complex_func=True, limit=LIMIT, epsabs=ABS_TOL,
-                    epsrel=epsrel, **weight)
+    complex, from a real and an imaginary run, whose messages are noted."""
+    val, err, info = quad(f, a, b, complex_func=True, full_output=1,
+                          limit=LIMIT, epsabs=ABS_TOL, epsrel=epsrel, **weight)
+    _noted(*info.values())
+    return val, err
 
 
 def _om_rule(m):

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .fourier import ABS_TOL, LIMIT, REL_TOL, QuadratureError, _caught, \
-    _diagnosed, _memo, _refusal, _within_budget, error_budget, pairing
+from .fourier import ABS_TOL, LIMIT, REL_TOL, _memo, _within_budget, \
+    error_budget, pairing
 from .measures import (HyperbolaMeasure, Measure1D, MeasureError, Piece,
-                       _pushforward_reciprocal, compress_pi2)
+                       QuadratureError, _diagnosed, _noted,
+                       _pushforward_reciprocal, _refusal, compress_pi2)
 
 # the smallest Im z0 of the witness: a scan of its pairings against their
 # exact 0 (beta from 0.1 to 1000, j, k <= 20, Im z0 down to 1e-9) found
@@ -137,9 +138,9 @@ def _pv_point(f: Measure1D, x: float):
     total, err = 0j, 0.0
     cuts = sorted(cuts)
     for lo, hi in zip(cuts, cuts[1:]):
-        with _caught():
-            v, e = quad(g, lo, hi, complex_func=True, limit=LIMIT,
-                        epsabs=ABS_TOL, epsrel=REL_TOL)
+        v, e, info = quad(g, lo, hi, complex_func=True, full_output=1,
+                          limit=LIMIT, epsabs=ABS_TOL, epsrel=REL_TOL)
+        _noted(*info.values())
         total += v
         err += e.real + e.imag
     return total, err

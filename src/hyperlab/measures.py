@@ -13,12 +13,14 @@ planar measure everywhere except at t = 0.
 
 This module loads no scipy, so it also holds the names the CLI builds,
 validates and catches before a command imports its layer: the
-lattice-cross and the error types and budgets of the layers.
+lattice-cross, the layers' error types and budgets, and QUADPACK notes.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,6 +53,41 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, error_estimate=np.nan):
         super().__init__(message)
         self.error_estimate = error_estimate
+
+
+# the messages of the QUADPACK runs under way in a _diagnosed block
+_NOTES = ContextVar("hyperlab_quadpack_notes", default=None)
+
+
+@contextmanager
+def _diagnosed():
+    """Keep the messages of the QUADPACK runs inside (``_noted``) for the
+    message of a QuadratureError raised inside (``_refusal``)."""
+    token = _NOTES.set([])
+    try:
+        yield
+    finally:
+        _NOTES.reset(token)
+
+
+def _noted(*runs):
+    """Keep the first sentence of each QUADPACK run's message, if any, for
+    the _diagnosed block under way: a run is what quad returns under
+    full_output past its value and estimate, (infodict[, message, ...])."""
+    notes = _NOTES.get()
+    if notes is not None:
+        notes.extend(" ".join(run[1].split()).partition(".")[0] + "."
+                     for run in runs if len(run) > 1)
+
+
+def _refusal(message, error_estimate=np.nan):
+    """A QuadratureError whose message ends with the distinct QUADPACK
+    messages kept so far in the _diagnosed block, each with its count."""
+    notes = _NOTES.get()
+    if notes:
+        message += "; QUADPACK warned: " + "; ".join(
+            f"{w} (x{notes.count(w)})" for w in dict.fromkeys(notes))
+    return QuadratureError(message, error_estimate)
 
 
 class UlamError(RuntimeError):
@@ -158,12 +195,12 @@ class Piece:
 
     def check_integrable(self) -> None:
         """Raise MeasureError unless the piece is finite, the image of a
-        family piece, or carries a caller-certified majorant |rho(t)| <=
-        tail_c |t|^-tail_p with tail_p > 1."""
+        family piece, or carries the exponent tail_p > 1 of a caller-
+        certified majorant |rho(t)| <= C |t|^-tail_p."""
         if np.isfinite(self.a) and np.isfinite(self.b) \
                 or self.image_s is not None:
             return
-        if "tail_c" not in self.params:
+        if "tail_p" not in self.params:
             raise MeasureError("infinite piece without a certified tail "
                                "majorant")
         if self.params["tail_p"] <= 1.0:
@@ -306,19 +343,17 @@ def pushforward_inversion(nu: Measure1D, gamma: float) -> Measure1D:
 def total_variation(nu: Measure1D) -> float:
     """Sum of |atom weights| plus integrals of |density| over the pieces.
     A piece whose integral is not finite, or whose estimate misses the
-    bound, raises a QuadratureError that carries QUADPACK's warnings."""
-    # fourier holds the diagnostics, imported on first call so that
-    # importing this module loads no scipy
-    from .fourier import _caught, _diagnosed, _refusal
+    bound, raises a QuadratureError that carries QUADPACK's messages."""
     rel_tol = 1e-10
     # through the module binding, which a profiler may patch
     quad = sys.modules[__name__].quad
     tv = sum(abs(w) for _, w in nu.atoms)
     with _diagnosed():
         for p in nu.pieces:
-            with _caught():
-                val, err = quad(lambda t: abs(p.density(t)), p.a, p.b,
-                                limit=400, epsabs=1e-13, epsrel=rel_tol)
+            val, err, *run = quad(lambda t: abs(p.density(t)), p.a, p.b,
+                                  full_output=1, limit=400, epsabs=1e-13,
+                                  epsrel=rel_tol)
+            _noted(run)
             # a NaN estimate is not within the bound
             if not (np.isfinite(val)
                     and err <= rel_tol * max(1.0, abs(val)) + 1e-9):

@@ -43,11 +43,15 @@ def exp_integral(p, y):
     the sum and -i B(1/y^2) / y the odd ones, E_p = (e^{iy} / y) (B / y +
     i A).  For p >= 2, sici is called only below |y| = 60."""
     y = np.asarray(y, dtype=float)
-    far = (np.abs(y) >= 60.0) & (p > 1)
-    out = np.empty(y.shape, dtype=complex)
-    near = y[~far]
+    # E_1 splits no range: its parts, joined
+    far = np.abs(y) >= 60.0 if p > 1 else None
+    near = y if far is None else y[~far]
     re, im = exp_integral_parts(near)
-    e, ey = re + 1j * im, np.exp(1j * near)
+    e = re + 1j * im
+    if far is None:
+        return complex(e) if e.ndim == 0 else e
+    out = np.empty(y.shape, dtype=complex)
+    ey = np.exp(1j * near)
     for q in range(1, p):
         e = (ey + 1j * near * e) / q
     out[~far] = e

@@ -391,6 +391,24 @@ class TestRunExperiment:
         assert record["command"] == "timelike-witness"
         assert "QUADPACK warned: " in record["message"]
 
+    def test_witness_small_im_record_pinned(self, capsys):
+        # in-process, the record names the first row over its budget and
+        # ends with the first sentence of each distinct message QUADPACK
+        # returned for the block's runs, with its count, in order of first
+        # appearance
+        code, out, err = run(["timelike-witness", "--im", "1e-5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "schemaVersion": 1, "command": "timelike-witness", "key": "",
+            "message": "witness pairing j = 0 achieved error estimate "
+            "2.93e-08 above tolerance; QUADPACK warned: The algorithm does "
+            "not converge. (x2); The integral is probably divergent, or "
+            "slowly convergent. (x4); The occurrence of roundoff error is "
+            "detected, which prevents the requested tolerance from being "
+            "achieved. (x1)"}
+
     def test_witness_nonzero_row_runtime_record(self):
         # at Im z0 = 1e-5 the mass row j = 0 misses its budget (estimate
         # 2.93e-8); before the half-lines folded, every estimate was

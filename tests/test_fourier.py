@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from scipy.integrate import quad
 
 from hyperlab.annihilators import (critical_annihilator,
                                    expanded_annihilator, total_mass)
-from hyperlab.fourier import (ABS_TOL, REL_TOL, QuadratureError, _osc,
-                              _t_chart, _within_budget, critical_measure_ft,
-                              error_budget, ft_on_cross, ft_point, pairing)
+from hyperlab.fourier import (ABS_TOL, REL_TOL, QuadratureError, _diagnosed,
+                              _osc, _refusal, _t_chart, _within_budget,
+                              critical_measure_ft, error_budget, ft_on_cross,
+                              ft_point, pairing)
 from hyperlab.hardy import inversion_j
 from hyperlab.measures import MAX_CROSS_POINTS, HyperbolaMeasure, \
     LatticeCross, Measure1D, Piece, piece_from_family
@@ -217,6 +219,24 @@ def expanded15():
 
 
 class TestPairing:
+    def test_density_warning_reaches_the_caller(self):
+        # a density's own warning is not a QUADPACK message: the caller
+        # sees it, and no refusal carries it (a recorder of the warnings
+        # around each QUADPACK call once re-showed it into its own record
+        # without end)
+        def rho(t):
+            warnings.warn("density probe", UserWarning)
+            return 1.0
+        nu = Measure1D(pieces=(Piece(0.5, 2.0, rho, 1.5),))
+        with pytest.warns(UserWarning, match="density probe"):
+            with _diagnosed():
+                vals, errs = pairing(nu, [0.0, 1.0], 0.0)
+                assert str(_refusal("probe")) == "probe"
+        assert vals[0] == pytest.approx(1.5, abs=1e-12)
+        assert vals[1] == pytest.approx((np.exp(2j) - np.exp(0.5j)) / 1j,
+                                        abs=1e-12)
+        assert np.all(errs <= 1e-10)
+
     @pytest.mark.parametrize("kind", ["critical", "expanded"])
     @pytest.mark.parametrize("first_piece_only", [False, True])
     def test_origin_pairing_is_total_mass(self, kind, first_piece_only,

@@ -70,6 +70,17 @@ class TestTotalVariation:
             with pytest.raises(QuadratureError, match="QUADPACK warned"):
                 total_variation(mu)
 
+    def test_quadpack_message_pinned(self):
+        # the refusal ends with the first sentence of the message QUADPACK
+        # returned for the piece's run, once, with its count
+        mu = Measure1D(pieces=(Piece(0.0, 1.0, lambda t: np.sin(
+            50.0 / np.asarray(t, dtype=float)), 1.0),))
+        with pytest.raises(QuadratureError) as info:
+            total_variation(mu)
+        assert str(info.value).endswith(
+            "; QUADPACK warned: The maximum number of subdivisions (400) "
+            "has been achieved. (x1)")
+
 
 class TestRestrict:
     def test_restrict_halves_support(self):
@@ -220,6 +231,17 @@ class TestTailBounds:
         pc = Piece(0.0, np.inf, lambda t: 1.0 / (1.0 + np.asarray(t)) ** 2,
                    1.0, params={"tail_c": 1.0, "tail_p": 2.0})
         pc.check_integrable()
+
+    def test_tail_exponent_is_the_required_key(self):
+        # the majorant's exponent tail_p certifies the tail: a piece with a
+        # constant tail_c alone once raised a raw KeyError, and one with
+        # tail_p alone was refused
+        def rho(t):
+            return 1.0 / (1.0 + np.asarray(t)) ** 2
+        with pytest.raises(MeasureError, match="without a certified tail"):
+            Piece(0.0, np.inf, rho, 1.0,
+                  params={"tail_c": 1.0}).check_integrable()
+        Piece(0.0, np.inf, rho, 1.0, params={"tail_p": 2.0}).check_integrable()
 
     def test_infinite_piece_without_majorant_rejected(self):
         pc = Piece(0.0, np.inf, lambda t: np.exp(-np.asarray(t)), 1.0)
