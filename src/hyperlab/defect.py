@@ -27,7 +27,10 @@ have alpha = 2, so their axis-1 rows pair the same frequencies: one axis-1
 E table on the union of the gammas' edges serves the whole grid, and each
 gamma reads its own columns.  Null vectors come from the SVD of the n x n
 factor R of a QR of the stack, which has the stack's singular values and
-right singular vectors without its tall left factor.
+right singular vectors without its tall left factor.  The sweep needs no
+null vectors, only each spectrum's count and bottom six values: it reads
+them off one eigensolve of the n x n Gram matrix S^T S, with a Rayleigh
+step that takes the six back to within rounding of the SVD's.
 """
 
 from __future__ import annotations
@@ -273,12 +276,24 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
     """(tails, defects): an n_gamma x 6 array of each gamma's six smallest
     singular values, ascending, and the n_gamma numerical defects.  Each
     gamma's grid is anchored at 1 and gamma, so the expanded annihilators'
-    density jumps fall on bin edges; its SVD computes values only.
+    density jumps fall on bin edges.
 
     Every gamma's cross has alpha = 2, so its axis-1 rows pair the same w.
     E is elementwise, so their E table is evaluated once, on the union of
     the grids' edges (the base edges, 1 and each gamma), and each gamma
-    reads its own columns: the same bits as its own table."""
+    reads its own columns: the same bits as its own table.
+
+    Each spectrum is one eigensolve of the n x n Gram matrix G = S^T S of
+    the stack S (Golub and Van Loan, Matrix Computations, 5.3).  The
+    defect counts eigenvalues lambda_i <= threshold^2 lambda_max; the
+    tails are ||S v_i|| over the eigenvectors of the six smallest, a
+    Rayleigh step that puts them within about eps sigma_max of the SVD's.
+    Forming G moves its eigenvalues by at most about rows eps trace(G)
+    (rows eps |S|^T |S| entrywise, Higham, Accuracy and Stability, 3.5,
+    whose norm ||S||_F^2 = trace(G) bounds; then Weyl), and eigh's backward
+    error, about n eps lambda_max with n <= rows, by no more again: a
+    count with an eigenvalue within twice that of the cut would be decided
+    by rounding, and is refused with ``MeasureError``."""
     gamma_grid = [float(g) for g in gamma_grid]
     for gamma in gamma_grid:
         # gamma > 0, and a finite largest axis-2 phase, as its row computes it
@@ -292,12 +307,21 @@ def sweep_gamma(basis: CandidateBasis, gamma_grid, j_max: int = 40,
         cols = np.unique(np.concatenate([b.edges for b in bases]))
         table = _e_table(_half_cross(crosses[0])[1:j_max + 1, 0], cols)
     tails, defects = [], []
-    for b, cross in zip(bases, crosses):
+    for gamma, b, cross in zip(gamma_grid, bases, crosses):
         idx = np.searchsorted(cols, b.edges)
-        mat = build_constraint_matrix(b, cross, [t[:, idx] for t in table])
-        sv = np.linalg.svd(_checked(mat.entries, threshold), compute_uv=False)
-        tails.append(np.sort(sv)[:6])
-        defects.append(int(np.sum(sv <= threshold * sv[0])))
+        s = _checked(build_constraint_matrix(
+            b, cross, [t[:, idx] for t in table]).entries, threshold)
+        gram = s.T @ s
+        lam, vec = np.linalg.eigh(gram)
+        cut = threshold * threshold * lam[-1]
+        if np.any(np.abs(lam - cut)
+                  <= 2.0 * len(s) * np.finfo(float).eps * np.trace(gram)):
+            raise MeasureError(f"gamma {gamma:g}: an eigenvalue of S^T S "
+                               f"lies within rounding of threshold^2 "
+                               f"lambda_max at threshold {threshold:g}, so "
+                               f"rounding would decide the defect count")
+        tails.append(np.sort(np.linalg.norm(s @ vec[:, :6], axis=0)))
+        defects.append(int(np.sum(lam <= cut)))
     return np.reshape(tails, (-1, 6)), np.array(defects, dtype=int)
 
 

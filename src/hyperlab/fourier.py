@@ -366,7 +366,10 @@ def _binned_pairing(edges: np.ndarray, values: np.ndarray, w, c):
         # t E_2(-c/t), a primitive of e^{-ic/t} that is 0 at 0
         prim = np.zeros((r.shape[0], edges.size), dtype=complex)
         t = edges[edges > 0.0]
-        prim[:, edges > 0.0] = t * exp_integral(2, -c[r] / t)
+        # -c/t may overflow to -inf at a small edge, where E_2 reads 0
+        with np.errstate(over="ignore"):
+            y = -c[r] / t
+        prim[:, edges > 0.0] = t * exp_integral(2, y)
         return prim
     closed(np.flatnonzero((w == 0.0) & (c != 0.0)), axis2)
     off = np.flatnonzero((w != 0.0) & (c != 0.0))
@@ -474,7 +477,12 @@ def _checked_ft(mu: HyperbolaMeasure, xi1, xi2, labels):
     xi2[i]), each within its error budget, else ``QuadratureError``
     naming the first point over it by labels[i]."""
     w = np.pi * np.asarray(xi1, dtype=float)
-    c = mu.m**2 * np.asarray(xi2, dtype=float) / (4.0 * np.pi)
+    xi2 = np.asarray(xi2, dtype=float)
+    # past |xi2| ~ 4.5e306 (at m = 2 pi) m^2 xi2 overflows though c may
+    # not: there, scale before the product; a c still infinite is refused
+    with np.errstate(over="ignore"):
+        c = mu.m**2 * xi2 / (4.0 * np.pi)
+        c = np.where(np.isinf(c), mu.m**2 / (4.0 * np.pi) * xi2, c)
     with _diagnosed():
         return _within_budget(*pairing(mu.pi1, w, c), labels)
 

@@ -60,7 +60,9 @@ def exp_integral(p, y):
         coef = np.cumprod(np.r_[1.0, p + k[:-1]]) * (-1.0) ** (k // 2)
         r = 1.0 / y  # squared below: y^2 overflows from |y| ~ 1e154
         a, b = (np.polyval(c[::-1], r * r) for c in (coef[0::2], coef[1::2]))
-        cos, sin = np.cos(y), np.sin(y)
+        # at y = +-inf, r = 0 zeroes the sum (E_p = 0) if its phase is finite
+        phase = np.where(r == 0.0, 0.0, y)
+        cos, sin = np.cos(phase), np.sin(phase)
         out.real[far] = (b * r * cos - a * sin) * r
         out.imag[far] = (a * cos + b * r * sin) * r
     return complex(out) if out.ndim == 0 else out

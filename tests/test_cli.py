@@ -509,6 +509,24 @@ class TestRunExperiment:
         rec = json.loads(res.stdout)
         assert abs(complex(rec["re"], rec["im"])) <= 1e-11
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--xi2", "1e307"], 1),
+        (["--measure", "expanded", "--gamma", "1.5", "--xi2", "1e306"], 0)])
+    def test_ft_eval_huge_xi2_is_quiet(self, argv, code):
+        # in a child process with warnings shown: m^2 xi2 overflowed at
+        # 1e307, and E_2 of -inf read NaN at 1e306, and numpy's warnings
+        # reached stderr; the critical measure's QUADPACK run still reads
+        # NaN at 1e307, which is one runtime record
+        res = run_child("-W", "default", "-m", "hyperlab.cli", "ft-eval",
+                        *argv, timeout=120)
+        assert res.returncode == code
+        if code == 0:
+            assert res.stderr == ""
+            return
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["command"] == "ft-eval"
+
     def test_ft_cross_wide_critical_cross(self, capsys):
         # every pairing of the critical measure on the cross vanishes
         code, out, _ = run(["ft-cross", "--jmax", "500", "--kmax", "500"],

@@ -335,6 +335,13 @@ class TestGammaOnePoint:
         assert np.min(est08.singular_values) >= 3.0 * sv1[-1]
 
 
+def own_matrix(basis, gamma, j_max, k_max):
+    """The stack of gamma's cross on its own anchored basis, built alone."""
+    b = basis.with_anchor(1.0).with_anchor(gamma)
+    return build_constraint_matrix(
+        b, cross_for_gamma(gamma, j_max, k_max)).entries
+
+
 class TestSweep:
     def test_phase_transition_pattern(self):
         basis = CandidateBasis(0.08, 12.5, 202)
@@ -351,16 +358,41 @@ class TestSweep:
     def test_shared_table_matches_each_gamma_alone(self):
         # one axis-1 E table serves the whole grid: a repeated gamma, one
         # past the band, and one on its lower edge each read the bits of
-        # their own matrix's values-only SVD
+        # the sweep's Gram step on their own matrix
         basis = CandidateBasis(0.08, 12.5, 24)
         grid = [1.0, 1.0, 1.2, 20.0, basis.t_min]
         tails, defects = sweep_gamma(basis, grid, 12, 10, 1e-2)
         for gamma, tail, defect in zip(grid, tails, defects):
-            b = basis.with_anchor(1.0).with_anchor(gamma)
-            mat = build_constraint_matrix(b, cross_for_gamma(gamma, 12, 10))
-            sv = np.linalg.svd(mat.entries, compute_uv=False)
-            assert np.array_equal(tail, np.sort(sv)[:6])
+            s = own_matrix(basis, gamma, 12, 10)
+            lam, vec = np.linalg.eigh(s.T @ s)
+            assert np.array_equal(
+                tail, np.sort(np.linalg.norm(s @ vec[:, :6], axis=0)))
+            assert defect == np.sum(lam <= 1e-2 * 1e-2 * lam[-1])
+
+    @pytest.mark.parametrize("grid, j_max, k_max, n_bins", [
+        ([0.6, 0.8, 1.0, 1.2, 1.5], 640, 640, 202),
+        ([1.0, 1.0, 1.2, 20.0, 0.08], 12, 10, 24)])
+    def test_gram_spectrum_matches_the_svd(self, grid, j_max, k_max, n_bins):
+        # the sweep reads each spectrum off its Gram matrix S^T S; its
+        # counts are the SVD's, and its tails, after the Rayleigh step,
+        # within 1e-13 sigma_max of the SVD's (the defaults read 4.7e-16)
+        basis = CandidateBasis(0.08, 12.5, n_bins)
+        tails, defects = sweep_gamma(basis, grid, j_max, k_max, 1e-2)
+        for gamma, tail, defect in zip(grid, tails, defects):
+            sv = np.linalg.svd(own_matrix(basis, gamma, j_max, k_max),
+                               compute_uv=False)
             assert defect == np.sum(sv <= 1e-2 * sv[0])
+            assert np.max(np.abs(tail - np.sort(sv)[:6])) <= 1e-13 * sv[0]
+
+    def test_count_at_its_cut_refused(self):
+        # at threshold s1 / sigma_max the smallest eigenvalue of S^T S
+        # sits on the cut, within its rounding bound: rounding would
+        # decide the count, so the sweep refuses it
+        basis = CandidateBasis(0.08, 12.5, 24)
+        tails, _ = sweep_gamma(basis, [1.2], 12, 10, 1e-2)
+        sigma_max = np.linalg.norm(own_matrix(basis, 1.2, 12, 10), 2)
+        with pytest.raises(MeasureError, match="gamma 1.2: .* threshold"):
+            sweep_gamma(basis, [1.2], 12, 10, tails[0, 0] / sigma_max)
 
     def test_whole_grid_validated_first(self, monkeypatch):
         # a bad gamma anywhere in the grid is refused before any assembly

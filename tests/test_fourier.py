@@ -140,6 +140,21 @@ for call in calls:
         assert res.stdout.split() == ["QuadratureError"] * 9
 
 
+def test_huge_xi2_pairs_at_a_finite_c(expanded15):
+    # c = m^2 xi2 / (4 pi) = pi xi2 is finite up to |xi2| ~ 5.7e307, but
+    # m^2 xi2 overflowed from ~4.5e306, and the point was refused at c =
+    # inf; from ~1e305 the binned axis-2 primitive's -c/t overflows at the
+    # smallest edges, where E_2 read NaN: each with numpy's warnings.  The
+    # transform there is of order 1/c, in closed form
+    mu = HyperbolaMeasure(M, expanded15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi2 in (1e306, 1e307, -5e307):
+            val, err = ft_point(mu, (0.0, xi2))
+            assert err == 0.0
+            assert 0.0 < abs(val) <= 10.0 / abs(xi2)
+
+
 # ft-eval at xi = (0, xi2) in a child process: [exit code, stdout, stderr]
 _TINY_XI2_CHILD = """
 import contextlib, io, json, sys, traceback

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -125,6 +127,20 @@ class TestEndIntegrals:
             assert abs(got - want) <= 1e-10 * abs(want)
             other = 1.5 if abs(y) >= 60.0 else 61.0
             assert exp_integral(p, np.array([[y, other]]))[0, 0] == got
+
+    def test_zero_at_infinity(self):
+        # E_p(+-inf) = 0; E_2 and E_3 read their far series there, whose
+        # cos and sin of inf were NaN, with numpy's RuntimeWarnings; the
+        # finite entries beside them keep their bits
+        finite = np.array([-75.0, 2.3, 60.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1, 2, 3):
+                for y in (np.inf, -np.inf):
+                    assert exp_integral(p, y) == 0.0
+                got = exp_integral(p, np.r_[np.inf, finite, -np.inf])
+                assert np.all(got[[0, -1]] == 0.0)
+                assert np.array_equal(got[1:-1], exp_integral(p, finite))
 
 
 class TestNielsenSpiral:
